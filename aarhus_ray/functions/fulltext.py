@@ -5913,8 +5913,6 @@ def bm25_topk_doc_sharded(sf_dir: str, k: int = 10, n_ranges: int = 4) -> pd.Dat
     res = query_index_doc_sharded(
         index, _query_table(FT_QUERIES), n_ranges=n_ranges, k=k
     )
-    if len(res) == 0:  # sharded early-return omits rank; normalize here
-        return _rank_frame(res)
     resolved = UrlResolver(index)(
         pa.Table.from_pandas(res, preserve_index=False)
     ).to_pandas()
@@ -5930,19 +5928,20 @@ def bm25_topk_serving(sf_dir: str, k: int = 10) -> pd.DataFrame:
     fn is the SAME importable object the pipeline path runs, so the hash
     equality driver-attests that pool dispatch changes nothing about the
     ranking (bit-identity also pinned by
-    tests/test_pipeline.py::test_serving_pool_matches_pipeline). The
-    pool is torn down after the answer so driver runs never leak actors."""
-    from ..pipelines.query import serve_queries, stop_serving
+    tests/test_pipeline.py::test_serving_pool_matches_pipeline). A pool
+    this call started is torn down after the answer so repeated runs
+    never leak actors; a pool that was already serving stays up."""
+    from ..pipelines.query import _SERVE_POOLS, _kill_pool, serve_queries
     from ..stages.query_stage import UrlResolver
 
     index = _ensure_index(sf_dir, fresh=False)
+    before = set(_SERVE_POOLS)
     try:
         res = serve_queries(index, _query_table(FT_QUERIES), k=k,
                             n_actors=4, batch_size=8)
     finally:
-        stop_serving(index)
-    if len(res) == 0:
-        return _rank_frame(res)
+        for key in set(_SERVE_POOLS) - before:
+            _kill_pool(key)
     resolved = UrlResolver(index)(
         pa.Table.from_pandas(res, preserve_index=False)
     ).to_pandas()

@@ -1,21 +1,25 @@
 """query_index — top-k BM25 over a built index (SURVEY.md §3.2).
 
-    queries → map_batches(scorer task fn)   # replicas; each query scored
-                                            # once, completely; scorer state
-                                            # cached per worker process
-            → map_batches(UrlResolver)      # partition-pruned lookup
+    queries → map_batches(CachedOp(QueryScorer))  # replicas; each query
+                                                  # scored once, completely;
+                                                  # scorer cached per worker
+            → map_batches(UrlResolver)            # partition-pruned lookup
 
 The index is TERM-sharded (segments = disjoint term ranges), so each scorer
 replica maps ALL segments (mmap — replicas on a node share page cache) and
 gathers a query's term cursors from their owning segments before running a
-single Block-Max WAND. Scorers ride Ray's long-lived default workers via
-make_scorer_task_fn (state cached per process — same amortization as an
-actor pool without per-run actor spawn); heavy-term impact arrays and
-doclens come from ONE shared object-store copy (ray.put, zero-copy reads). Per-segment top-k + merge would be WRONG here: it
+single Block-Max WAND. Per-segment top-k + merge would be WRONG here: it
 splits a document's score across segments whenever a query's terms straddle
 a term-range boundary (caught by the DuckDB oracle; see QueryScorer
 docstring). Results carry the frozen order (score DESC, doc_id ASC) with
 1-based ranks.
+
+Every per-call index op (query_index and the 44 retrieval/aggregation ops
+below) is one op class in stages.query_stage plus one ``run_index_op``
+call: scorers ride Ray's long-lived default workers via ``CachedOp``
+(state cached per process and index version — the amortization of an
+actor pool without per-run actor spawn); heavy-term impact arrays and
+doclens come from ONE shared object-store copy (ray.put, zero-copy reads).
 """
 
 from __future__ import annotations
@@ -26,11 +30,19 @@ import re
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..stages.query_stage import QueryScorer, UrlResolver, make_scorer_task_fn
+from ..partition import DOC_ID_PARTITION_SHIFT
+from ..stages import query_stage as qs
 from ..state import manifest as mf
+from .build import _cpus
+
+# rows per map_batches call of a per-call index op (an op class may set
+# its own ``batch_rows``); the query table is cut into up to _cpus()*4
+# blocks of about this size
+_BATCH_ROWS = 64
 
 
 def list_segments(out_dir: str) -> list[int]:
@@ -42,7 +54,7 @@ def list_segments(out_dir: str) -> list[int]:
     return segs
 
 
-_SHARED_STATE_CACHE: dict[str, object] = {}
+_SHARED_STATE_CACHE: dict[tuple[str, int], object] = {}
 
 
 @ray.remote
@@ -105,6 +117,10 @@ def _shared_scorer_state(out_dir: str, segs: list[int]):
     key = (os.path.abspath(out_dir), index_version(out_dir))
     if key in _SHARED_STATE_CACHE:
         return _SHARED_STATE_CACHE[key]
+    # a new version unpins the older copies of the same index (the CachedOp
+    # eviction rule); other indexes keep theirs
+    for old in [k_ for k_ in _SHARED_STATE_CACHE if k_[0] == key[0] and k_[1] < key[1]]:
+        del _SHARED_STATE_CACHE[old]
     stats = mf.read_stats(out_dir)
     n_docs, avgdl = int(stats["n_docs"]), float(stats["avgdl"])
     dl = DoclenTable(out_dir)
@@ -145,6 +161,54 @@ def warm_index(out_dir: str) -> None:
     arrays) in the object store ahead of serving, so the first query batch
     doesn't pay the load. Idempotent per driver process."""
     _shared_scorer_state(out_dir, list_segments(out_dir))
+
+
+def _require_segments(out_dir: str) -> list[int]:
+    segs = list_segments(out_dir)
+    if not segs:
+        raise ValueError(f"no segments under {out_dir}")
+    return segs
+
+
+def _query_blocks(queries, batch_rows: int = _BATCH_ROWS) -> ray.data.Dataset:
+    """parquet path | pyarrow Table | Dataset → Dataset of query blocks.
+    A table is sliced up-front into one block per batch (at most
+    _cpus()*4, one map task each): a single-block table would feed the
+    whole map stage exactly ONE task, and repartition() output can get
+    re-coalesced by size before the map operator. Query sets are small, so
+    a path is read in this process and takes the table branch; a caller-built
+    Dataset keeps its block layout (a count() here would execute the
+    upstream pipeline twice)."""
+    if isinstance(queries, str):
+        queries = pq.read_table(queries)
+    if not isinstance(queries, pa.Table):
+        return queries
+    n_blocks = max(1, min(_cpus() * 4, queries.num_rows // batch_rows + 1))
+    per = (queries.num_rows + n_blocks - 1) // n_blocks
+    return ray.data.from_arrow(
+        [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
+    )
+
+
+def run_index_op(out_dir: str, queries, OpCls, *args,
+                 version: int | None = None) -> ray.data.Dataset:
+    """The one dispatch path of every per-call index op: each batch of
+    ``queries`` (parquet path | pyarrow Table | Dataset) runs through
+    ``OpCls(out_dir, seg_ids, *args)`` in stateless map_batches tasks, the
+    op built once per worker process and index version (CachedOp) — Ray's
+    default workers are long-lived, so repeated calls reuse warm state
+    instead of paying an actor-pool spawn (~2s/actor) per call.
+    ``version`` overrides the cache token (stats.json mtime of
+    ``out_dir``) for an op that reads more than one index."""
+    segs = _require_segments(out_dir)
+    if version is None:
+        version = index_version(out_dir)
+    batch_rows = getattr(OpCls, "batch_rows", _BATCH_ROWS)
+    return _query_blocks(queries, batch_rows).map_batches(
+        qs.CachedOp(out_dir, version, OpCls, (out_dir, tuple(segs), *args)),
+        batch_format="pyarrow",
+        batch_size=batch_rows,
+    )
 
 
 @ray.remote
@@ -213,36 +277,13 @@ def sort_topk(
     queries,
     field: str = "warc_ts",
     k: int = 10,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """Sort-by-field retrieval: per query, the top-k MATCHING docs ordered
     by a numeric docvalue (field DESC, doc_id ASC) instead of by score —
     "newest matches first". Returns (query_id, rank, doc_id, <field>).
     Execution shape identical to query_index (stateless tasks,
     worker-cached DocvalueTopK state)."""
-    from ..stages.query_stage import DocvalueTopKTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        DocvalueTopKTaskFn(out_dir, segs, field, k, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.DocvalueTopK, field, k)
 
 
 def rescore_topk(
@@ -251,36 +292,13 @@ def rescore_topk(
     window: int = 30,
     weight: float = 2.0,
     k: int = 10,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """RESCORE retrieval (ES rescore API): primary BM25 fills a top-
     ``window`` candidate set per query; inside the window each doc gains
     ``weight`` × its phrase score (0 unless the query occurs as a
     consecutive phrase); the page is the rescored window's top-k.
     Returns (query_id, rank, doc_id, score)."""
-    from ..stages.query_stage import RescoreTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        RescoreTaskFn(out_dir, segs, window, weight, k, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.RescoreTopK, window, weight, k)
 
 
 def search_after_topk(
@@ -288,8 +306,6 @@ def search_after_topk(
     queries,
     field: str = "warc_ts",
     k: int = 10,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """SEARCH_AFTER cursor pagination on the docvalue sort (ES
     search_after): ``queries`` rows carry (query_id, text, after_val,
@@ -297,28 +313,7 @@ def search_after_topk(
     is the next k matches strictly after that cursor in (field DESC,
     doc_id ASC) order. Returns (query_id, rank, doc_id, <field>) with
     rank 1..k within the page."""
-    from ..stages.query_stage import SearchAfterTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        SearchAfterTaskFn(out_dir, segs, field, k, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.DocvalueSearchAfter, field, k)
 
 
 def query_index(
@@ -326,8 +321,6 @@ def query_index(
     queries,
     k: int = 10,
     method: str = "wand",
-    concurrency: int | None = None,
-    batch_size: int = 64,
     resolve_urls: bool = True,
     mode: str = "or",
     filter_ids: np.ndarray | None = None,
@@ -371,56 +364,23 @@ def query_index(
     ``filter_ids`` (sorted uint64 doc_ids, e.g. from ``facet_doc_ids``)
     restricts results to that doc set; BM25 statistics stay global (see
     QueryScorer). Composes with every mode."""
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
+    segs = _require_segments(out_dir)
     if method == "wand_daat":
-        from ..state import manifest as _mf
-
         # fail at the driver, not wrapped inside a Ray worker: the cursor
         # DAAT path reads segments directly and cannot see the exclude set
-        if _mf.read_tombstones(out_dir) is not None:
+        if mf.read_tombstones(out_dir) is not None:
             raise ValueError("an index with tombstones supports wand/brute "
                              "(the cursor DAAT path reads segments directly)")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        # query sets are small: read driver-side and take the Table branch
-        # (repartition output can be re-coalesced by size before the map
-        # operator, collapsing the stage to one task)
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        # one map task per block: slice the table into one block per batch
-        # up-front (from_arrow with a list) — a single-block table would
-        # feed the whole pool exactly ONE task, and repartition() output
-        # can get re-coalesced by size before the actor operator
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries  # caller-built Dataset: trust its block layout (a
-        # count() here would execute the upstream pipeline twice)
     shared_ref = _shared_scorer_state(out_dir, segs)
-    version = index_version(out_dir)
     filter_ref = ray.put(np.ascontiguousarray(filter_ids, dtype=np.uint64)) if filter_ids is not None else None
-    # stateless tasks + per-worker-process scorer cache: Ray's default
-    # workers are long-lived, so repeated query runs reuse warm scorers
-    # instead of paying a fresh actor-pool spawn (~2s/actor) per run
-    merged = qds.map_batches(
-        make_scorer_task_fn(
-            out_dir, segs, k, method, shared_ref, version, mode=mode,
-            filter_ref=filter_ref, near_window=near_window,
-            min_should_match=min_should_match, span_slop=span_slop,
-            terms_set_mod=terms_set_mod, max_gaps=max_gaps,
-        ),
-        batch_format="pyarrow",
-        batch_size=batch_size,
+    merged = run_index_op(
+        out_dir, queries, qs.QueryScorer, k, method, shared_ref, None, None,
+        mode, filter_ref, near_window, min_should_match, span_slop,
+        terms_set_mod, max_gaps,
     )
     if resolve_urls:
         merged = merged.map_batches(
-            UrlResolver,
+            qs.UrlResolver,
             fn_constructor_args=(out_dir,),
             batch_format="pyarrow",
             concurrency=(1, 2),
@@ -432,8 +392,6 @@ def facet_counts(
     out_dir: str,
     queries,
     facet: str = "lang",
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """Per-query FACET COUNTS over the full match set: for each query, the
     number of DISTINCT documents containing ≥1 query term, grouped by a
@@ -446,98 +404,31 @@ def facet_counts(
     map_batches tasks; each worker holds the mmap'd segments plus ONE
     dictionary-encoded facet array (code bytes per doc), cached per
     worker process."""
-    from ..stages.query_stage import FacetCountTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        FacetCountTaskFn(out_dir, segs, facet, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.FacetCounter, facet)
 
 
 def match_counts(
     out_dir: str,
     queries,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """TOTAL HITS per query: the distinct visible docs containing ≥1 query
     term (Lucene totalHits — the count a result page shows next to top-k).
     Returns (query_id, n_hits); empty-match queries emit no row. Same
     stateless-task execution shape as query_index."""
-    from ..stages.query_stage import MatchCountTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        MatchCountTaskFn(out_dir, segs, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.MatchCounter)
 
 
 def rare_terms(
     out_dir: str,
     queries,
     max_doc_count: int = 100,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """RARE-TERMS aggregation per query (ES `rare_terms`, the exact
     dictionary-driven variant — see stages.query_stage.RareTerms): the
     vocabulary terms with global df ≤ max_doc_count present in ≥1 matching
     doc, with their matching-doc counts. Returns (query_id, term, n_docs).
     Same stateless-task shape as match_counts."""
-    from ..stages.query_stage import RareTermsTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        RareTermsTaskFn(out_dir, segs, max_doc_count, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.RareTerms, max_doc_count)
 
 
 def function_score_topk(
@@ -547,36 +438,12 @@ def function_score_topk(
     origin_us: int = 0,
     scale_us: int = 1,
     k: int = 10,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """FUNCTION-SCORE retrieval (ES function_score, linear time decay):
     top-k by bm25 × max(0, 1 − |origin − docvalue| / scale). Returns
     (query_id, rank, doc_id, score). Same stateless-task shape as
     query_index; BM25 statistics stay global."""
-    from ..stages.query_stage import FunctionScoreTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        FunctionScoreTaskFn(out_dir, segs, field, origin_us, scale_us, k,
-                            index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.FunctionScoreTopK, field, origin_us, scale_us, k)
 
 
 def field_value_factor_topk(
@@ -584,35 +451,12 @@ def field_value_factor_topk(
     queries,
     field: str = "doclen",
     k: int = 10,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """FIELD_VALUE_FACTOR retrieval (ES function_score field_value_factor,
     ln1p modifier): top-k by bm25 × ln(1 + docvalue). Returns
     (query_id, rank, doc_id, score); same stateless-task shape as
     function_score_topk, BM25 statistics stay global."""
-    from ..stages.query_stage import FieldValueFactorTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        FieldValueFactorTaskFn(out_dir, segs, field, k, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.FieldValueFactorTopK, field, k)
 
 
 def rank_feature_topk(
@@ -622,36 +466,12 @@ def rank_feature_topk(
     pivot: int = 100,
     weight: float = 2.0,
     k: int = 10,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """RANK_FEATURE retrieval (ES rank_feature, saturation function, in a
     bool-should next to the match query): top-k by bm25 + weight ×
     f/(f + pivot) over the match set. Returns (query_id, rank, doc_id,
     score); same stateless-task shape as function_score_topk."""
-    from ..stages.query_stage import RankFeatureTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        RankFeatureTaskFn(out_dir, segs, field, pivot, weight, k,
-                          index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.RankFeatureTopK, field, pivot, weight, k)
 
 
 def distance_feature_topk(
@@ -662,36 +482,13 @@ def distance_feature_topk(
     pivot_us: int = 1,
     weight: float = 2.0,
     k: int = 10,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """DISTANCE_FEATURE retrieval (ES distance_feature on a date field):
     top-k by bm25 + weight × pivot/(pivot + |origin − ts|) over the
     match set. Returns (query_id, rank, doc_id, score); same
     stateless-task shape as function_score_topk."""
-    from ..stages.query_stage import DistanceFeatureTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        DistanceFeatureTaskFn(out_dir, segs, field, origin_us, pivot_us,
-                              weight, k, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.DistanceFeatureTopK,
+                        field, origin_us, pivot_us, weight, k)
 
 
 def combined_fields_topk(
@@ -700,36 +497,15 @@ def combined_fields_topk(
     queries,
     w_title: int = 2,
     k: int = 10,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """COMBINED_FIELDS retrieval (ES combined_fields / Lucene BM25F with
     integer field weights): top-k by BM25 over merged-field statistics
     (tf' = tf_body + W·tf_title, dl' = dl_body + W·dl_title, combined
     df/avgdl). Returns (query_id, rank, doc_id, score) in body-internal
     doc space; same stateless-task shape as function_score_topk."""
-    from ..stages.query_stage import CombinedFieldsTaskFn
-
-    segs = list_segments(body_dir)
-    if not segs:
-        raise ValueError(f"no segments under {body_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    version = max(index_version(body_dir), index_version(title_dir))
-    return qds.map_batches(
-        CombinedFieldsTaskFn(body_dir, title_dir, w_title, k, version),
-        batch_format="pyarrow",
-        batch_size=batch_size,
+    return run_index_op(
+        body_dir, queries, qs.CombinedFieldsTopK, title_dir, w_title, k,
+        version=max(index_version(body_dir), index_version(title_dir)),
     )
 
 
@@ -738,8 +514,6 @@ def boosting_topk(
     queries,
     negative_boost: float = 0.5,
     k: int = 10,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """BOOSTING retrieval (ES ``boosting`` query): positive disjunctive
     BM25, × ``negative_boost`` for docs also matching the negative query
@@ -747,28 +521,7 @@ def boosting_topk(
     neg) — ``neg`` is the per-query negative clause text. Returns
     (query_id, rank, doc_id, score); same stateless-task shape as
     query_index."""
-    from ..stages.query_stage import BoostingTopKTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        BoostingTopKTaskFn(out_dir, segs, negative_boost, k, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.BoostingTopK, float(negative_boost), k)
 
 
 def synonym_topk(
@@ -776,35 +529,12 @@ def synonym_topk(
     queries,
     synonyms: dict[str, tuple[str, ...]] | None = None,
     k: int = 10,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """Query-time SYNONYM retrieval (Lucene SynonymQuery semantics): each
     term expands to its synonym group scored as one pseudo-term (merged
     tf, max-df idf). Returns (query_id, rank, doc_id, score)."""
-    from ..stages.query_stage import SynonymTopKTaskFn
-
     syn_t = tuple(sorted((b, tuple(s)) for b, s in (synonyms or {}).items()))
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        SynonymTopKTaskFn(out_dir, segs, syn_t, k, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.SynonymTopK, syn_t, k)
 
 
 def date_histogram(
@@ -812,35 +542,12 @@ def date_histogram(
     queries,
     field: str = "warc_ts",
     bucket_us: int = 86_400_000_000,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """DATE-HISTOGRAM aggregation per query (ES date_histogram): counts of
     distinct matching visible docs per fixed-width bucket of a numeric
     docvalue. Returns (query_id, bucket, n_docs); bucket = value //
     bucket_us. Same stateless-task shape as match_counts."""
-    from ..stages.query_stage import DateHistogramTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        DateHistogramTaskFn(out_dir, segs, field, bucket_us, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.DateHistogram, field, bucket_us)
 
 
 def histogram_agg(
@@ -848,8 +555,6 @@ def histogram_agg(
     queries,
     field: str = "doclen",
     interval: int = 4,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """HISTOGRAM aggregation + bucket PIPELINE aggregations per query (ES
     `histogram` with min_doc_count=0 + `cumulative_sum` + `derivative`):
@@ -858,28 +563,7 @@ def histogram_agg(
     cum_docs and the bucket-over-bucket delta_docs. Returns (query_id,
     bucket, n_docs, cum_docs, delta_docs); bucket = value // interval.
     Same stateless-task shape as date_histogram."""
-    from ..stages.query_stage import HistogramPipelineTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        HistogramPipelineTaskFn(out_dir, segs, field, interval, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.HistogramPipeline, field, interval)
 
 
 def top_metrics(
@@ -888,35 +572,12 @@ def top_metrics(
     field: str = "warc_ts",
     metric: str = "doclen",
     size: int = 3,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """TOP_METRICS aggregation per query (ES top_metrics): the metric
     docvalue read off the top ``size`` docs of the sort docvalue's
     ordering over the match set. Returns (query_id, rank, sort_val,
     metric_val)."""
-    from ..stages.query_stage import TopMetricsTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        TopMetricsTaskFn(out_dir, segs, field, metric, size, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.TopMetrics, field, metric, size)
 
 
 def auto_date_histogram(
@@ -924,36 +585,12 @@ def auto_date_histogram(
     queries,
     field: str = "warc_ts",
     target_buckets: int = 20,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """AUTO-INTERVAL date histogram per query (ES auto_date_histogram):
     the smallest frozen-ladder interval keeping the dense series within
     target_buckets, then the dense counts at that interval. Returns
     (query_id, interval_us, bucket, n_docs)."""
-    from ..stages.query_stage import AutoDateHistogramTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        AutoDateHistogramTaskFn(out_dir, segs, field, target_buckets,
-                                index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.AutoDateHistogram, field, target_buckets)
 
 
 def moving_window_agg(
@@ -963,36 +600,12 @@ def moving_window_agg(
     interval: int = 4,
     window: int = 3,
     lag: int = 2,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """MOVING-WINDOW pipeline aggs per query (ES moving_fn sum +
     serial_diff over the dense histogram series). Returns (query_id,
     bucket, n_docs, mov_sum, sdiff). Same stateless-task shape as
     histogram_agg."""
-    from ..stages.query_stage import MovingWindowAggTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        MovingWindowAggTaskFn(out_dir, segs, field, interval, window, lag,
-                              index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.MovingWindowAgg, field, interval, window, lag)
 
 
 def bucket_sort_agg(
@@ -1002,35 +615,11 @@ def bucket_sort_agg(
     interval: int = 4,
     min_count: int = 1,
     size: int = 5,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """BUCKET_SELECTOR + BUCKET_SORT per query (ES): histogram buckets
     with n_docs >= min_count, re-ranked (n_docs DESC, bucket ASC), top
     ``size``. Returns (query_id, rank, bucket, n_docs)."""
-    from ..stages.query_stage import BucketSortAggTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        BucketSortAggTaskFn(out_dir, segs, field, interval, min_count, size,
-                            index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.BucketSortAgg, field, interval, min_count, size)
 
 
 def range_agg(
@@ -1038,36 +627,13 @@ def range_agg(
     queries,
     field: str = "doclen",
     ranges: tuple[tuple[int | None, int | None], ...] = ((None, 128), (128, None)),
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """RANGE aggregation per query (ES ``range``): doc_count + exact int64
     sum of a numeric docvalue per configured half-open [from, to) range —
     every configured range emitted, count-0 and empty match sets
     included. Returns (query_id, range_idx, n_docs, sum_val). Same
     stateless-task shape as date_histogram."""
-    from ..stages.query_stage import RangeAggTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        RangeAggTaskFn(out_dir, segs, field, ranges, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.RangeAgg, field, tuple(ranges))
 
 
 def matrix_stats(
@@ -1077,36 +643,13 @@ def matrix_stats(
     field_b: str = "warc_ts",
     b_off: int = 0,
     b_div: int = 1,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """MATRIX-STATS aggregation per query (ES matrix_stats): exact integer
     sufficient statistics (n, Σa, Σb, Σa², Σb², Σab) of two numeric
     docvalues over the distinct matching visible docs; mean/variance/
     covariance/correlation derive client-side. Same stateless-task shape
     as the other match-set aggregations."""
-    from ..stages.query_stage import MatrixStatsTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        MatrixStatsTaskFn(out_dir, segs, field_a, field_b, b_off, b_div, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.MatrixStats, field_a, field_b, b_off, b_div)
 
 
 def composite_agg(
@@ -1116,8 +659,6 @@ def composite_agg(
     field: str = "warc_ts",
     bucket_us: int = 250_000_000,
     size: int = 12,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """COMPOSITE aggregation pages (ES composite agg): each input row is a
     page request (query_id, text, after_lang, after_bucket) and yields up
@@ -1126,131 +667,41 @@ def composite_agg(
     caller iterates pages by feeding each page's last key back as the next
     cursor (functions/fulltext.composite_agg_query drives the loop). Same
     stateless-task shape as the other match-set aggregations."""
-    from ..stages.query_stage import CompositeAggTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(requests, str):
-        import pyarrow.parquet as _pq
-
-        requests = _pq.read_table(requests)
-    if isinstance(requests, pa.Table):
-        n_blocks = max(1, min(conc * 4, requests.num_rows // max(1, batch_size) + 1))
-        per = (requests.num_rows + n_blocks - 1) // n_blocks
-        slices = [requests.slice(i * per, per) for i in range(n_blocks) if i * per < requests.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = requests
-    return qds.map_batches(
-        CompositeAggTaskFn(out_dir, segs, facet, field, bucket_us, size, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, requests, qs.CompositeAgg, facet, field, bucket_us, size)
 
 
 def matchset_stats(
     out_dir: str,
     queries,
     field: str = "warc_ts",
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """STATS aggregation per query (ES stats agg): (n_docs, min, max, sum)
     of a numeric docvalue over the distinct matching visible docs. Returns
     (query_id, n_docs, min_ts, max_ts, sum_ts); empty matches emit no row."""
-    from ..stages.query_stage import MatchsetStatsTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        MatchsetStatsTaskFn(out_dir, segs, field, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.MatchsetStats, field)
 
 
 def matchset_string_stats(
     out_dir: str,
     queries,
     field: str = "text",
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """STRING_STATS aggregation per query (ES string_stats): value-length
     stats + integer-exact character entropy (milli-nats × T) over the
     matching visible docs' ``field`` values. Returns (query_id, n_values,
     min_len, max_len, sum_len, h_milli_t); empty matches emit no row."""
-    from ..stages.query_stage import MatchsetStringStatsTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        MatchsetStringStatsTaskFn(out_dir, segs, field, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.MatchsetStringStats, field)
 
 
 def matchset_mad(
     out_dir: str,
     queries,
     field: str = "doclen",
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """MEDIAN-ABSOLUTE-DEVIATION aggregation per query (ES
     median_absolute_deviation, exact type-1 order statistics). Returns
     (query_id, n_docs, median, mad); empty matches emit no row."""
-    from ..stages.query_stage import MatchsetMADTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        MatchsetMADTaskFn(out_dir, segs, field, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.MatchsetMAD, field)
 
 
 def multi_terms(
@@ -1260,214 +711,75 @@ def multi_terms(
     field: str = "doclen",
     bucket_width: int = 64,
     k: int = 5,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """MULTI-TERMS aggregation per query (ES multi_terms on the composite
     (facet, field//bucket_width) key): top-k buckets by (count DESC,
     facet ASC, bucket ASC). Returns (query_id, facet, len_bucket,
     n_docs)."""
-    from ..stages.query_stage import MultiTermsTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        MultiTermsTaskFn(out_dir, segs, facet, field, bucket_width, k,
-                         index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.MultiTerms, facet, field,
+                        int(bucket_width), int(k))
 
 
 def terms_enum(
     out_dir: str,
     prefixes,
     size: int = 10,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """TERMS-ENUM (ES _terms_enum): per prefix, the first ``size``
     dictionary terms in lexicographic order. Input rows are
     (prefix_id, prefix); returns (prefix_id, rank, term)."""
-    from ..stages.query_stage import TermsEnumTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(prefixes, str):
-        import pyarrow.parquet as _pq
-
-        prefixes = _pq.read_table(prefixes)
-    if isinstance(prefixes, pa.Table):
-        n_blocks = max(1, min(conc * 4, prefixes.num_rows // max(1, batch_size) + 1))
-        per = (prefixes.num_rows + n_blocks - 1) // n_blocks
-        slices = [prefixes.slice(i * per, per) for i in range(n_blocks) if i * per < prefixes.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = prefixes
-    return qds.map_batches(
-        TermsEnumTaskFn(out_dir, segs, size, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, prefixes, qs.TermsEnum, int(size))
 
 
 def matchset_extended_stats(
     out_dir: str,
     queries,
     field: str = "doclen",
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """EXTENDED-STATS aggregation per query (ES extended_stats): exact
     integer (n, Σv, Σv², n·Σv²−(Σv)²) over the match set's docvalue.
     Returns (query_id, n_docs, sum, sum_sq, var_num)."""
-    from ..stages.query_stage import MatchsetExtendedStatsTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        MatchsetExtendedStatsTaskFn(out_dir, segs, field, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.MatchsetExtendedStats, field)
 
 
 def filters_agg(
     out_dir: str,
     queries,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """FILTERS aggregation per query (ES filters agg, other_bucket=true):
     the frozen named buckets short/long/en plus other, all emitted (zeros
     included) for every non-empty match set. Returns
     (query_id, bucket, n_docs)."""
-    from ..stages.query_stage import FiltersAggTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        FiltersAggTaskFn(out_dir, segs, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.FiltersAgg)
 
 
 def bucket_script_agg(
     out_dir: str,
     queries,
     share_denom: int = 8,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """``bucket_script`` + ``bucket_selector`` pipeline aggs per query (ES):
     lang-terms buckets over the match set with n_docs/sum_doclen metrics,
     the integer-frozen derived avg_dl_x100, and the scale-free selector
     keeping buckets with ≥ 1/share_denom of the query's matches. Returns
     (query_id, lang, n_docs, sum_doclen, avg_dl_x100)."""
-    from ..stages.query_stage import BucketScriptAggTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        BucketScriptAggTaskFn(out_dir, segs, share_denom, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.BucketScriptAgg, share_denom)
 
 
 def t_test_agg(
     out_dir: str,
     queries,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """ES ``t_test`` agg (Welch, heteroscedastic) per query: doclen of
     matched docs vs the rest of the live corpus, moments from exact
     integer (n, S, SS) partials, means/t rounded 3dp. Returns
     (query_id, n_match, n_rest, mean_match, mean_rest, t_stat)."""
-    from ..stages.query_stage import TTestAggTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        TTestAggTaskFn(out_dir, segs, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.TTestAgg)
 
 
 def percolate(
     docs,
     queries,
-    batch_size: int = 256,
 ) -> ray.data.Dataset:
     """REVERSE SEARCH (ES percolator): match a STREAM of documents against
     STORED queries (conjunctive: every distinct query term must appear).
@@ -1475,8 +787,6 @@ def percolate(
     pyarrow Table with (query_id, text), compiled once per worker.
     Returns a streaming Dataset of (query_id, doc_id) matches — composes
     with ingest at full backpressure (no index consulted)."""
-    from ..stages.query_stage import PercolateTaskFn
-
     qt = tuple(zip(queries["query_id"].to_pylist(), queries["text"].to_pylist()))
     if isinstance(docs, str):
         ds = ray.data.read_parquet(docs, columns=["doc_id", "text"])
@@ -1484,77 +794,32 @@ def percolate(
         ds = ds.repartition(max(2, _cpus() // 2))
     else:
         ds = docs
+    # no index: the stored-query set alone is the cache key
     return ds.map_batches(
-        PercolateTaskFn(qt), batch_format="pyarrow", batch_size=batch_size
+        qs.CachedOp(None, 0, qs.Percolator, (qt,)), batch_format="pyarrow", batch_size=256
     )
 
 
 def term_stats(
     out_dir: str,
     terms,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """TERM STATISTICS (ES term_statistics): per requested term, global
     visible df and total term frequency (ttf). ``terms``: pyarrow Table /
     Dataset / parquet path with a ``term`` string column. Returns
     (term, df, ttf); OOV terms emit no row."""
-    from ..stages.query_stage import TermStatsTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(terms, str):
-        import pyarrow.parquet as _pq
-
-        terms = _pq.read_table(terms)
-    if isinstance(terms, pa.Table):
-        n_blocks = max(1, min(conc * 4, terms.num_rows // max(1, batch_size) + 1))
-        per = (terms.num_rows + n_blocks - 1) // n_blocks
-        slices = [terms.slice(i * per, per) for i in range(n_blocks) if i * per < terms.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = terms
-    return qds.map_batches(
-        TermStatsTaskFn(out_dir, segs, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, terms, qs.TermStats)
 
 
 def facet_cardinality(
     out_dir: str,
     queries,
     facet: str = "lang",
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """CARDINALITY aggregation per query (ES cardinality agg): the number
     of distinct facet values among matching visible docs. Returns
     (query_id, n_values); empty matches emit no row."""
-    from ..stages.query_stage import FacetCardinalityTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        FacetCardinalityTaskFn(out_dir, segs, facet, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.FacetCardinality, facet)
 
 
 def percentile_ranks(
@@ -1562,34 +827,11 @@ def percentile_ranks(
     queries,
     field: str = "doclen",
     probes: tuple[int, ...] = (20, 40, 60),
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """PERCENTILE-RANKS aggregation per query (ES percentile_ranks,
     exact integer form). Returns (query_id, probe, n_le, n_docs); the ES
     percentage is n_le/n_docs·100 client-side."""
-    from ..stages.query_stage import PercentileRanksTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        PercentileRanksTaskFn(out_dir, segs, field, probes, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.PercentileRanks, field, tuple(probes))
 
 
 def matchset_percentiles(
@@ -1597,115 +839,43 @@ def matchset_percentiles(
     queries,
     field: str = "warc_ts",
     quantiles: tuple[float, ...] = (0.25, 0.5, 0.75),
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """PERCENTILES aggregation per query (ES percentiles agg, exact
     type-1 order statistics). Returns (query_id, pct, value)."""
-    from ..stages.query_stage import MatchsetPercentilesTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        MatchsetPercentilesTaskFn(out_dir, segs, field, tuple(quantiles),
-                                  index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.MatchsetPercentiles, field, tuple(quantiles))
 
 
 def matchset_boxplot(
     out_dir: str,
     queries,
     field: str = "doclen",
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """BOXPLOT aggregation per query (ES boxplot agg, exact integer form).
     Returns (query_id, n_docs, vmin, q1, q2, q3, vmax, n_low_out,
     n_high_out) — five-number summary + Tukey-fence outlier counts."""
-    from ..stages.query_stage import MatchsetBoxplotTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        MatchsetBoxplotTaskFn(out_dir, segs, field, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.MatchsetBoxplot, field)
 
 
 def export_matches(
     out_dir: str,
     queries,
-    concurrency: int | None = None,
-    batch_size: int = 16,
     mode: str = "or",
 ) -> ray.data.Dataset:
     """SCROLL/EXPORT: the full match set per query as a streaming Dataset
     (query_id, doc_id) — the bulk API that feeds downstream jobs (rescore,
-    join, training-set extraction) instead of a result page. Small batch_size:
-    each input query can fan out to corpus-scale output rows, and blocks
+    join, training-set extraction) instead of a result page. Small batches
+    (MatchExporter.batch_rows): each input query can fan out to corpus-scale output rows, and blocks
     stream through the executor with backpressure; consume with
     write_parquet or further map_batches, never take_all.
     ``mode="and"`` exports the conjunctive match set instead (docs
     containing EVERY distinct query term)."""
-    from ..stages.query_stage import MatchExportTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        MatchExportTaskFn(out_dir, segs, index_version(out_dir), mode),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.MatchExporter, mode)
 
 
 def explain_topk(
     out_dir: str,
     queries,
     k: int = 10,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """EXPLAIN: for each query's top-k hits, one row per (hit, matched
     term) carrying the raw BM25 inputs — (query_id, rank, doc_id, term,
@@ -1715,36 +885,13 @@ def explain_topk(
     explanation is complete and exactly comparable. Same stateless-task +
     worker-cache execution shape as query_index; output is O(k · terms)
     per query, page-sized."""
-    from ..stages.query_stage import ExplainTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        ExplainTaskFn(out_dir, segs, k, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.Explainer, k)
 
 
 def rank_eval(
     out_dir: str,
     queries,
     k: int = 10,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """RANK-EVAL: per query, integer IR metrics of the frozen disjunctive
     top-k against the deterministic conjunctive-containment qrel —
@@ -1752,35 +899,12 @@ def rank_eval(
     n_rel_at_k/k, recall@k = n_rel_at_k/n_rel, MRR = 1/first_rel_rank
     (0 ⇒ no relevant hit). One row per input query, OOV ⇒ zeros. Same
     stateless-task + worker-cache execution as query_index."""
-    from ..stages.query_stage import RankEvalTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        RankEvalTaskFn(out_dir, segs, k, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.RankEval, k)
 
 
 def adjacency_matrix(
     out_dir: str,
     pairs,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """ADJACENCY MATRIX: each input row (pair_id, text_a, text_b) yields
     the two disjunctive match-set sizes and their intersection size —
@@ -1788,64 +912,20 @@ def adjacency_matrix(
     are independent → embarrassingly parallel; per-worker match sets are
     cached across cells sharing a filter, so an n×n matrix costs n match
     sets + n² sorted-array intersections, never n² postings gathers."""
-    from ..stages.query_stage import AdjacencyTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(pairs, str):
-        import pyarrow.parquet as _pq
-
-        pairs = _pq.read_table(pairs)
-    if isinstance(pairs, pa.Table):
-        n_blocks = max(1, min(conc * 4, pairs.num_rows // max(1, batch_size) + 1))
-        per = (pairs.num_rows + n_blocks - 1) // n_blocks
-        slices = [pairs.slice(i * per, per) for i in range(n_blocks) if i * per < pairs.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = pairs
-    return qds.map_batches(
-        AdjacencyTaskFn(out_dir, segs, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, pairs, qs.AdjacencyMatrix)
 
 
 def suggest_completions(
     out_dir: str,
     queries,
     size: int = 5,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """COMPLETION SUGGESTER: each (query_id, text) prefix expands against
     the sharded term dictionary and returns the top ``size`` completions by
     GLOBAL df (tie: term ASC) as (query_id, rank, term, df). Dictionary-
     only — no postings or corpus scan; a prefix range routes to O(1)
     term-shard holders at cluster scale."""
-    from ..stages.query_stage import CompletionTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        CompletionTaskFn(out_dir, segs, size, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.CompletionSuggester, size)
 
 
 def diversified_sampler(
@@ -1854,36 +934,12 @@ def diversified_sampler(
     facet: str = "lang",
     sample_size: int = 12,
     max_per_value: int = 3,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """DIVERSIFIED-SAMPLER aggregation per query (ES diversified_sampler
     + terms sub-agg): relevance-ordered sample capped per facet value,
     then facet counts over the sample. Returns (query_id, <facet>,
     n_sample)."""
-    from ..stages.query_stage import DiversifiedSamplerTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        DiversifiedSamplerTaskFn(out_dir, segs, facet, sample_size, max_per_value,
-                                 index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.DiversifiedSampler, facet, sample_size, max_per_value)
 
 
 def collapse_topk(
@@ -1891,8 +947,6 @@ def collapse_topk(
     queries,
     facet: str = "lang",
     k: int = 5,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """FIELD COLLAPSING (ES ``collapse``): one blended page per query in
     which each facet value appears at most once — the group's best hit
@@ -1900,28 +954,7 @@ def collapse_topk(
     k; each hit carries the group's match count. Returns (query_id,
     rank, doc_id, <facet>, n_group, score). Execution shape identical to
     facet_topk."""
-    from ..stages.query_stage import CollapseTopKTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        CollapseTopKTaskFn(out_dir, segs, facet, k, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return run_index_op(out_dir, queries, qs.CollapseTopK, facet, k)
 
 
 def facet_topk(
@@ -1929,8 +962,6 @@ def facet_topk(
     queries,
     facet: str = "lang",
     k: int = 5,
-    concurrency: int | None = None,
-    batch_size: int = 64,
 ) -> ray.data.Dataset:
     """GROUPED top-k: for each query, the top-k BM25 hits within every
     facet group (result diversification / field collapsing). Returns a
@@ -1938,35 +969,7 @@ def facet_topk(
     rankings (the full disjunctive ranking restricted to each group),
     facet values ascending within a query. Execution shape identical to
     query_index (stateless tasks, worker-cached state)."""
-    from ..stages.query_stage import FacetTopKTaskFn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    conc = concurrency or max(1, _cpus())
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(conc * 4, queries.num_rows // max(1, batch_size) + 1))
-        per = (queries.num_rows + n_blocks - 1) // n_blocks
-        slices = [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
-        qds = ray.data.from_arrow(slices)
-    else:
-        qds = queries
-    return qds.map_batches(
-        FacetTopKTaskFn(out_dir, segs, facet, k, index_version(out_dir)),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
-
-
-def _cpus() -> int:
-    try:
-        return max(2, int(ray.cluster_resources().get("CPU", 8)))
-    except Exception:
-        return 8
+    return run_index_op(out_dir, queries, qs.FacetTopK, facet, k)
 
 
 def doc_pids(out_dir: str) -> list[int]:
@@ -2060,10 +1063,43 @@ def mget(out_dir: str, urls) -> pa.Table:
     )
 
 
+def _doc_ranges(out_dir: str, n_ranges: int) -> list[tuple[tuple[int, int], tuple[int, ...]]]:
+    """Split the docs/ pids into at most ``n_ranges`` contiguous groups:
+    ((lo, hi) doc_id range, pids) each — the docID scheme (pid<<40 | row)
+    makes a pid group one contiguous doc_id range."""
+    pids = doc_pids(out_dir)
+    groups = [g for g in np.array_split(np.array(pids), min(n_ranges, len(pids))) if len(g)]
+    return [
+        ((int(g[0]) << DOC_ID_PARTITION_SHIFT, (int(g[-1]) + 1) << DOC_ID_PARTITION_SHIFT),
+         tuple(int(p) for p in g))
+        for g in groups
+    ]
+
+
+def _merge_range_partials(out, k: int):
+    """Per-range k-sized partials → the global top-k under the frozen
+    (score DESC, doc_id ASC) order with 1-based ranks (merge input is
+    queries × ranges × k — right-sized)."""
+    out = out.sort_values(["query_id", "score", "doc_id"],
+                          ascending=[True, False, True], kind="mergesort")
+    out = out.groupby("query_id", sort=True).head(k).reset_index(drop=True)
+    out["rank"] = (out.groupby("query_id", sort=False).cumcount() + 1).astype("int32")
+    return out
+
+
+def _empty_topk_frame():
+    import pandas as pd
+
+    return pd.DataFrame({"query_id": pd.Series([], dtype="int64"),
+                         "rank": pd.Series([], dtype="int32"),
+                         "doc_id": pd.Series([], dtype="int64"),
+                         "score": pd.Series([], dtype="float64")})
+
+
 @ray.remote
 class _ServeScorer:
-    """Standing scorer actor for the serving pool: holds the importable
-    scorer fn; the QueryScorer builds once in THIS process (the fn's
+    """Standing scorer actor for the serving pool: holds a CachedOp over
+    QueryScorer; the scorer builds once in THIS process (CachedOp's
     worker-process cache) and stays warm across calls."""
 
     def __init__(self, fn):
@@ -2097,12 +1133,7 @@ def start_serving(out_dir: str, k: int = 10, method: str = "wand",
     query batch to one actor per range and merges the k-sized partials
     under the frozen order. None = one full-state range (single-node
     shape). Returns a list of range sub-pools (flat case: one)."""
-    from ..partition import DOC_ID_PARTITION_SHIFT
-    from ..stages.query_stage import make_scorer_task_fn
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
+    segs = _require_segments(out_dir)
     version = index_version(out_dir)
     n = n_actors or max(1, _cpus())
     key = (out_dir, version, k, method, n, n_ranges, mode)
@@ -2110,25 +1141,15 @@ def start_serving(out_dir: str, k: int = 10, method: str = "wand",
     if pool is not None:
         return pool
     for stale in [k_ for k_ in _SERVE_POOLS if k_[0] == out_dir and k_[1] < version]:
-        for sub in _SERVE_POOLS.pop(stale):
-            for a in sub:
-                ray.kill(a)
+        _kill_pool(stale)
     if n_ranges is None:
-        fns = [make_scorer_task_fn(out_dir, segs, k, method,
-                                   _shared_scorer_state(out_dir, segs), version,
-                                   mode=mode)]
+        arg_sets = [(_shared_scorer_state(out_dir, segs), None, None)]
     else:
-        pids = doc_pids(out_dir)
-        groups = [list(g) for g in np.array_split(np.array(pids),
-                                                  min(n_ranges, len(pids))) if len(g)]
-        fns = []
-        for g in groups:
-            lo = int(g[0]) << DOC_ID_PARTITION_SHIFT
-            hi = (int(g[-1]) + 1) << DOC_ID_PARTITION_SHIFT
-            # shared_ref None: the range bound on state IS the point
-            fns.append(make_scorer_task_fn(out_dir, segs, k, method, None,
-                                           version, doc_range=(lo, hi),
-                                           pids=[int(p) for p in g], mode=mode))
+        # shared_ref None: the range bound on state IS the point
+        arg_sets = [(None, rng, pids) for rng, pids in _doc_ranges(out_dir, n_ranges)]
+    fns = [qs.CachedOp(out_dir, version, qs.QueryScorer,
+                       (out_dir, tuple(segs), k, method, *a, mode))
+           for a in arg_sets]
     per = max(1, n // len(fns))
     pool = [[_ServeScorer.remote(fn) for _ in range(per)] for fn in fns]
     tiny = pa.table({"query_id": pa.array([0], pa.int64()),
@@ -2138,12 +1159,16 @@ def start_serving(out_dir: str, k: int = 10, method: str = "wand",
     return pool
 
 
+def _kill_pool(key) -> None:
+    for sub in _SERVE_POOLS.pop(key):
+        for a in sub:
+            ray.kill(a)
+
+
 def stop_serving(out_dir: str | None = None) -> None:
     """Kill serving pools (all, or those of one index)."""
     for key in [k_ for k_ in _SERVE_POOLS if out_dir is None or k_[0] == out_dir]:
-        for sub in _SERVE_POOLS.pop(key):
-            for a in sub:
-                ray.kill(a)
+        _kill_pool(key)
 
 
 def serve_queries(out_dir: str, queries, k: int = 10, method: str = "wand",
@@ -2159,19 +1184,12 @@ def serve_queries(out_dir: str, queries, k: int = 10, method: str = "wand",
     is scored wholly inside one range with global df/idf. Returns a
     pandas DataFrame (query_id, rank, doc_id, score) sorted by
     (query_id, rank)."""
-    import pandas as pd
-
     pool = start_serving(out_dir, k, method, n_actors, n_ranges, mode)
     if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
+        queries = pq.read_table(queries)
     n = queries.num_rows
     if n == 0:
-        return pd.DataFrame({"query_id": pd.Series([], dtype="int64"),
-                             "rank": pd.Series([], dtype="int32"),
-                             "doc_id": pd.Series([], dtype="int64"),
-                             "score": pd.Series([], dtype="float64")})
+        return _empty_topk_frame()
     futs = [
         sub[i % len(sub)].score.remote(queries.slice(off, batch_size))
         for i, off in enumerate(range(0, n, batch_size))
@@ -2179,14 +1197,7 @@ def serve_queries(out_dir: str, queries, k: int = 10, method: str = "wand",
     ]
     out = pa.concat_tables(ray.get(futs)).to_pandas()
     if len(pool) > 1:
-        # per-range partials: re-take the global top-k under the frozen
-        # order (merge input is queries × ranges × k — right-sized)
-        out = out.sort_values(["query_id", "score", "doc_id"],
-                              ascending=[True, False, True], kind="mergesort")
-        out = out.groupby("query_id", sort=True).head(k).reset_index(drop=True)
-        out["rank"] = (out.groupby("query_id", sort=False).cumcount() + 1).astype(
-            out["rank"].dtype
-        )
+        out = _merge_range_partials(out, k)
     return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
 
 
@@ -2196,7 +1207,6 @@ def query_index_doc_sharded(
     n_ranges: int = 4,
     k: int = 10,
     method: str = "wand",
-    batch_size: int = 64,
 ):
     """Top-k BM25 with DOC-RANGE-SHARDED scorer state — the cluster-shape
     path (SCALE.md: at 10^12 docs the ~5 TB doclen sidecar cannot live in
@@ -2219,48 +1229,20 @@ def query_index_doc_sharded(
     warm-cache wall for 4 ranges ≈ one range's pipeline cost (~0.11s on
     the 500-doc verify fixture), where the old per-range .to_pandas()
     loop paid the fixed pipeline launch serially per range."""
-    import pandas as pd
-    from ..partition import DOC_ID_PARTITION_SHIFT
-
-    segs = list_segments(out_dir)
-    if not segs:
-        raise ValueError(f"no segments under {out_dir}")
-    pids = doc_pids(out_dir)
-    if not pids:
+    _require_segments(out_dir)
+    if not doc_pids(out_dir):
         raise ValueError(f"no docs/pid=*.parquet under {out_dir}")
-    groups = [list(g) for g in np.array_split(np.array(pids), min(n_ranges, len(pids))) if len(g)]
-    version = index_version(out_dir)
-
-    if isinstance(queries, str):
-        import pyarrow.parquet as _pq
-
-        queries = _pq.read_table(queries)
-    if isinstance(queries, pa.Table):
-        qds = ray.data.from_arrow(queries)
-    else:
-        qds = queries
-
-    from ..stages.query_stage import make_scorer_task_fn as _mk
-
-    range_ds = []
-    for g in groups:
-        lo = int(g[0]) << DOC_ID_PARTITION_SHIFT
-        hi = (int(g[-1]) + 1) << DOC_ID_PARTITION_SHIFT
-        # shared_ref deliberately None: the point of this path is that a
-        # scorer's state is bounded by its doc range, not a full-corpus
-        # shared copy
-        fn = _mk(out_dir, segs, k, method, None, version, doc_range=(lo, hi), pids=[int(p) for p in g])
-        range_ds.append(qds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size))
+    qds = _query_blocks(queries)
+    # shared_ref deliberately None: the point of this path is that a
+    # scorer's state is bounded by its doc range, not a full-corpus
+    # shared copy
+    range_ds = [run_index_op(out_dir, qds, qs.QueryScorer, k, method, None, rng, pids)
+                for rng, pids in _doc_ranges(out_dir, n_ranges)]
     # ONE pipeline over the union: every range's scorer tasks run
     # concurrently (round 4; the old per-range .to_pandas() loop executed
     # ranges serially, hiding the latency win the sharding exists for)
     merged_ds = range_ds[0] if len(range_ds) == 1 else range_ds[0].union(*range_ds[1:])
     allp = merged_ds.to_pandas()
     if allp.empty:
-        return allp
-    allp = allp.sort_values(
-        ["query_id", "score", "doc_id"], ascending=[True, False, True], kind="mergesort"
-    )
-    merged = allp.groupby("query_id", sort=True).head(k).reset_index(drop=True)
-    merged["rank"] = merged.groupby("query_id", sort=False).cumcount().astype("int32") + 1
-    return merged[["query_id", "rank", "doc_id", "score"]]
+        return _empty_topk_frame()
+    return _merge_range_partials(allp, k)[["query_id", "rank", "doc_id", "score"]]

@@ -582,8 +582,9 @@ class QueryScorer:
         scores). idf/df stay GLOBAL (summed over all shards). Default
         (None): full-corpus scoring, the goldens' exact path.
 
-        ``filter_ids`` (sorted uint64 array) restricts RESULTS to the given
-        doc set — the facet-filter path (e.g. lang='en'). Frozen semantics:
+        ``filter_ids`` (sorted uint64 array, or an object ref to one)
+        restricts RESULTS to the given doc set — the facet-filter path
+        (e.g. lang='en'). Frozen semantics:
         the filter changes only eligibility, never the statistics — idf/df/
         avgdl/N stay GLOBAL, as in mainstream engines, so a doc's score is
         identical with and without a filter. The mask is applied to each
@@ -636,6 +637,12 @@ class QueryScorer:
         if filter_ids is not None and method == "wand_daat":
             raise ValueError("facet filters support wand/brute (the cursor "
                              "DAAT path reads segments directly)")
+        import ray as _ray
+
+        if isinstance(filter_ids, _ray.ObjectRef):
+            # query_index passes a ref: zero-copy read-only view over the
+            # one object-store copy
+            filter_ids = _ray.get(filter_ids)
         self.filter_ids = (
             np.ascontiguousarray(filter_ids, dtype=np.uint64) if filter_ids is not None else None
         )
@@ -657,8 +664,6 @@ class QueryScorer:
         self.segments = [Segment(out_dir, sid) for sid in seg_ids]
         self._shared_impacts: dict[str, tuple] = {}
         if shared_ref is not None:
-            import ray as _ray
-
             # zero-copy read-only views over the shared object-store copy
             dl_ids, dl_lens, impacts = _ray.get(shared_ref)
             self.doclens = DoclenTable.__new__(DoclenTable)
@@ -2664,13 +2669,13 @@ class CombinedFieldsTopK:
     external tie order (the _full_ranking pattern — combined scores tie
     exactly for content clones)."""
 
-    def __init__(self, body_dir: str, title_dir: str,
-                 w_title: int = 2, k: int = 10):
+    def __init__(self, body_dir: str, seg_ids: list[int] | None,
+                 title_dir: str, w_title: int = 2, k: int = 10):
         import pyarrow.compute as pc
 
         self.k = k
         self.w_title = int(w_title)
-        self.sb = QueryScorer(body_dir, k=k, method="brute")
+        self.sb = QueryScorer(body_dir, seg_ids, k=k, method="brute")
         self.st = QueryScorer(title_dir, k=k, method="brute")
 
         def _sidecar(d: str) -> pa.Table:
@@ -2837,25 +2842,6 @@ class BoostingTopK:
                 "score": pa.array(scrs, pa.float64()),
             }
         )
-
-
-class BoostingTopKTaskFn:
-    """Task-fn form of BoostingTopK (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int],
-                 negative_boost: float, k: int, version: float):
-        self.args = (out_dir, tuple(seg_ids), float(negative_boost), k, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, neg_boost, k, version = self.args
-        key = (out_dir, version, seg_ids, neg_boost, k, "boosting")
-        bt = _WORKER_MATCH_AGG_CACHE.get(key)
-        if bt is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            bt = BoostingTopK(out_dir, list(seg_ids), neg_boost, k)
-            _WORKER_MATCH_AGG_CACHE[key] = bt
-        return bt(batch)
 
 
 class SynonymTopK:
@@ -3183,24 +3169,6 @@ class Percolator:
         )
 
 
-_WORKER_PERCOLATOR_CACHE: dict[tuple, "Percolator"] = {}
-
-
-class PercolateTaskFn:
-    """Task-fn form of Percolator (worker-process cache keyed by the
-    stored-query set — no index, no version)."""
-
-    def __init__(self, queries: tuple[tuple[int, str], ...]):
-        self.queries = tuple(queries)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        pc_ = _WORKER_PERCOLATOR_CACHE.get(self.queries)
-        if pc_ is None:
-            pc_ = Percolator(self.queries)
-            _WORKER_PERCOLATOR_CACHE[self.queries] = pc_
-        return pc_(batch)
-
-
 class TermStats:
     """TERM STATISTICS API (ES _termvectors term_statistics / Lucene
     TermStates): per requested term, the GLOBAL doc frequency (df, summed
@@ -3409,69 +3377,6 @@ class RankEval:
         )
 
 
-_WORKER_RANKEVAL_CACHE: dict[tuple, "RankEval"] = {}
-
-
-class RankEvalTaskFn:
-    """Task-fn form of RankEval (worker-process cache, as ScorerTaskFn)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], k: int, version: float):
-        self.args = (out_dir, tuple(seg_ids), k, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, k, version = self.args
-        key = (out_dir, version, seg_ids, k)
-        re_ = _WORKER_RANKEVAL_CACHE.get(key)
-        if re_ is None:
-            for kk in [kk for kk in _WORKER_RANKEVAL_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_RANKEVAL_CACHE[kk]
-            re_ = RankEval(out_dir, list(seg_ids), k)
-            _WORKER_RANKEVAL_CACHE[key] = re_
-        return re_(batch)
-
-
-_WORKER_SUGGEST_CACHE: dict[tuple, "CompletionSuggester"] = {}
-
-
-class CompletionTaskFn:
-    """Task-fn form of CompletionSuggester (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], size: int, version: float):
-        self.args = (out_dir, tuple(seg_ids), size, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, size, version = self.args
-        key = (out_dir, version, seg_ids, size)
-        cs = _WORKER_SUGGEST_CACHE.get(key)
-        if cs is None:
-            for kk in [kk for kk in _WORKER_SUGGEST_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_SUGGEST_CACHE[kk]
-            cs = CompletionSuggester(out_dir, list(seg_ids), size)
-            _WORKER_SUGGEST_CACHE[key] = cs
-        return cs(batch)
-
-
-_WORKER_EXPLAIN_CACHE: dict[tuple, "Explainer"] = {}
-
-
-class ExplainTaskFn:
-    """Task-fn form of Explainer (worker-process cache, as ScorerTaskFn)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], k: int, version: float):
-        self.args = (out_dir, tuple(seg_ids), k, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, k, version = self.args
-        key = (out_dir, version, seg_ids, k)
-        ex = _WORKER_EXPLAIN_CACHE.get(key)
-        if ex is None:
-            for kk in [kk for kk in _WORKER_EXPLAIN_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_EXPLAIN_CACHE[kk]
-            ex = Explainer(out_dir, list(seg_ids), k)
-            _WORKER_EXPLAIN_CACHE[key] = ex
-        return ex(batch)
-
-
 class MatchCounter:
     """TOTAL HITS per query (Lucene's totalHits): the size of the
     disjunctive match set — distinct visible docs containing ≥1 query
@@ -3624,27 +3529,6 @@ class AdjacencyMatrix(MatchCounter):
         )
 
 
-_WORKER_ADJACENCY_CACHE: dict[tuple, "AdjacencyMatrix"] = {}
-
-
-class AdjacencyTaskFn:
-    """Task-fn form of AdjacencyMatrix (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], version: float):
-        self.args = (out_dir, tuple(seg_ids), version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, version = self.args
-        key = (out_dir, version, seg_ids)
-        am = _WORKER_ADJACENCY_CACHE.get(key)
-        if am is None:
-            for kk in [kk for kk in _WORKER_ADJACENCY_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_ADJACENCY_CACHE[kk]
-            am = AdjacencyMatrix(out_dir, list(seg_ids))
-            _WORKER_ADJACENCY_CACHE[key] = am
-        return am(batch)
-
-
 class MatchExporter(MatchCounter):
     """SCROLL/EXPORT: the FULL match set per query as rows (query_id,
     doc_id) — the bulk-export API (Elasticsearch scroll / Lucene
@@ -3659,6 +3543,10 @@ class MatchExporter(MatchCounter):
     postings unions intersected smallest-first, the same semantics as
     retrieval mode="and". This is what _delete_by_query-style bulk
     operations filter with."""
+
+    # each input query can fan out to corpus-scale output rows: small
+    # batches keep output blocks streaming (run_index_op reads this)
+    batch_rows = 16
 
     def __init__(self, out_dir: str, seg_ids: list[int] | None = None,
                  mode: str = "or"):
@@ -3858,25 +3746,6 @@ class TopMetrics(DocvalueTopK):
         )
 
 
-class TopMetricsTaskFn:
-    """Task-fn form of TopMetrics (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], field: str,
-                 metric: str, size: int, version: float):
-        self.args = (out_dir, tuple(seg_ids), field, metric, size, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, field, metric, size, version = self.args
-        key = (out_dir, version, seg_ids, field, metric, size, "topmetrics")
-        tm = _WORKER_MATCH_AGG_CACHE.get(key)
-        if tm is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            tm = TopMetrics(out_dir, list(seg_ids), field, metric, size)
-            _WORKER_MATCH_AGG_CACHE[key] = tm
-        return tm(batch)
-
-
 class AutoDateHistogram(DocvalueTopK):
     """AUTO-INTERVAL date histogram (Elasticsearch's
     ``auto_date_histogram``): per query, the SMALLEST interval from a
@@ -3930,25 +3799,6 @@ class AutoDateHistogram(DocvalueTopK):
                 "n_docs": pa.array(cat(n_out), pa.int64()),
             }
         )
-
-
-class AutoDateHistogramTaskFn:
-    """Task-fn form of AutoDateHistogram (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], field: str,
-                 target_buckets: int, version: float):
-        self.args = (out_dir, tuple(seg_ids), field, target_buckets, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, field, target, version = self.args
-        key = (out_dir, version, seg_ids, field, target, "autodate")
-        ah = _WORKER_MATCH_AGG_CACHE.get(key)
-        if ah is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            ah = AutoDateHistogram(out_dir, list(seg_ids), field, target)
-            _WORKER_MATCH_AGG_CACHE[key] = ah
-        return ah(batch)
 
 
 class MovingWindowAgg(DocvalueTopK):
@@ -4020,25 +3870,6 @@ class MovingWindowAgg(DocvalueTopK):
         )
 
 
-class MovingWindowAggTaskFn:
-    """Task-fn form of MovingWindowAgg (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], field: str,
-                 interval: int, window: int, lag: int, version: float):
-        self.args = (out_dir, tuple(seg_ids), field, interval, window, lag, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, field, interval, window, lag, version = self.args
-        key = (out_dir, version, seg_ids, field, interval, window, lag, "movwin")
-        mw = _WORKER_MATCH_AGG_CACHE.get(key)
-        if mw is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            mw = MovingWindowAgg(out_dir, list(seg_ids), field, interval, window, lag)
-            _WORKER_MATCH_AGG_CACHE[key] = mw
-        return mw(batch)
-
-
 class BucketSortAgg(DocvalueTopK):
     """BUCKET_SELECTOR + BUCKET_SORT pipeline aggregations (ES): per
     query, the histogram buckets SURVIVING an integer predicate
@@ -4090,25 +3921,6 @@ class BucketSortAgg(DocvalueTopK):
         )
 
 
-class BucketSortAggTaskFn:
-    """Task-fn form of BucketSortAgg (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], field: str,
-                 interval: int, min_count: int, size: int, version: float):
-        self.args = (out_dir, tuple(seg_ids), field, interval, min_count, size, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, field, interval, min_count, size, version = self.args
-        key = (out_dir, version, seg_ids, field, interval, min_count, size, "bsort")
-        bs = _WORKER_MATCH_AGG_CACHE.get(key)
-        if bs is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            bs = BucketSortAgg(out_dir, list(seg_ids), field, interval, min_count, size)
-            _WORKER_MATCH_AGG_CACHE[key] = bs
-        return bs(batch)
-
-
 class RangeAgg(DocvalueTopK):
     """RANGE aggregation over the match set (Elasticsearch's ``range``
     agg): per query and configured half-open [from, to) range of a
@@ -4157,25 +3969,6 @@ class RangeAgg(DocvalueTopK):
                 "sum_val": pa.array(sum_out, pa.int64()),
             }
         )
-
-
-class RangeAggTaskFn:
-    """Task-fn form of RangeAgg (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], field: str,
-                 ranges: tuple[tuple[int | None, int | None], ...], version: float):
-        self.args = (out_dir, tuple(seg_ids), field, tuple(ranges), version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, field, ranges, version = self.args
-        key = (out_dir, version, seg_ids, field, ranges, "range")
-        ra = _WORKER_MATCH_AGG_CACHE.get(key)
-        if ra is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            ra = RangeAgg(out_dir, list(seg_ids), field, ranges)
-            _WORKER_MATCH_AGG_CACHE[key] = ra
-        return ra(batch)
 
 
 class MatchsetPercentiles(DocvalueTopK):
@@ -4606,250 +4399,6 @@ class MatrixStats:
         return pa.table({k: pa.array(v, pa.int64()) for k, v in out.items()})
 
 
-class MatrixStatsTaskFn:
-    """Task-fn form of MatrixStats (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], field_a: str,
-                 field_b: str, b_off: int, b_div: int, version: float):
-        self.args = (out_dir, tuple(seg_ids), field_a, field_b, b_off, b_div, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, field_a, field_b, b_off, b_div, version = self.args
-        key = (out_dir, version, seg_ids, field_a, field_b, b_off, b_div, "matrix")
-        ms = _WORKER_MATCH_AGG_CACHE.get(key)
-        if ms is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            ms = MatrixStats(out_dir, list(seg_ids), field_a, field_b, b_off, b_div)
-            _WORKER_MATCH_AGG_CACHE[key] = ms
-        return ms(batch)
-
-
-_WORKER_FACET_CACHE: dict[tuple, "FacetCounter"] = {}
-_WORKER_FACET_TOPK_CACHE: dict[tuple, "FacetTopK"] = {}
-_WORKER_DOCVALUE_TOPK_CACHE: dict[tuple, "DocvalueTopK"] = {}
-_WORKER_MATCH_COUNT_CACHE: dict[tuple, "MatchCounter"] = {}
-_WORKER_MATCH_EXPORT_CACHE: dict[tuple, "MatchExporter"] = {}
-_WORKER_MATCH_AGG_CACHE: dict[tuple, object] = {}
-_WORKER_FSCORE_CACHE: dict[tuple, "FunctionScoreTopK"] = {}
-_WORKER_SYNONYM_CACHE: dict[tuple, "SynonymTopK"] = {}
-
-
-class MatchExportTaskFn:
-    """Task-fn form of MatchExporter (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], version: float,
-                 mode: str = "or"):
-        self.args = (out_dir, tuple(seg_ids), version, mode)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, version, mode = self.args
-        key = (out_dir, version, seg_ids, mode)
-        me = _WORKER_MATCH_EXPORT_CACHE.get(key)
-        if me is None:
-            for kk in [kk for kk in _WORKER_MATCH_EXPORT_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_EXPORT_CACHE[kk]
-            me = MatchExporter(out_dir, list(seg_ids), mode)
-            _WORKER_MATCH_EXPORT_CACHE[key] = me
-        return me(batch)
-
-
-class MatchCountTaskFn:
-    """Task-fn form of MatchCounter (worker-process cache, as ScorerTaskFn)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], version: float):
-        self.args = (out_dir, tuple(seg_ids), version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, version = self.args
-        key = (out_dir, version, seg_ids)
-        mc = _WORKER_MATCH_COUNT_CACHE.get(key)
-        if mc is None:
-            for kk in [kk for kk in _WORKER_MATCH_COUNT_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_COUNT_CACHE[kk]
-            mc = MatchCounter(out_dir, list(seg_ids))
-            _WORKER_MATCH_COUNT_CACHE[key] = mc
-        return mc(batch)
-
-
-class RareTermsTaskFn:
-    """Task-fn form of RareTerms (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], max_doc_count: int,
-                 version: float):
-        self.args = (out_dir, tuple(seg_ids), max_doc_count, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, max_doc_count, version = self.args
-        key = (out_dir, version, seg_ids, max_doc_count, "rare")
-        rt = _WORKER_MATCH_AGG_CACHE.get(key)
-        if rt is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            rt = RareTerms(out_dir, list(seg_ids), max_doc_count)
-            _WORKER_MATCH_AGG_CACHE[key] = rt
-        return rt(batch)
-
-
-class FunctionScoreTaskFn:
-    """Task-fn form of FunctionScoreTopK (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], field: str,
-                 origin_us: int, scale_us: int, k: int, version: float):
-        self.args = (out_dir, tuple(seg_ids), field, origin_us, scale_us, k, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, field, origin_us, scale_us, k, version = self.args
-        key = (out_dir, version, seg_ids, field, origin_us, scale_us, k)
-        fs = _WORKER_FSCORE_CACHE.get(key)
-        if fs is None:
-            for kk in [kk for kk in _WORKER_FSCORE_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_FSCORE_CACHE[kk]
-            fs = FunctionScoreTopK(out_dir, list(seg_ids), field, origin_us, scale_us, k)
-            _WORKER_FSCORE_CACHE[key] = fs
-        return fs(batch)
-
-
-class FieldValueFactorTaskFn:
-    """Task-fn form of FieldValueFactorTopK (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], field: str,
-                 k: int, version: float):
-        self.args = (out_dir, tuple(seg_ids), field, k, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, field, k, version = self.args
-        key = (out_dir, version, seg_ids, field, "fvf", k)
-        fv = _WORKER_FSCORE_CACHE.get(key)
-        if fv is None:
-            for kk in [kk for kk in _WORKER_FSCORE_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_FSCORE_CACHE[kk]
-            fv = FieldValueFactorTopK(out_dir, list(seg_ids), field, k)
-            _WORKER_FSCORE_CACHE[key] = fv
-        return fv(batch)
-
-
-class RankFeatureTaskFn:
-    """Task-fn form of RankFeatureTopK (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], field: str,
-                 pivot: int, weight: float, k: int, version: float):
-        self.args = (out_dir, tuple(seg_ids), field, pivot, weight, k, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, field, pivot, weight, k, version = self.args
-        key = (out_dir, version, seg_ids, field, "rankfeat", pivot, weight, k)
-        rf = _WORKER_FSCORE_CACHE.get(key)
-        if rf is None:
-            for kk in [kk for kk in _WORKER_FSCORE_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_FSCORE_CACHE[kk]
-            rf = RankFeatureTopK(out_dir, list(seg_ids), field, pivot, weight, k)
-            _WORKER_FSCORE_CACHE[key] = rf
-        return rf(batch)
-
-
-class DistanceFeatureTaskFn:
-    """Task-fn form of DistanceFeatureTopK (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], field: str,
-                 origin_us: int, pivot_us: int, weight: float, k: int,
-                 version: float):
-        self.args = (out_dir, tuple(seg_ids), field, origin_us, pivot_us,
-                     weight, k, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, field, origin_us, pivot_us, weight, k, version = self.args
-        key = (out_dir, version, seg_ids, field, "distfeat", origin_us,
-               pivot_us, weight, k)
-        df_ = _WORKER_FSCORE_CACHE.get(key)
-        if df_ is None:
-            for kk in [kk for kk in _WORKER_FSCORE_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_FSCORE_CACHE[kk]
-            df_ = DistanceFeatureTopK(out_dir, list(seg_ids), field,
-                                      origin_us, pivot_us, weight, k)
-            _WORKER_FSCORE_CACHE[key] = df_
-        return df_(batch)
-
-
-class CombinedFieldsTaskFn:
-    """Task-fn form of CombinedFieldsTopK (worker-process cache, keyed by
-    both field indexes' versions)."""
-
-    def __init__(self, body_dir: str, title_dir: str, w_title: int,
-                 k: int, version: float):
-        self.args = (body_dir, title_dir, w_title, k, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        body_dir, title_dir, w_title, k, version = self.args
-        key = (body_dir, version, title_dir, "combf", w_title, k)
-        cf = _WORKER_FSCORE_CACHE.get(key)
-        if cf is None:
-            for kk in [kk for kk in _WORKER_FSCORE_CACHE if kk[0] == body_dir and kk[1] < version]:
-                del _WORKER_FSCORE_CACHE[kk]
-            cf = CombinedFieldsTopK(body_dir, title_dir, w_title, k)
-            _WORKER_FSCORE_CACHE[key] = cf
-        return cf(batch)
-
-
-class SynonymTopKTaskFn:
-    """Task-fn form of SynonymTopK (worker-process cache). ``synonyms``
-    is the canonical hashable form: sorted tuple of (base, (syn, ...))."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int],
-                 synonyms: tuple[tuple[str, tuple[str, ...]], ...],
-                 k: int, version: float):
-        self.args = (out_dir, tuple(seg_ids), synonyms, k, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, synonyms, k, version = self.args
-        key = (out_dir, version, seg_ids, synonyms, k)
-        st = _WORKER_SYNONYM_CACHE.get(key)
-        if st is None:
-            for kk in [kk for kk in _WORKER_SYNONYM_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_SYNONYM_CACHE[kk]
-            st = SynonymTopK(out_dir, list(seg_ids), synonyms, k)
-            _WORKER_SYNONYM_CACHE[key] = st
-        return st(batch)
-
-
-class DateHistogramTaskFn:
-    """Task-fn form of DateHistogram (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], field: str,
-                 bucket_us: int, version: float):
-        self.args = (out_dir, tuple(seg_ids), field, bucket_us, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, field, bucket_us, version = self.args
-        key = (out_dir, version, seg_ids, field, bucket_us, "hist")
-        dh = _WORKER_MATCH_AGG_CACHE.get(key)
-        if dh is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            dh = DateHistogram(out_dir, list(seg_ids), field, bucket_us)
-            _WORKER_MATCH_AGG_CACHE[key] = dh
-        return dh(batch)
-
-
-class HistogramPipelineTaskFn:
-    """Task-fn form of HistogramPipeline (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], field: str,
-                 interval: int, version: float):
-        self.args = (out_dir, tuple(seg_ids), field, interval, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, field, interval, version = self.args
-        key = (out_dir, version, seg_ids, field, interval, "histpipe")
-        hp = _WORKER_MATCH_AGG_CACHE.get(key)
-        if hp is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            hp = HistogramPipeline(out_dir, list(seg_ids), field, interval)
-            _WORKER_MATCH_AGG_CACHE[key] = hp
-        return hp(batch)
-
-
 class CompositeAgg(FacetCounter):
     """COMPOSITE aggregation (ES `composite`): the full bucket space of
     two sources — (facet term ASC, fixed-width docvalue bucket ASC) —
@@ -4919,264 +4468,6 @@ class CompositeAgg(FacetCounter):
                 "n_docs": pa.array(cat(counts_out), pa.int64()),
             }
         )
-
-
-class CompositeAggTaskFn:
-    """Task-fn form of CompositeAgg (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], facet: str, field: str,
-                 bucket_us: int, size: int, version: float):
-        self.args = (out_dir, tuple(seg_ids), facet, field, bucket_us, size, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, facet, field, bucket_us, size, version = self.args
-        key = (out_dir, version, seg_ids, facet, field, bucket_us, size, "composite")
-        ca = _WORKER_MATCH_AGG_CACHE.get(key)
-        if ca is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            ca = CompositeAgg(out_dir, list(seg_ids), facet, field, bucket_us, size)
-            _WORKER_MATCH_AGG_CACHE[key] = ca
-        return ca(batch)
-
-
-class MatchsetStatsTaskFn:
-    """Task-fn form of MatchsetStats (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], field: str, version: float):
-        self.args = (out_dir, tuple(seg_ids), field, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, field, version = self.args
-        key = (out_dir, version, seg_ids, field, "stats")
-        ms = _WORKER_MATCH_AGG_CACHE.get(key)
-        if ms is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            ms = MatchsetStats(out_dir, list(seg_ids), field)
-            _WORKER_MATCH_AGG_CACHE[key] = ms
-        return ms(batch)
-
-
-class MatchsetStringStatsTaskFn:
-    """Task-fn form of MatchsetStringStats (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], field: str, version: float):
-        self.args = (out_dir, tuple(seg_ids), field, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, field, version = self.args
-        key = (out_dir, version, seg_ids, field, "string_stats")
-        ss = _WORKER_MATCH_AGG_CACHE.get(key)
-        if ss is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            ss = MatchsetStringStats(out_dir, list(seg_ids), field)
-            _WORKER_MATCH_AGG_CACHE[key] = ss
-        return ss(batch)
-
-
-class MatchsetMADTaskFn:
-    """Task-fn form of MatchsetMAD (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], field: str, version: float):
-        self.args = (out_dir, tuple(seg_ids), field, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, field, version = self.args
-        key = (out_dir, version, seg_ids, field, "mad")
-        ms = _WORKER_MATCH_AGG_CACHE.get(key)
-        if ms is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            ms = MatchsetMAD(out_dir, list(seg_ids), field)
-            _WORKER_MATCH_AGG_CACHE[key] = ms
-        return ms(batch)
-
-
-class MultiTermsTaskFn:
-    """Task-fn form of MultiTerms (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], facet: str, field: str,
-                 bucket_width: int, k: int, version: float):
-        self.args = (out_dir, tuple(seg_ids), facet, field, int(bucket_width),
-                     int(k), version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, facet, field, bw, k, version = self.args
-        key = (out_dir, version, seg_ids, facet, field, bw, k, "multi_terms")
-        mt = _WORKER_MATCH_AGG_CACHE.get(key)
-        if mt is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            mt = MultiTerms(out_dir, list(seg_ids), facet, field, bw, k)
-            _WORKER_MATCH_AGG_CACHE[key] = mt
-        return mt(batch)
-
-
-class TermsEnumTaskFn:
-    """Task-fn form of TermsEnum (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], size: int, version: float):
-        self.args = (out_dir, tuple(seg_ids), int(size), version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, size, version = self.args
-        key = (out_dir, version, seg_ids, size, "terms_enum")
-        te = _WORKER_MATCH_AGG_CACHE.get(key)
-        if te is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            te = TermsEnum(out_dir, list(seg_ids), size)
-            _WORKER_MATCH_AGG_CACHE[key] = te
-        return te(batch)
-
-
-class DocvalueTopKTaskFn:
-    """Task-fn form of DocvalueTopK (worker-process cache, as ScorerTaskFn)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], field: str, k: int, version: float):
-        self.args = (out_dir, tuple(seg_ids), field, k, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, field, k, version = self.args
-        key = (out_dir, version, seg_ids, field, k)
-        dv = _WORKER_DOCVALUE_TOPK_CACHE.get(key)
-        if dv is None:
-            for kk in [kk for kk in _WORKER_DOCVALUE_TOPK_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_DOCVALUE_TOPK_CACHE[kk]
-            dv = DocvalueTopK(out_dir, list(seg_ids), field, k)
-            _WORKER_DOCVALUE_TOPK_CACHE[key] = dv
-        return dv(batch)
-
-
-class RescoreTaskFn:
-    """Task-fn form of RescoreTopK (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], window: int,
-                 weight: float, k: int, version: float):
-        self.args = (out_dir, tuple(seg_ids), window, weight, k, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, window, weight, k, version = self.args
-        key = (out_dir, version, seg_ids, window, weight, k, "rescore")
-        rs = _WORKER_MATCH_AGG_CACHE.get(key)
-        if rs is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            rs = RescoreTopK(out_dir, list(seg_ids), window, weight, k)
-            _WORKER_MATCH_AGG_CACHE[key] = rs
-        return rs(batch)
-
-
-class TermStatsTaskFn:
-    """Task-fn form of TermStats (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], version: float):
-        self.args = (out_dir, tuple(seg_ids), version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, version = self.args
-        key = (out_dir, version, seg_ids, "term_stats")
-        ts = _WORKER_MATCH_AGG_CACHE.get(key)
-        if ts is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            ts = TermStats(out_dir, list(seg_ids))
-            _WORKER_MATCH_AGG_CACHE[key] = ts
-        return ts(batch)
-
-
-class FacetCardinalityTaskFn:
-    """Task-fn form of FacetCardinality (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], facet: str, version: float):
-        self.args = (out_dir, tuple(seg_ids), facet, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, facet, version = self.args
-        key = (out_dir, version, seg_ids, facet, "cardinality")
-        fc = _WORKER_MATCH_AGG_CACHE.get(key)
-        if fc is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            fc = FacetCardinality(out_dir, list(seg_ids), facet)
-            _WORKER_MATCH_AGG_CACHE[key] = fc
-        return fc(batch)
-
-
-class PercentileRanksTaskFn:
-    """Task-fn form of PercentileRanks (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], field: str,
-                 probes: tuple[int, ...], version: float):
-        self.args = (out_dir, tuple(seg_ids), field, tuple(probes), version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, field, probes, version = self.args
-        key = (out_dir, version, seg_ids, field, probes, "pctranks")
-        pr = _WORKER_MATCH_AGG_CACHE.get(key)
-        if pr is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            pr = PercentileRanks(out_dir, list(seg_ids), field, probes)
-            _WORKER_MATCH_AGG_CACHE[key] = pr
-        return pr(batch)
-
-
-class MatchsetPercentilesTaskFn:
-    """Task-fn form of MatchsetPercentiles (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], field: str,
-                 quantiles: tuple[float, ...], version: float):
-        self.args = (out_dir, tuple(seg_ids), field, quantiles, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, field, quantiles, version = self.args
-        key = (out_dir, version, seg_ids, field, quantiles, "pctl")
-        mp = _WORKER_MATCH_AGG_CACHE.get(key)
-        if mp is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            mp = MatchsetPercentiles(out_dir, list(seg_ids), field, quantiles)
-            _WORKER_MATCH_AGG_CACHE[key] = mp
-        return mp(batch)
-
-
-class MatchsetBoxplotTaskFn:
-    """Task-fn form of MatchsetBoxplot (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], field: str, version: float):
-        self.args = (out_dir, tuple(seg_ids), field, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, field, version = self.args
-        key = (out_dir, version, seg_ids, field, "boxplot")
-        bp = _WORKER_MATCH_AGG_CACHE.get(key)
-        if bp is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            bp = MatchsetBoxplot(out_dir, list(seg_ids), field)
-            _WORKER_MATCH_AGG_CACHE[key] = bp
-        return bp(batch)
-
-
-class SearchAfterTaskFn:
-    """Task-fn form of DocvalueSearchAfter (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], field: str, k: int, version: float):
-        self.args = (out_dir, tuple(seg_ids), field, k, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, field, k, version = self.args
-        key = (out_dir, version, seg_ids, field, k, "search_after")
-        sa = _WORKER_MATCH_AGG_CACHE.get(key)
-        if sa is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            sa = DocvalueSearchAfter(out_dir, list(seg_ids), field, k)
-            _WORKER_MATCH_AGG_CACHE[key] = sa
-        return sa(batch)
 
 
 class CollapseTopK(FacetTopK):
@@ -5327,184 +4618,49 @@ class DiversifiedSampler(FacetTopK):
         )
 
 
-class DiversifiedSamplerTaskFn:
-    """Task-fn form of DiversifiedSampler (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], facet: str,
-                 sample_size: int, max_per_value: int, version: float):
-        self.args = (out_dir, tuple(seg_ids), facet, sample_size, max_per_value, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, facet, size, cap, version = self.args
-        key = (out_dir, version, seg_ids, facet, size, cap, "divsample")
-        ds = _WORKER_MATCH_AGG_CACHE.get(key)
-        if ds is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            ds = DiversifiedSampler(out_dir, list(seg_ids), facet, size, cap)
-            _WORKER_MATCH_AGG_CACHE[key] = ds
-        return ds(batch)
+# (out_dir, version, OpCls, args) → built op, per worker process
+_WORKER_OP_CACHE: dict[tuple, object] = {}
 
 
-class CollapseTopKTaskFn:
-    """Task-fn form of CollapseTopK (worker-process cache)."""
+class CachedOp:
+    """Stateless-TASK form of every per-call index op: a plain-callable
+    map_batches fn whose ``OpCls(*args)`` instance is built once per
+    WORKER PROCESS and kept in the module global above, keyed by
+    ``(out_dir, version, OpCls, args)``. One eviction rule: on a miss,
+    every entry of the same ``out_dir`` with an older version is dropped,
+    whatever its op class — a rebuilt index (``version`` = stats.json
+    mtime) is never served stale, and ops over other live indexes keep
+    their warm state. ``out_dir=None`` scopes an op that reads no index
+    (Percolator).
 
-    def __init__(self, out_dir: str, seg_ids: list[int], facet: str, k: int, version: float):
-        self.args = (out_dir, tuple(seg_ids), facet, k, version)
+    Why tasks and not an actor pool: an actor pool spawns fresh Python
+    processes per run (~2s each — far more than the work itself for a few
+    thousand queries), while plain tasks reuse Ray's long-lived default
+    workers. The cache MUST be reached through this importable top-level
+    class: cloudpickle serializes a nested closure (or a partial over
+    one) BY VALUE together with a private copy of its captured globals,
+    so a closure-based version silently rebuilt the op per task; methods
+    of a by-reference class resolve the real module (and its global dict)
+    in the worker.
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, facet, k, version = self.args
-        key = (out_dir, version, seg_ids, facet, k, "collapse")
-        ct = _WORKER_MATCH_AGG_CACHE.get(key)
-        if ct is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            ct = CollapseTopK(out_dir, list(seg_ids), facet, k)
-            _WORKER_MATCH_AGG_CACHE[key] = ct
-        return ct(batch)
+    ``args`` must be hashable. Object refs in it (QueryScorer's shared
+    state and filter) key by identity, so a scorer with or without shared
+    state, or with a different filter, is a different entry; the op
+    fetches them itself, once per miss."""
 
+    __name__ = "CachedOp"
 
-class FacetTopKTaskFn:
-    """Task-fn form of FacetTopK (worker-process cache, as ScorerTaskFn)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], facet: str, k: int, version: float):
-        self.args = (out_dir, tuple(seg_ids), facet, k, version)
+    def __init__(self, out_dir: str | None, version: int, OpCls: type, args: tuple):
+        self.key = (out_dir, version, OpCls, tuple(args))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, facet, k, version = self.args
-        key = (out_dir, version, seg_ids, facet, k)
-        ft = _WORKER_FACET_TOPK_CACHE.get(key)
-        if ft is None:
-            for kk in [kk for kk in _WORKER_FACET_TOPK_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_FACET_TOPK_CACHE[kk]
-            ft = FacetTopK(out_dir, list(seg_ids), facet, k)
-            _WORKER_FACET_TOPK_CACHE[key] = ft
-        return ft(batch)
-
-
-class FacetCountTaskFn:
-    """Task-fn form of FacetCounter (same worker-process cache pattern as
-    ScorerTaskFn — long-lived default workers, no actor spawn)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], facet: str, version: float):
-        self.args = (out_dir, tuple(seg_ids), facet, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, facet, version = self.args
-        key = (out_dir, version, seg_ids, facet)
-        fc = _WORKER_FACET_CACHE.get(key)
-        if fc is None:
-            for k in [k for k in _WORKER_FACET_CACHE if k[0] == out_dir and k[1] < version]:
-                del _WORKER_FACET_CACHE[k]
-            fc = FacetCounter(out_dir, list(seg_ids), facet)
-            _WORKER_FACET_CACHE[key] = fc
-        return fc(batch)
-
-
-_WORKER_SCORER_CACHE: dict[tuple, "QueryScorer"] = {}
-
-
-class ScorerTaskFn:
-    """Stateless-TASK form of the scorer stage: a plain-callable map_batches
-    fn whose QueryScorer instance is cached per WORKER PROCESS in the module
-    global above.
-
-    Why this exists alongside the actor form: an actor pool spawns fresh
-    Python processes per query run (~2s each — far more than the scoring
-    itself for a few thousand queries), while plain tasks reuse Ray's
-    long-lived default workers. The cache MUST be reached through this
-    importable top-level class: cloudpickle serializes a nested closure BY
-    VALUE together with a private copy of its captured globals, so a
-    closure-based version silently rebuilt the scorer per task; methods of
-    a by-reference class resolve the real module (and its global dict) in
-    the worker. ``version`` (stats.json mtime) keys the cache so a rebuilt
-    index is never served stale."""
-
-    __name__ = "ScorerTaskFn"
-
-    def __init__(
-        self,
-        out_dir: str,
-        seg_ids: list[int],
-        k: int,
-        method: str,
-        shared_ref,
-        version: int,
-        doc_range: tuple[int, int] | None = None,
-        pids: list[int] | None = None,
-        mode: str = "or",
-        filter_ref=None,
-        near_window: int = 8,
-        min_should_match: int = 1,
-        span_slop: int = 2,
-        terms_set_mod: int = 3,
-        max_gaps: int = 2,
-    ):
-        self.args = (
-            out_dir, tuple(seg_ids), k, method, shared_ref, version,
-            doc_range, tuple(pids) if pids is not None else None, mode,
-            filter_ref, near_window, min_should_match, span_slop,
-            terms_set_mod, max_gaps,
-        )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        (out_dir, seg_ids, k, method, shared_ref, version, doc_range, pids,
-         mode, filter_ref, near_window, min_should_match, span_slop,
-         terms_set_mod, max_gaps) = self.args
-        # seg_ids, shared_ref-presence, doc_range, mode, the filter ref and
-        # the near/msm knobs are part of the identity: a scorer built over a
-        # subset of segments / a doc range (or without shared state, with
-        # AND/NEAR/msm semantics, or with a facet filter) must not be served
-        # for a different configuration of the same index
-        key = (out_dir, version, k, method, seg_ids, shared_ref is not None,
-               doc_range, mode, filter_ref, near_window, min_should_match,
-               span_slop, terms_set_mod, max_gaps)
-        scorer = _WORKER_SCORER_CACHE.get(key)
-        if scorer is None:
-            # evict only STALE entries of the same index (older version);
-            # scorers for other live indexes keep their warm state
-            for old in [k_ for k_ in _WORKER_SCORER_CACHE if k_[0] == out_dir and k_[1] < version]:
-                del _WORKER_SCORER_CACHE[old]
-            import ray as _ray
-
-            scorer = QueryScorer(
-                out_dir, list(seg_ids), k, method, shared_ref,
-                doc_range=doc_range, pids=list(pids) if pids is not None else None,
-                mode=mode,
-                # zero-copy read-only view over the one object-store copy
-                filter_ids=_ray.get(filter_ref) if filter_ref is not None else None,
-                near_window=near_window,
-                min_should_match=min_should_match,
-                span_slop=span_slop,
-                terms_set_mod=terms_set_mod,
-                max_gaps=max_gaps,
-            )
-            _WORKER_SCORER_CACHE[key] = scorer
-        return scorer(batch)
-
-
-def make_scorer_task_fn(
-    out_dir: str,
-    seg_ids: list[int],
-    k: int,
-    method: str,
-    shared_ref,
-    version: int,
-    doc_range: tuple[int, int] | None = None,
-    pids: list[int] | None = None,
-    mode: str = "or",
-    filter_ref=None,
-    near_window: int = 8,
-    min_should_match: int = 1,
-    span_slop: int = 2,
-    terms_set_mod: int = 3,
-    max_gaps: int = 2,
-):
-    return ScorerTaskFn(
-        out_dir, seg_ids, k, method, shared_ref, version, doc_range, pids, mode,
-        filter_ref, near_window, min_should_match, span_slop, terms_set_mod,
-        max_gaps,
-    )
+        op = _WORKER_OP_CACHE.get(self.key)
+        if op is None:
+            out_dir, version, OpCls, args = self.key
+            for old in [k for k in _WORKER_OP_CACHE if k[0] == out_dir and k[1] < version]:
+                del _WORKER_OP_CACHE[old]
+            op = _WORKER_OP_CACHE[self.key] = OpCls(*args)
+        return op(batch)
 
 
 class UrlResolver:
@@ -5633,42 +4789,6 @@ class FiltersAgg(FacetCounter):
         )
 
 
-class MatchsetExtendedStatsTaskFn:
-    """Task-fn form of MatchsetExtendedStats (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], field: str, version: float):
-        self.args = (out_dir, tuple(seg_ids), field, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, field, version = self.args
-        key = (out_dir, version, seg_ids, field, "ext_stats")
-        es = _WORKER_MATCH_AGG_CACHE.get(key)
-        if es is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            es = MatchsetExtendedStats(out_dir, list(seg_ids), field)
-            _WORKER_MATCH_AGG_CACHE[key] = es
-        return es(batch)
-
-
-class FiltersAggTaskFn:
-    """Task-fn form of FiltersAgg (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], version: float):
-        self.args = (out_dir, tuple(seg_ids), version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, version = self.args
-        key = (out_dir, version, seg_ids, "filters_agg")
-        fa = _WORKER_MATCH_AGG_CACHE.get(key)
-        if fa is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            fa = FiltersAgg(out_dir, list(seg_ids))
-            _WORKER_MATCH_AGG_CACHE[key] = fa
-        return fa(batch)
-
-
 class BucketScriptAgg(FacetCounter):
     """``bucket_script`` + ``bucket_selector`` pipeline aggregations (ES):
     per query, a terms agg on the lang facet over the match set carrying
@@ -5731,25 +4851,6 @@ class BucketScriptAgg(FacetCounter):
                 "avg_dl_x100": pa.array(avgs, pa.int64()),
             }
         )
-
-
-class BucketScriptAggTaskFn:
-    """Task-fn form of BucketScriptAgg (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], share_denom: int,
-                 version: float):
-        self.args = (out_dir, tuple(seg_ids), share_denom, version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, share_denom, version = self.args
-        key = (out_dir, version, seg_ids, share_denom, "bucket_script")
-        bs = _WORKER_MATCH_AGG_CACHE.get(key)
-        if bs is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            bs = BucketScriptAgg(out_dir, list(seg_ids), share_denom)
-            _WORKER_MATCH_AGG_CACHE[key] = bs
-        return bs(batch)
 
 
 class TTestAgg(FacetCounter):
@@ -5828,19 +4929,3 @@ class TTestAgg(FacetCounter):
         )
 
 
-class TTestAggTaskFn:
-    """Task-fn form of TTestAgg (worker-process cache)."""
-
-    def __init__(self, out_dir: str, seg_ids: list[int], version: float):
-        self.args = (out_dir, tuple(seg_ids), version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_dir, seg_ids, version = self.args
-        key = (out_dir, version, seg_ids, "t_test")
-        tt = _WORKER_MATCH_AGG_CACHE.get(key)
-        if tt is None:
-            for kk in [kk for kk in _WORKER_MATCH_AGG_CACHE if kk[0] == out_dir and kk[1] < version]:
-                del _WORKER_MATCH_AGG_CACHE[kk]
-            tt = TTestAgg(out_dir, list(seg_ids))
-            _WORKER_MATCH_AGG_CACHE[key] = tt
-        return tt(batch)

@@ -3543,3 +3543,36 @@ def test_events_dedup_keep_latest_handles_negative_ts_and_ids(tmp_path):
         .reset_index(drop=True)
     )
     assert out["event_id"].tolist() == ref["event_id"].tolist() == [7, 3, 11]
+
+
+def test_bm25_topk_serving_keeps_pools_it_did_not_start():
+    """bm25_topk_serving tears down only the pool it started: a pool
+    started beforehand for the same index (k=5) is still registered after
+    the op and still answers, bit-identical to query_index."""
+    from aarhus_ray.functions.fulltext import (
+        FT_QUERIES, _ensure_index, _query_table, bm25_topk, bm25_topk_serving,
+    )
+    from aarhus_ray.pipelines.query import (
+        _SERVE_POOLS, query_index, serve_queries, start_serving, stop_serving,
+    )
+
+    index = _ensure_index(SF, fresh=False)
+    start_serving(index, k=5, n_actors=1)
+    before = set(_SERVE_POOLS)
+    try:
+        got = bm25_topk_serving(SF)
+        assert got.equals(bm25_topk(SF, fresh=False))
+        assert set(_SERVE_POOLS) == before  # its own pool is gone, ours stays
+        q = _query_table(FT_QUERIES)
+        ref = (
+            query_index(index, q, k=5, resolve_urls=False)
+            .to_pandas()
+            .sort_values(["query_id", "rank"])
+            .reset_index(drop=True)
+        )
+        again = serve_queries(index, q, k=5, n_actors=1)
+        assert set(_SERVE_POOLS) == before  # answered by the standing pool
+        cols = ["query_id", "rank", "doc_id", "score"]
+        assert again[cols].equals(ref[cols])
+    finally:
+        stop_serving(index)

@@ -1785,6 +1785,13 @@ def test_serving_pool_matches_pipeline(golden_index):
     )
     for k_ in old_keys:
         assert k_ not in _SERVE_POOLS  # stale-version pools evicted
+    # the shared scorer state (ray.put copies) keeps one, newest, entry
+    # per index
+    from aarhus_ray.pipelines.query import _SHARED_STATE_CACHE
+
+    dirs = [k_[0] for k_ in _SHARED_STATE_CACHE]
+    assert len(dirs) == len(set(dirs))
+    assert dirs.count(os.path.abspath(idx)) == 1
     stop_serving(idx)
     assert not [k_ for k_ in _SERVE_POOLS if k_[0] == idx]
 
