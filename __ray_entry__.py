@@ -455,10 +455,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # SCALE.md): exact by construction, so it shares bm25_topk's
         # oracle — the hash equality attests sandbox == cluster ranking
         "fulltext_bm25_doc_sharded": fulltext.bm25_topk_doc_sharded,
-        # the alternate (sort-shuffle) build exchange, fresh-built under
-        # its own workdir key — same-oracle-harder-path: the hash
-        # attests both exchange strategies assemble the identical index
-        "fulltext_bm25_sort_exchange": fulltext.bm25_topk_sort_exchange,
         # standing-actor serving pool: same scorer fn, pool dispatch
         "fulltext_bm25_serving": fulltext.bm25_topk_serving,
         # the cursor DAAT scorer (segments-direct, the streaming-from-
@@ -2761,7 +2757,6 @@ def oracle_sql() -> dict[str, str]:
         """,
         "fulltext_bm25_topk": fulltext.bm25_oracle_sql(),
         "fulltext_bm25_doc_sharded": fulltext.bm25_oracle_sql(),
-        "fulltext_bm25_sort_exchange": fulltext.bm25_oracle_sql(),
         "fulltext_bm25_serving": fulltext.bm25_oracle_sql(),
         "fulltext_bm25_daat": fulltext.bm25_oracle_sql(),
         "fulltext_bm25_conj_topk": fulltext.bm25_conj_oracle_sql(),

@@ -22,9 +22,6 @@ def main(argv=None) -> int:
     p.add_argument("--positions", action="store_true",
                    help="write the positional sidecar (index-native phrases)")
     p.add_argument("--num-cpus", type=int, default=None)
-    p.add_argument("--exchange", choices=("sort", "disk"), default=None,
-                   help="fused-path partial->segment exchange (default: disk; "
-                        "AARHUS_BUILD_EXCHANGE also honored)")
     args = p.parse_args(argv)
 
     import ray
@@ -51,7 +48,6 @@ def main(argv=None) -> int:
         langs=tuple(args.langs.split(",")) if args.langs else None,
         resume=args.resume,
         positions=args.positions,
-        exchange=args.exchange,
     )
     print(json.dumps({k: stats[k] for k in ("n_docs", "avgdl", "num_partitions", "num_segments")}))
     ray.shutdown()

@@ -81,30 +81,20 @@ def _work_dir(sf_dir: str) -> str:
     return f"/tmp/aarhus_fulltext_{key}"
 
 
-def _ensure_index(
-    sf_dir: str,
-    fresh: bool = False,
-    positions: bool = False,
-    exchange: str | None = None,
-) -> str:
+def _ensure_index(sf_dir: str, fresh: bool = False, positions: bool = False) -> str:
     """Build (or reuse) the docs-as-pages index under the sf_dir-keyed
     workdir; returns the index path. ``fresh=True`` rebuilds from scratch.
     ``positions=True`` builds (and caches separately) a positional index
     (per-segment pos.bin sidecar) so phrase queries verify adjacency from
-    decoded positions instead of re-tokenizing checkpoint text.
-    ``exchange`` overrides the build's partial→segment exchange strategy
-    (cached separately) — the ONE build-config definition shared by every
-    fulltext op, so the same-oracle-harder-path attestations
-    (bm25_topk_sort_exchange) compare identically-configured builds by
-    construction."""
+    decoded positions instead of re-tokenizing checkpoint text. The ONE
+    build-config definition shared by every fulltext op."""
     work = _work_dir(sf_dir)
     if fresh:
         shutil.rmtree(work, ignore_errors=True)
     pages = os.path.join(work, "pages", "part-0000.parquet")
     if not os.path.exists(pages):
         docs_as_pages(sf_dir, pages)
-    suffix = ("_pos" if positions else "") + (f"_x{exchange}" if exchange else "")
-    index = os.path.join(work, "index" + suffix)
+    index = os.path.join(work, "index" + ("_pos" if positions else ""))
     if not os.path.exists(os.path.join(index, "_INDEX_DONE")):
         build_index(
             os.path.dirname(pages),
@@ -113,7 +103,6 @@ def _ensure_index(
             num_segments=2,
             n_salts=2,
             positions=positions,
-            exchange=exchange,
         )
     return index
 
@@ -5948,24 +5937,6 @@ def bm25_topk_serving(sf_dir: str, k: int = 10) -> pd.DataFrame:
     return _rank_frame(resolved)
 
 
-def bm25_topk_sort_exchange(sf_dir: str, k: int = 10) -> pd.DataFrame:
-    """The ALTERNATE build exchange as a first-class queryable op: a
-    FRESH index built with ``exchange="sort"`` — the in-Dataset
-    sort-shuffle partial→segment merge kept for clusters where map
-    outputs cannot reach shared storage (the default since round 5 is
-    the external disk exchange; byte-identity between the two is pinned
-    by test at fixture scale). Shares bm25_topk's oracle: the hash
-    equality driver-attests that BOTH exchange strategies assemble the
-    identical index and ranking — the same same-oracle-harder-path
-    pattern as fulltext_bm25_doc_sharded. Build config comes from
-    _ensure_index itself (exchange= is the ONLY divergence, cached
-    under its own suffix), so the two compared builds cannot drift
-    apart as the shared config evolves."""
-    return _run_queries(
-        _ensure_index(sf_dir, fresh=False, exchange="sort"), FT_QUERIES, k, "or"
-    )
-
-
 def bm25_topk_daat(sf_dir: str, k: int = 10) -> pd.DataFrame:
     """The cursor Block-Max WAND document-at-a-time path
     (``method="wand_daat"`` — walks segment posting cursors directly,
@@ -5974,7 +5945,7 @@ def bm25_topk_daat(sf_dir: str, k: int = 10) -> pd.DataFrame:
     bm25_topk's oracle. wand / wand_daat / brute are property-tested
     bit-identical (CLAUDE.md invariant); this replays that identity per
     driver run through the shared DuckDB hash — the third member of the
-    same-oracle-harder-path family (doc-sharded state, sort exchange,
+    same-oracle-harder-path family (doc-sharded state, serving pool,
     cursor DAAT)."""
     return _run_queries(
         _ensure_index(sf_dir, fresh=False), FT_QUERIES, k, "or",

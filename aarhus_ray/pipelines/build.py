@@ -1,32 +1,36 @@
 """build_index — the end-to-end index build (SURVEY.md §3.1, §8).
 
-Fresh build = ONE streaming DAG with exactly two all-to-alls:
+A build is ONE path, a disk (external) shuffle in two phases:
 
     read_parquet(pages)                      # pruned columns, many blocks
       → map_batches(prep)                    # url normalize, lang filter, pid tag
       → map_batches(ExtractUDF, actor pool)  # html→text, html DROPPED pre-shuffle
-      → groupby(pid).map_groups(DedupAssignWriter+PostingsEncoder)
-           # all-to-all #1 (url hash): dedup, doc_ids, docs/pid=NNNN.parquet
-           # checkpoint written as a side effect, encoded partials emitted
-      → groupby(bucket).map_groups(AssembleSegment)
-           # all-to-all #2: ONE salted (term-range × docID-salt) shuffle;
-           # writes segments/seg=BBBB/ shards (checkpoint) + manifest rows
+      → groupby(pid).map_groups(dedup_assign_write)
+           # phase 1, the only all-to-all (url hash): dedup, doc_ids, and
+           # per pid docs/pid=NNNN.parquet + partials/pid=NNNN.arrow (the
+           # encoded partial postings, one IPC batch per bucket)
+    range(n_buckets).map_batches(assemble_from_disk_batch)
+           # phase 2: one task per (term-range × salt) bucket reads its batch
+           # from every pid file and writes segments/seg=BBBB/
 
-Global stats (N, avgdl) fold from the dedup manifest rows; the segment/skew
+Global stats (N, avgdl) fold from the pid manifest rows; the segment/skew
 plan (term boundaries + heavy set) comes from a deterministic driver-side
 sample of the INPUT and is persisted to plan.json so resumes reuse it.
 
-Resume from a partially built index switches to the two-phase path (finish
-docs/ for missing pids, then re-derive partials by reading docs/ back) —
-checkpoint artifacts are trusted only when they match their manifest
-checksums; stats.json's config + code-version hash refuses to resume across
-drift.
+A pid and a bucket are the resume units. A pid is done when its manifest
+row's checksums match both of its files, a bucket when its row matches its
+postings.bin; a resumed build filters done pids out upstream, skips done
+buckets, and otherwise runs the same DAG. partials/ is removed only after
+_INDEX_DONE, so no crash before the marker forces re-extraction.
+stats.json's config + code-version hash refuses to resume across drift.
+compact_index (pipelines/maintain.py) reuses phase 2 (``assemble_buckets``).
 
 Library code never calls ray.init()/ray.shutdown().
 """
 
 from __future__ import annotations
 
+import functools
 import glob
 import json
 import os
@@ -37,22 +41,29 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 import ray.data
-from ray.data.aggregate import Count, Sum
 
 from ..extract import extract_text
 from ..sources.pages import read_pages
 from ..stages.extract_stage import ExtractUDF, prep_batch_fn
-from ..stages.dedup_stage import DedupAssignWriter, docs_path
-from ..stages.postings_stage import AssembleSegment, PostingsEncoder
-from ..stages.postings_stage import seg_dir as seg_dir_path
+from ..stages.dedup_stage import dedup_assign_write, docs_path
+from ..stages.postings_stage import (
+    PostingsEncoder,
+    assemble_from_disk_batch,
+    partials_path,
+    seg_dir,
+)
 from ..state import manifest as mf
 
-PHASE_A_MARKER = "_DOCS_DONE"
 INDEX_MARKER = "_INDEX_DONE"
 
 
-def _after_disk_phase1() -> None:
-    """No-op seam between the disk-exchange map-out barrier and assembly;
+def _after_phase1() -> None:
+    """No-op seam after the map-out barrier (docs/ + partials/ written);
+    tests monkeypatch it to inject a crash and exercise resume."""
+
+
+def _after_phase2() -> None:
+    """No-op seam after segment assembly, before stats.json and the marker;
     tests monkeypatch it to inject a crash and exercise resume."""
 
 
@@ -147,13 +158,6 @@ def _plan_from_term_stats(stats: pa.Table, n_sample: int, num_segments: int, hea
     return bounds, heavy
 
 
-def _plan_from_texts(texts: list[str], num_segments: int, heavy_df_frac: float):
-    """Plan from a driver-resident text sample (resume-from-docs path)."""
-    return _plan_from_term_stats(
-        _term_stats_from_texts(texts), len(texts), num_segments, heavy_df_frac
-    )
-
-
 @ray.remote
 def _sample_term_stats(path: str, row_group: int, take: int) -> pa.Table:
     """One plan-sample shard: extract + tokenize one row group's first
@@ -196,18 +200,7 @@ def _plan_terms_from_pages(input_path: str, num_segments: int, sample_docs: int,
     )
 
 
-def _plan_terms_from_docs(out_dir: str, num_segments: int, sample_docs: int, heavy_df_frac: float):
-    """Legacy resume fallback: plan from the docs/ checkpoint."""
-    files = sorted(glob.glob(os.path.join(out_dir, "docs", "pid=*.parquet")))
-    texts: list[str] = []
-    for f in files:
-        if len(texts) >= sample_docs:
-            break
-        texts.extend(pq.read_table(f, columns=["text"])["text"].to_pylist())
-    return _plan_from_texts(texts[:sample_docs], num_segments, heavy_df_frac)
-
-
-def _load_or_make_plan(out_dir, input_path, num_segments, sample_docs, heavy_df_frac, from_docs):
+def _load_or_make_plan(out_dir, input_path, num_segments, sample_docs, heavy_df_frac):
     """The plan defines the segment layout, so a resume MUST reuse the
     original one — it is persisted to plan.json the first time."""
     plan_path = os.path.join(out_dir, "plan.json")
@@ -215,14 +208,29 @@ def _load_or_make_plan(out_dir, input_path, num_segments, sample_docs, heavy_df_
         with open(plan_path) as f:
             plan = json.load(f)
         return plan["boundaries"], plan["heavy_terms"]
-    if from_docs:
-        bounds, heavy = _plan_terms_from_docs(out_dir, num_segments, sample_docs, heavy_df_frac)
-    else:
-        bounds, heavy = _plan_terms_from_pages(input_path, num_segments, sample_docs, heavy_df_frac)
+    bounds, heavy = _plan_terms_from_pages(input_path, num_segments, sample_docs, heavy_df_frac)
     mf.atomic_write_bytes(
         plan_path, json.dumps({"boundaries": bounds, "heavy_terms": heavy}).encode()
     )
     return bounds, heavy
+
+
+def assemble_buckets(out_dir: str, n_buckets: int) -> int:
+    """Phase 2 of the disk exchange: assemble every bucket from the map
+    outputs under ``out_dir/partials/``, skipping buckets whose manifest
+    row still matches their postings.bin. Plain tasks, one bucket id per
+    block: re-opening the mmapped footers per task is ~ms, an actor pool
+    would cost ~2s spawn (CLAUDE.md short-pipeline gotcha). Returns the
+    number of buckets that have a segment."""
+    done = mf.completed_units(
+        out_dir,
+        "segment",
+        {b: {"checksum": os.path.join(seg_dir(out_dir, b), "postings.bin")} for b in range(n_buckets)},
+    )
+    return ray.data.range(n_buckets, override_num_blocks=n_buckets).map_batches(
+        functools.partial(assemble_from_disk_batch, out_dir=out_dir, skip=frozenset(done)),
+        batch_format="pyarrow",
+    ).count()
 
 
 def build_index(
@@ -237,11 +245,9 @@ def build_index(
     sample_docs: int = 2000,
     heavy_df_frac: float = 0.05,
     extract_batch_size: int = 256,
-    postings_batch_size: int = 1024,
     concurrency: int | None = None,
     pid_offset: int = 0,
     positions: bool = False,
-    exchange: str | None = None,
 ) -> dict:
     """Build the inverted index; returns the stats dict.
 
@@ -258,24 +264,9 @@ def build_index(
     matching (no checkpoint re-tokenization at query time). Default off —
     the default index layout stays byte-identical to the goldens.
 
-    ``exchange`` picks the fused path's partial→segment exchange:
-    ``"disk"`` (default) writes per-pid map-output IPC files (one record
-    batch per bucket, bucket index in the footer) and assembles each
-    bucket from random-access reads — no object-store sort-shuffle, and
-    the partials directory doubles as a resumable shuffle checkpoint
-    (measured at the 100k-page bench config: 10.9-11.4s sort vs
-    8.4-8.7s disk, interleaved pairs); ``"sort"`` keeps the
-    groupby("bucket") sort-shuffle (the path a multi-node object store
-    with locality-aware reduce placement would prefer when map outputs
-    can't land on shared storage). Segments are byte-identical either
-    way (verified at fixture and bench scale). Env AARHUS_BUILD_EXCHANGE
-    overrides the default; deliberately NOT in cfg.json — it changes
-    nothing the resume drift guard protects."""
+    ``resume=True`` keeps the pids and buckets an interrupted build
+    finished (see the module docstring)."""
     cpus = concurrency or _cpus()
-    if exchange is None:
-        exchange = os.environ.get("AARHUS_BUILD_EXCHANGE", "disk")
-    if exchange not in ("sort", "disk"):
-        raise ValueError(f"exchange must be 'sort' or 'disk', got {exchange!r}")
     cfg = {
         "P": num_partitions,
         "S": num_segments,
@@ -306,188 +297,85 @@ def build_index(
                 )
         else:
             shutil.rmtree(out_dir)
+    partials_dir = os.path.join(out_dir, "partials")
+    if resume and os.path.exists(os.path.join(out_dir, INDEX_MARKER)):
+        shutil.rmtree(partials_dir, ignore_errors=True)
+        return mf.read_stats(out_dir)
     os.makedirs(os.path.join(out_dir, "docs"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "segments"), exist_ok=True)
     mf.atomic_write_bytes(
         os.path.join(out_dir, "cfg.json"),
         json.dumps({**cfg, "code_version": mf.code_version_hash()}).encode(),
     )
-
-    if resume and os.path.exists(os.path.join(out_dir, INDEX_MARKER)):
-        return mf.read_stats(out_dir)
+    # an interrupted unit leaves only its *.tmp (files are renamed into
+    # place whole): docs/*.tmp, partials/*.tmp, segments/seg=*.tmp
+    for junk in glob.glob(os.path.join(out_dir, "*", "*.tmp")):
+        if os.path.isdir(junk):
+            shutil.rmtree(junk)
+        else:
+            os.remove(junk)
 
     import time as _time
 
     _t0 = _time.perf_counter()
-    phase_a_done = resume and os.path.exists(os.path.join(out_dir, PHASE_A_MARKER))
-    # resume trusts a docs partition only if its artifact still matches the
-    # manifest checksum (lineage integrity, BASELINE.json:6)
+    pids = range(pid_offset, pid_offset + num_partitions)
     done_pids = (
         mf.completed_units(
             out_dir,
             "docs",
-            verify=True,
-            paths={
-                p: docs_path(out_dir, p)
-                for p in range(pid_offset, pid_offset + num_partitions)
+            {
+                p: {
+                    "checksum": docs_path(out_dir, p),
+                    "partials_checksum": partials_path(out_dir, p),
+                }
+                for p in pids
             },
         )
         if resume
         else set()
     )
-    # the fused single-DAG path requires the docs checkpoint to be absent:
-    # previously finished pids are filtered out upstream and would be
-    # missing from the emitted partials
-    fused = not phase_a_done and not done_pids
-
-    def _pages_pipeline():
-        ds = read_pages(input_path)
-        prep = prep_batch_fn(langs, num_partitions, pid_offset)
-        if done_pids:
-            skip = pa.array(sorted(done_pids), pa.uint32())
-
-            def prep_skip(batch: pa.Table, _prep=prep, _skip=skip) -> pa.Table:
-                import pyarrow.compute as pc
-
-                out = _prep(batch)
-                return out.filter(pc.invert(pc.is_in(out["pid"], value_set=_skip)))
-
-            ds = ds.map_batches(prep_skip, batch_format="pyarrow")
-        else:
-            ds = ds.map_batches(prep, batch_format="pyarrow")
-        return ds.map_batches(
+    boundaries, heavy = _load_or_make_plan(
+        out_dir, input_path, num_segments, sample_docs, heavy_df_frac
+    )
+    _phase_log(f"plan (from input sample) {_time.perf_counter() - _t0:.1f}s")
+    _t0 = _time.perf_counter()
+    if len(done_pids) < num_partitions:
+        encoder = PostingsEncoder(
+            boundaries, heavy, num_partitions, n_salts, pid_offset, positions=positions
+        )
+        read_pages(input_path).map_batches(
+            prep_batch_fn(langs, num_partitions, pid_offset, tuple(sorted(done_pids))),
+            batch_format="pyarrow",
+        ).map_batches(
             ExtractUDF,
             batch_format="pyarrow",
             batch_size=extract_batch_size,
             # pre-warm half the pool: autoscaling from 1 costs seconds of ramp
             concurrency=(max(1, cpus // 2), cpus),
-        )
-
-    if fused:
-        boundaries, heavy = _load_or_make_plan(
-            out_dir, input_path, num_segments, sample_docs, heavy_df_frac, from_docs=False
-        )
-        _phase_log(f"plan (from input sample) {_time.perf_counter() - _t0:.1f}s")
-        _t0 = _time.perf_counter()
-        encoder = PostingsEncoder(
-            boundaries, heavy, num_partitions, n_salts, pid_offset, positions=positions
-        )
-        if exchange == "disk":
-            # disk exchange: phase 1 writes per-pid map-output files (one
-            # IPC batch per bucket), phase 2 assembles each bucket from
-            # random-access reads — no sort-shuffle, no object-store
-            # all-to-all (SURVEY §8 round-5 deltas; VERDICT r4 Next #4)
-            import functools
-
-            from ..stages.postings_stage import assemble_from_disk_batch
-
-            _pages_pipeline().groupby("pid").map_groups(
-                DedupAssignWriter(out_dir, encoder=encoder, partials_to_disk=True),
-                batch_format="pyarrow",
-            ).count()
-            _phase_log(f"disk phase 1 (extract+encode+map-out) {_time.perf_counter() - _t0:.1f}s")
-            _after_disk_phase1()  # test seam (monkeypatched fault injection)
-            _t1 = _time.perf_counter()
-            n_buckets = (len(boundaries) + 1) * max(1, n_salts)
-            # plain tasks, one bucket-id block each: re-opening the mmapped
-            # footers per task is ~ms; an actor pool would cost ~2s spawn
-            # (CLAUDE.md short-pipeline gotcha)
-            seg_manifest = ray.data.range(
-                n_buckets, override_num_blocks=n_buckets
-            ).map_batches(
-                functools.partial(assemble_from_disk_batch, out_dir=out_dir),
-                batch_format="pyarrow",
-            )
-            rows = seg_manifest.take_all()
-            _phase_log(f"disk phase 2 (assemble) {_time.perf_counter() - _t1:.1f}s")
-        else:
-            partials = _pages_pipeline().groupby("pid").map_groups(
-                DedupAssignWriter(out_dir, encoder=encoder), batch_format="pyarrow"
-            )
-            seg_manifest = partials.groupby("bucket").map_groups(
-                AssembleSegment(out_dir), batch_format="pyarrow"
-            )
-            rows = seg_manifest.take_all()
-        with open(os.path.join(out_dir, PHASE_A_MARKER), "w") as f:
-            f.write("done\n")
-        _phase_log(f"fused build DAG {_time.perf_counter() - _t0:.1f}s")
-        if os.environ.get("AARHUS_BUILD_STATS"):
-            import sys as _sys
-
-            print(seg_manifest.stats(), file=_sys.stderr, flush=True)
-        _t0 = _time.perf_counter()
-    else:
-        # ---- two-phase resume path: finish docs/, then rebuild partials
-        # from the checkpoint ----
-        if not phase_a_done:
-            _pages_pipeline().groupby("pid").map_groups(
-                DedupAssignWriter(out_dir), batch_format="pyarrow"
-            ).count()
-            with open(os.path.join(out_dir, PHASE_A_MARKER), "w") as f:
-                f.write("done\n")
-        _phase_log(f"phase A (extract+dedup) {_time.perf_counter() - _t0:.1f}s")
-        _t0 = _time.perf_counter()
-        docs_glob = sorted(glob.glob(os.path.join(out_dir, "docs", "pid=*.parquet")))
-        if not docs_glob:
-            raise ValueError(f"no documents survived the build from {input_path}")
-        boundaries, heavy = _load_or_make_plan(
-            out_dir, input_path, num_segments, sample_docs, heavy_df_frac, from_docs=True
-        )
-        n_buckets = (len(boundaries) + 1) * max(1, n_salts)
-        done_segs = tuple(
-            mf.completed_units(
-                out_dir,
-                "segment",
-                verify=True,
-                paths={
-                    b: os.path.join(seg_dir_path(out_dir, b), "postings.bin")
-                    for b in range(n_buckets)
-                },
-            )
-        )
-        docs_ds = ray.data.read_parquet(docs_glob, columns=["doc_id", "text"])
-        partials = docs_ds.map_batches(
-            PostingsEncoder,
-            fn_constructor_args=(boundaries, heavy, num_partitions, n_salts, pid_offset, positions),
+        ).groupby("pid").map_groups(
+            functools.partial(dedup_assign_write, out_dir=out_dir, encoder=encoder),
             batch_format="pyarrow",
-            batch_size=postings_batch_size,
-            concurrency=(max(1, cpus // 2), cpus),
-        )
-        seg_manifest = partials.groupby("bucket").map_groups(
-            AssembleSegment(out_dir, done_segs), batch_format="pyarrow"
-        )
-        rows = seg_manifest.take_all()
-        _phase_log(f"phase D (postings+segments) {_time.perf_counter() - _t0:.1f}s")
-        _t0 = _time.perf_counter()
-
+        ).count()
+    _phase_log(f"phase 1 (extract+dedup+encode+map-out) {_time.perf_counter() - _t0:.1f}s")
     if not glob.glob(os.path.join(out_dir, "docs", "pid=*.parquet")):
         raise ValueError(f"no documents survived the build from {input_path}")
+    _after_phase1()  # test seam (monkeypatched fault injection)
+    _t0 = _time.perf_counter()
+    n_segs = assemble_buckets(out_dir, (len(boundaries) + 1) * max(1, n_salts))
+    _phase_log(f"phase 2 (assemble) {_time.perf_counter() - _t0:.1f}s")
+    _after_phase2()  # test seam (monkeypatched fault injection)
+    _t0 = _time.perf_counter()
 
-    # shuffle checkpoint no longer needed once every segment is assembled;
-    # cleaned here (common to both paths) so a crash-then-resume through
-    # the two-phase path can't strand a stale partials/ dir
-    shutil.rmtree(os.path.join(out_dir, "partials"), ignore_errors=True)
-
-    # ---- global stats: fold the dedup manifest rows (partial aggregation
+    # ---- global stats: fold the pid manifest rows (partial aggregation
     # at the source — no extra Ray job). manifest.jsonl is append-only, so
     # the LAST row per partition is authoritative.
-    docs_rows = [
-        r for r in mf.read_manifest(out_dir) if r["stage"] == "docs" and r["status"] == "done"
-    ]
-    seen_pids = set()
-    n_docs = total_len = 0
-    for r in reversed(docs_rows):
-        if r["partition_id"] in seen_pids:
-            continue
-        seen_pids.add(r["partition_id"])
-        n_docs += int(r["output_rows"])
-        total_len += int(r.get("doclen_sum", -1))
-    if not docs_rows or any("doclen_sum" not in r for r in docs_rows):
-        docs_glob = sorted(glob.glob(os.path.join(out_dir, "docs", "pid=*.parquet")))
-        doclen_ds = ray.data.read_parquet(docs_glob, columns=["doclen"])
-        agg = doclen_ds.aggregate(Count(), Sum("doclen"))
-        n_docs = int(agg["count()"])
-        total_len = int(agg["sum(doclen)"] or 0)
+    last = {
+        r["partition_id"]: r
+        for r in mf.read_manifest(out_dir)
+        if r["stage"] == "docs" and r["status"] == "done"
+    }
+    n_docs = sum(int(r["output_rows"]) for r in last.values())
+    total_len = sum(int(r["doclen_sum"]) for r in last.values())
     avgdl = (total_len / n_docs) if n_docs else 0.0
 
     stats = {
@@ -503,11 +391,13 @@ def build_index(
     }
     mf.write_stats(out_dir, stats)
 
-    # ---- finalize: metrics mirror + marker ----
+    # ---- finalize: metrics mirror + marker, then the shuffle checkpoint
+    # is no longer needed ----
     man = mf.read_manifest(out_dir)
     if man:
         pq.write_table(pa.Table.from_pylist(man), os.path.join(out_dir, "metrics.parquet"))
     with open(os.path.join(out_dir, INDEX_MARKER), "w") as f:
-        f.write(f"segments={len(rows)}\n")
+        f.write(f"segments={n_segs}\n")
+    shutil.rmtree(partials_dir, ignore_errors=True)
     _phase_log(f"stats+finalize {_time.perf_counter() - _t0:.1f}s")
     return stats

@@ -34,10 +34,11 @@ set at postings-gather time (query_stage exclude mask) while df/idf/
 avgdl/N keep the pre-delete globals — the standard LSM/segment-engine
 trade (Lucene's deleted-docs bitmap has the same semantics).
 
-``compact_index`` rewrites all generations into one: re-encodes postings
-from the docs/ checkpoint (the same phase-D shape the resume path uses)
-into a fresh segment set under the base plan, then atomically swaps
-segments/. With live tombstones it also PURGES: docs/ is rewritten minus
+``compact_index`` rewrites all generations into one through the build's
+disk exchange: one Ray task per docs/ file re-encodes it into a map-output
+partials file, the build's phase 2 (``assemble_buckets``) assembles a
+fresh segment set under the base plan, then segments/ is swapped
+atomically. With live tombstones it also PURGES: docs/ is rewritten minus
 tombstoned rows, N/total_len/avgdl recomputed, the tombstones dir
 removed — post-compaction scoring is fresh-build exact over the
 surviving corpus (df included; test-pinned). Without tombstones query
@@ -56,12 +57,13 @@ import shutil
 
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray.data
+import ray
 
 from ..state import manifest as mf
-from .build import INDEX_MARKER, build_index
+from .build import INDEX_MARKER, assemble_buckets, build_index
 
 _SEG_RE = re.compile(r"seg=(\d+)$")
+_PID_RE = re.compile(r"pid=(\d+)\.parquet$")
 
 
 def _seg_ids(index_dir: str) -> list[int]:
@@ -77,11 +79,20 @@ def _max_pid(index_dir: str) -> int:
     pids = [
         int(m.group(1))
         for f in glob.glob(os.path.join(index_dir, "docs", "pid=*.parquet"))
-        if (m := re.search(r"pid=(\d+)\.parquet$", os.path.basename(f)))
+        if (m := _PID_RE.search(os.path.basename(f)))
     ]
     if not pids:
         raise ValueError(f"no docs/pid=*.parquet under {index_dir}")
     return max(pids)
+
+
+def _adopt_manifest(src_dir: str, dst_dir: str, seg_map: dict[int, int] | None = None) -> None:
+    """Append ``src_dir``'s manifest rows to ``dst_dir``'s lineage, with
+    segment bucket ids renamed through ``seg_map``."""
+    for row in mf.read_manifest(src_dir):
+        if seg_map and row["stage"] == "segment":
+            row = dict(row, partition_id=seg_map.get(int(row["partition_id"]), row["partition_id"]))
+        mf.append_manifest(dst_dir, mf.ManifestRow(**row))
 
 
 def add_documents(
@@ -139,15 +150,7 @@ def add_documents(
         )
     # lineage: append the delta's manifest rows (segment bucket ids
     # remapped; docs pids already carry the offset)
-    for row in mf.read_manifest(delta_dir):
-        if row["stage"] == "segment":
-            row = dict(row, partition_id=bucket_map.get(int(row["partition_id"]), row["partition_id"]))
-        mf.append_manifest(out_dir, mf.ManifestRow(**{
-            k: row[k] for k in (
-                "stage", "partition_id", "input_rows", "output_rows",
-                "bytes_out", "wall_s", "checksum", "status", "doclen_sum",
-            ) if k in row
-        }))
+    _adopt_manifest(delta_dir, out_dir, bucket_map)
     shutil.rmtree(delta_dir, ignore_errors=True)
 
     # ---- fold global stats; the stats.json rewrite bumps index_version,
@@ -377,38 +380,39 @@ def update_by_query(
 
 
 @ray.remote
-def _rewrite_docs_file(src: str, dst: str, ts) -> tuple[int, int]:
-    """Copy one docs/pid file minus tombstoned rows (atomic tmp+rename);
-    ``ts`` is the sorted tombstone array (passed as one ray.put ref —
-    broadcast, not re-shipped per task). Returns (surviving_rows,
-    surviving_doclen_sum)."""
+def _encode_docs_file(src: str, root: str, encoder, ts) -> tuple[int, int]:
+    """Map side of compaction: one docs/pid file → its map-output file
+    ``root/partials/pid=NNNN.arrow``. With tombstones (``ts``: the sorted
+    array, one broadcast ray.put ref) the surviving rows are first written
+    to ``root/docs/`` (atomic tmp+rename). Returns (rows, doclen_sum) of
+    what was encoded."""
     import numpy as np
     import pyarrow.compute as pc
 
-    t = pq.read_table(src)
-    ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    pos = np.searchsorted(ts, ids)
-    hit = pos < len(ts)
-    hit[hit] = ts[pos[hit]] == ids[hit]
-    if hit.any():
-        t = t.filter(pa.array(~hit))
-    tmp = dst + ".tmp"
-    pq.write_table(t, tmp)
-    os.replace(tmp, dst)
+    from ..stages.postings_stage import write_partials
+
+    t = pq.read_table(src, columns=None if ts is not None else ["doc_id", "doclen", "text"])
+    if ts is not None:
+        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        pos = np.searchsorted(ts, ids)
+        hit = pos < len(ts)
+        hit[hit] = ts[pos[hit]] == ids[hit]
+        if hit.any():
+            t = t.filter(pa.array(~hit))
+        dst = os.path.join(root, "docs", os.path.basename(src))
+        pq.write_table(t, dst + ".tmp")
+        os.replace(dst + ".tmp", dst)
+    write_partials(root, int(_PID_RE.search(src).group(1)), encoder(t))
     return t.num_rows, int(pc.sum(t["doclen"]).as_py() or 0)
 
 
-def compact_index(
-    out_dir: str,
-    *,
-    postings_batch_size: int = 1024,
-    concurrency: int | None = None,
-    num_segments: int | None = None,
-) -> dict:
+def compact_index(out_dir: str, *, num_segments: int | None = None) -> dict:
     """Rewrite all generations into a single fresh segment set (query
-    results unchanged — test-pinned). Re-encodes from the docs/ checkpoint
-    with the persisted plan, assembles into a temp root, then atomically
-    swaps segments/.
+    results unchanged — test-pinned) through the build's disk exchange:
+    one task per docs/ file writes its partials under a temp root, the
+    build's phase 2 assembles them with the persisted plan, then
+    segments/ is swapped atomically. On a single-generation index without
+    tombstones the segments are byte-identical to the build's.
 
     ``num_segments`` (ES ``_forcemerge max_num_segments`` / ``_shrink``):
     compact into FEWER term ranges — the persisted plan's boundaries
@@ -417,8 +421,7 @@ def compact_index(
     the new plan persists for future delta generations, and results stay
     bit-identical (test-pinned; only the shard layout changes). Growing
     the segment count would need a re-sample, and is rejected."""
-    from .build import _cpus
-    from ..stages.postings_stage import AssembleSegment, PostingsEncoder
+    from ..stages.postings_stage import PostingsEncoder
 
     stats = mf.read_stats(out_dir)
     with open(os.path.join(out_dir, "plan.json")) as f:
@@ -439,45 +442,31 @@ def compact_index(
         stats = dict(stats, num_segments=num_segments)
     # one flat pid space again: the heavy docID-range salt maps the TOTAL
     # range over n_salts shards (pid_offset=0, P=total)
-    p_total = _max_pid(out_dir) + 1
     n_salts = int(stats["n_salts"])
-    cpus = concurrency or _cpus()
+    encoder = PostingsEncoder(
+        boundaries, heavy, _max_pid(out_dir) + 1, n_salts, 0, bool(stats.get("positions"))
+    )
 
     tmp_root = out_dir + ".compact.tmp"
     shutil.rmtree(tmp_root, ignore_errors=True)
     os.makedirs(os.path.join(tmp_root, "segments"))
-    docs_glob = sorted(glob.glob(os.path.join(out_dir, "docs", "pid=*.parquet")))
     tombstones = mf.read_tombstones(out_dir)
     n_docs, total_len = int(stats["n_docs"]), int(stats["total_len"])
+    ts_ref = None
     if tombstones is not None:
-        # purge: rewrite the docs checkpoint minus tombstoned rows (one
-        # task per pid file, broadcast tombstone set), re-encode from the
-        # survivors and recompute N/total_len — post-compaction scoring is
-        # fresh-build exact over the surviving corpus (df/avgdl included)
+        # purge: the docs checkpoint is rewritten minus tombstoned rows and
+        # N/total_len recomputed — post-compaction scoring is fresh-build
+        # exact over the surviving corpus (df/avgdl included)
         os.makedirs(os.path.join(tmp_root, "docs"))
         ts_ref = ray.put(tombstones)
-        counts = ray.get([
-            _rewrite_docs_file.remote(
-                f, os.path.join(tmp_root, "docs", os.path.basename(f)), ts_ref
-            )
-            for f in docs_glob
-        ])
+    counts = ray.get([
+        _encode_docs_file.remote(f, tmp_root, encoder, ts_ref)
+        for f in sorted(glob.glob(os.path.join(out_dir, "docs", "pid=*.parquet")))
+    ])
+    if tombstones is not None:
         n_docs = sum(c[0] for c in counts)
         total_len = sum(c[1] for c in counts)
-        docs_glob = sorted(glob.glob(os.path.join(tmp_root, "docs", "pid=*.parquet")))
-    docs_ds = ray.data.read_parquet(docs_glob, columns=["doc_id", "text"])
-    partials = docs_ds.map_batches(
-        PostingsEncoder,
-        fn_constructor_args=(boundaries, heavy, p_total, n_salts, 0, bool(stats.get("positions"))),
-        batch_format="pyarrow",
-        batch_size=postings_batch_size,
-        concurrency=(max(1, cpus // 2), cpus),
-    )
-    rows = (
-        partials.groupby("bucket")
-        .map_groups(AssembleSegment(tmp_root), batch_format="pyarrow")
-        .take_all()
-    )
+    n_segs = assemble_buckets(tmp_root, (len(boundaries) + 1) * max(1, n_salts))
 
     old = out_dir + ".segments.old"
     shutil.rmtree(old, ignore_errors=True)
@@ -492,13 +481,7 @@ def compact_index(
         shutil.rmtree(old_docs, ignore_errors=True)
         shutil.rmtree(os.path.join(out_dir, "tombstones"), ignore_errors=True)
     # adopt the compaction's segment manifest rows into the base lineage
-    for row in mf.read_manifest(tmp_root):
-        mf.append_manifest(out_dir, mf.ManifestRow(**{
-            k: row[k] for k in (
-                "stage", "partition_id", "input_rows", "output_rows",
-                "bytes_out", "wall_s", "checksum", "status", "doclen_sum",
-            ) if k in row
-        }))
+    _adopt_manifest(tmp_root, out_dir)
     shutil.rmtree(tmp_root, ignore_errors=True)
 
     compacted = dict(
@@ -517,7 +500,7 @@ def compact_index(
         os.replace(tmp_plan, os.path.join(out_dir, "plan.json"))
     mf.write_stats(out_dir, compacted)  # bumps index_version → caches refresh
     with open(os.path.join(out_dir, INDEX_MARKER), "w") as f:
-        f.write(f"segments={len(rows)}\n")
+        f.write(f"segments={n_segs}\n")
     man = mf.read_manifest(out_dir)
     if man:
         pq.write_table(pa.Table.from_pylist(man), os.path.join(out_dir, "metrics.parquet"))

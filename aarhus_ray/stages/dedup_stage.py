@@ -1,16 +1,18 @@
-"""Per-partition dedup + doc_id assignment + docs checkpoint writer.
+"""Per-partition dedup + doc_id assignment: the map side of the build.
 
-Runs as ``groupby("pid").map_groups(DedupAssignWriter(out_dir))`` — the only
-all-to-all before the term shuffle. Within one corpus partition (all rows of
+Runs as ``groupby("pid").map_groups(partial(dedup_assign_write, ...))`` —
+the only all-to-all of the build. Within one corpus partition (all rows of
 a url hash-collide here by construction):
 
 - exact url dedup, winner = max warc_ts, tie → larger blake2b64(text)
   (frozen; SURVEY.md §2.7)
 - rows sorted by url, then ``doc_id = (pid << 40) | row`` (SURVEY.md §1.3)
-- doclen computed here (tokens are NOT stored; postings re-tokenize text —
-  storage beats recompute for a cheap regex)
-- writes ``docs/pid=NNNN.parquet`` atomically and returns its manifest row;
-  the docs file doubles as the doclens table via column projection.
+- doclen computed here (tokens are NOT stored; compaction re-tokenizes
+  text — storage beats recompute for a cheap regex)
+- writes ``docs/pid=NNNN.parquet`` (the docs file doubles as the doclens
+  table via column projection) and ``partials/pid=NNNN.arrow`` (the disk
+  exchange's map output), then appends the pid's manifest row. The pid is
+  the build's resume unit.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import pyarrow.parquet as pq
 from ..partition import DOC_ID_PARTITION_SHIFT, hash64_column
 from ..textnorm import tokenize_flat
 from ..state import manifest as mf
+from .postings_stage import write_partials
 
 DOCS_SCHEMA = pa.schema(
     [
@@ -44,115 +47,68 @@ def docs_path(out_dir: str, pid: int) -> str:
     return os.path.join(out_dir, "docs", f"pid={pid:04d}.parquet")
 
 
-class DedupAssignWriter:
-    """Dedup + doc_id assignment + docs checkpoint writer.
+def dedup_assign_write(group: pa.Table, *, out_dir: str, encoder) -> pa.Table:
+    """One pid unit (use with ``functools.partial``): dedup + doc_id
+    assignment, then both of the pid's checkpoint files — the docs file and,
+    from the same flat tokenization (no second pass), the encoded partials
+    of ``encoder`` (a PostingsEncoder) as the disk exchange's map output.
 
-    With ``encoder`` set (the fresh-build fused path), the stage ALSO emits
-    the partition's encoded partial postings as its output — the whole
-    build then runs as ONE streaming DAG (pages → extract → pid shuffle →
-    [docs written here] → bucket shuffle → segments), with no docs re-read
-    and no second tokenization pass. Without ``encoder`` (the resume path,
-    which must pick up from an existing docs/ checkpoint), it returns its
-    manifest row as before.
-    """
+    The pid's manifest row is appended only after BOTH files are renamed
+    into place, and it carries both checksums: a crash between the two
+    writes leaves no row, so resume re-runs the pid."""
+    from ..affinity import pin_worker
 
-    def __init__(self, out_dir: str, encoder=None, partials_to_disk: bool = False):
-        self.out_dir = out_dir
-        self.encoder = encoder  # PostingsEncoder for the fused path
-        # disk-exchange mode (round 5): instead of returning partial rows
-        # into a groupby("bucket") sort-shuffle, write ONE Arrow IPC file
-        # per pid with one record batch per bucket (the classic external-
-        # shuffle map-output file + index: bucket ids ride in the schema
-        # metadata, readers random-access just their batch). The reduce
-        # side is AssembleFromDisk. Output is byte-identical either way —
-        # AssembleSegment sorts by (term, min_doc_id) internally.
-        self.partials_to_disk = partials_to_disk
-        self.__name__ = "DedupAssignWriter"  # map_groups wraps plain callables
-
-    def _write_partials(self, pid: int, partials: pa.Table) -> None:
-        import json as _json
-
-        import pyarrow.ipc as ipc
-
-        pdir = os.path.join(self.out_dir, "partials")
-        os.makedirs(pdir, exist_ok=True)
-        path = os.path.join(pdir, f"pid={pid:04d}.arrow")
-        bcol = partials["bucket"].combine_chunks() if len(partials) else None
-        buckets = (
-            sorted(set(bcol.to_pylist())) if bcol is not None and len(partials) else []
-        )
-        schema = partials.schema.with_metadata(
-            {b"buckets": _json.dumps(buckets).encode()}
-        )
-        tmp = path + ".tmp"
-        with ipc.RecordBatchFileWriter(tmp, schema) as w:
-            if buckets:
-                # one stable gather + zero-copy slices instead of a full
-                # table filter per bucket (O(rows) vs O(buckets × rows));
-                # stable argsort preserves within-bucket row order, so
-                # each written batch is row-identical to the old
-                # per-bucket filter
-                b_np = bcol.to_numpy(zero_copy_only=False)
-                order = np.argsort(b_np, kind="stable")
-                by_bucket = partials.take(pa.array(order))
-                sb = b_np[order]
-                for b in buckets:
-                    lo = int(np.searchsorted(sb, b, "left"))
-                    hi = int(np.searchsorted(sb, b, "right"))
-                    w.write_table(by_bucket.slice(lo, hi - lo).combine_chunks())
-        os.replace(tmp, path)
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        from ..affinity import pin_worker
-
-        pin_worker()  # latched: once per worker process
-        timer = mf.StageTimer()
-        pid = int(group["pid"][0].as_py())
-        urls = np.asarray(group["url"].to_pylist(), dtype=object)
-        ts_col = group.column("warc_ts")
-        if isinstance(ts_col, pa.ChunkedArray):
-            ts_col = ts_col.combine_chunks()
-        ts = ts_col.cast(pa.int64()).to_numpy(zero_copy_only=False)
-        texts = group["text"].to_pylist()
-        tie = hash64_column(texts)
-        # ascending (url, ts, tie): the LAST row of each url run is the winner
-        order = np.lexsort((tie, ts, urls))
-        urls_s = urls[order]
-        is_last = np.ones(len(urls_s), dtype=bool)
-        if len(urls_s) > 1:
-            is_last[:-1] = urls_s[:-1] != urls_s[1:]
-        winners = order[is_last]  # already in ascending-url order
-        n = len(winners)
-        doc_ids = (np.uint64(pid) << np.uint64(DOC_ID_PARTITION_SHIFT)) + np.arange(
-            n, dtype=np.uint64
-        )
-        kept_texts = [texts[i] for i in winners]
-        text_arr = pa.array(kept_texts, pa.string())
-        if "lang" in group.column_names:
-            langs = group["lang"].to_pylist()
-            lang_arr = pa.array([langs[i] for i in winners], pa.string())
-        else:
-            lang_arr = pa.array([""] * n, pa.string())
-        # Arrow-native tokenization: doclens from per-row counts, flat
-        # (term, doc) pairs passed straight to the encoder — no per-token
-        # Python objects anywhere in the build hot path
-        flat_terms, flat_docs, counts = tokenize_flat(text_arr, doc_ids)
-        doclens = counts.astype(np.uint32)
-        out = pa.table(
-            {
-                "doc_id": pa.array(doc_ids, pa.uint64()),
-                "url": pa.array(urls_s[is_last], pa.string()),
-                "doclen": pa.array(doclens, pa.uint32()),
-                "text": text_arr,
-                "lang": lang_arr,
-                "warc_ts": pa.array(ts[winners], pa.int64()),
-            }
-        )
-        path = docs_path(self.out_dir, pid)
-        tmp = path + ".tmp"
-        pq.write_table(out, tmp)
-        os.replace(tmp, path)
-        row = mf.ManifestRow(
+    pin_worker()  # latched: once per worker process
+    timer = mf.StageTimer()
+    pid = int(group["pid"][0].as_py())
+    urls = np.asarray(group["url"].to_pylist(), dtype=object)
+    ts_col = group.column("warc_ts")
+    if isinstance(ts_col, pa.ChunkedArray):
+        ts_col = ts_col.combine_chunks()
+    ts = ts_col.cast(pa.int64()).to_numpy(zero_copy_only=False)
+    texts = group["text"].to_pylist()
+    tie = hash64_column(texts)
+    # ascending (url, ts, tie): the LAST row of each url run is the winner
+    order = np.lexsort((tie, ts, urls))
+    urls_s = urls[order]
+    is_last = np.ones(len(urls_s), dtype=bool)
+    if len(urls_s) > 1:
+        is_last[:-1] = urls_s[:-1] != urls_s[1:]
+    winners = order[is_last]  # already in ascending-url order
+    n = len(winners)
+    doc_ids = (np.uint64(pid) << np.uint64(DOC_ID_PARTITION_SHIFT)) + np.arange(
+        n, dtype=np.uint64
+    )
+    kept_texts = [texts[i] for i in winners]
+    text_arr = pa.array(kept_texts, pa.string())
+    if "lang" in group.column_names:
+        langs = group["lang"].to_pylist()
+        lang_arr = pa.array([langs[i] for i in winners], pa.string())
+    else:
+        lang_arr = pa.array([""] * n, pa.string())
+    # Arrow-native tokenization: doclens from per-row counts, flat
+    # (term, doc) pairs passed straight to the encoder — no per-token
+    # Python objects anywhere in the build hot path
+    flat_terms, flat_docs, counts = tokenize_flat(text_arr, doc_ids)
+    doclens = counts.astype(np.uint32)
+    out = pa.table(
+        {
+            "doc_id": pa.array(doc_ids, pa.uint64()),
+            "url": pa.array(urls_s[is_last], pa.string()),
+            "doclen": pa.array(doclens, pa.uint32()),
+            "text": text_arr,
+            "lang": lang_arr,
+            "warc_ts": pa.array(ts[winners], pa.int64()),
+        }
+    )
+    path = docs_path(out_dir, pid)
+    tmp = path + ".tmp"
+    pq.write_table(out, tmp)
+    os.replace(tmp, path)
+    ppath = write_partials(out_dir, pid, encoder.encode_flat(flat_terms, flat_docs))
+    mf.append_manifest(
+        out_dir,
+        mf.ManifestRow(
             stage="docs",
             partition_id=pid,
             input_rows=len(group),
@@ -162,24 +118,7 @@ class DedupAssignWriter:
             checksum=mf.file_checksum(path),
             status="done",
             doclen_sum=int(doclens.sum()),
-        )
-        mf.append_manifest(self.out_dir, row)
-        if self.encoder is not None:
-            # flat pairs already computed for doclens — no second tokenize pass
-            partials = self.encoder.encode_flat(flat_terms, flat_docs)
-            if not self.partials_to_disk:
-                return partials
-            self._write_partials(pid, partials)
-            return pa.table({"pid": pa.array([pid], pa.uint32())})
-        return pa.table(
-            {
-                "stage": ["docs"],
-                "partition_id": pa.array([pid], pa.uint32()),
-                "input_rows": pa.array([len(group)], pa.uint64()),
-                "output_rows": pa.array([n], pa.uint64()),
-                "bytes_out": pa.array([row.bytes_out], pa.uint64()),
-                "wall_s": pa.array([row.wall_s], pa.float64()),
-                "checksum": [row.checksum],
-                "status": ["done"],
-            }
-        )
+            partials_checksum=mf.file_checksum(ppath),
+        ),
+    )
+    return pa.table({"pid": pa.array([pid], pa.uint32())})

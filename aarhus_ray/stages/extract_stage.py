@@ -15,15 +15,23 @@ from ..extract import extract_text
 from ..partition import normalize_url, partition_ids
 
 
-def prep_batch_fn(langs: tuple[str, ...] | None, num_partitions: int, pid_offset: int = 0):
+def prep_batch_fn(
+    langs: tuple[str, ...] | None,
+    num_partitions: int,
+    pid_offset: int = 0,
+    skip_pids: tuple[int, ...] = (),
+):
     """Returns a stateless map_batches fn: normalize urls, filter langs,
     tag each row with its corpus partition_id = blake2b64(url) % P.
 
     ``pid_offset`` shifts the partition ids (delta generations of an
     incremental index claim a fresh pid range so their doc_ids —
-    (pid << 40) | row — are disjoint from and above every base doc_id)."""
+    (pid << 40) | row — are disjoint from and above every base doc_id).
+    Rows of ``skip_pids`` (pids a resumed build already finished) are
+    dropped."""
 
     lang_set = list(langs) if langs else None
+    skip = pa.array(sorted(skip_pids), pa.uint32()) if skip_pids else None
 
     def prep(batch: pa.Table) -> pa.Table:
         from ..affinity import pin_worker
@@ -34,7 +42,10 @@ def prep_batch_fn(langs: tuple[str, ...] | None, num_partitions: int, pid_offset
         if lang_set is not None:
             batch = batch.filter(pc.is_in(batch["lang"], value_set=pa.array(lang_set)))
         pid = partition_ids(batch["url"], num_partitions) + np.uint32(pid_offset)
-        return batch.append_column("pid", pa.array(pid, pa.uint32()))
+        batch = batch.append_column("pid", pa.array(pid, pa.uint32()))
+        if skip is not None:
+            batch = batch.filter(pc.invert(pc.is_in(batch["pid"], value_set=skip)))
+        return batch
 
     return prep
 

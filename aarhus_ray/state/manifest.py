@@ -4,14 +4,17 @@ SURVEY.md §4.4). The output layout IS the checkpoint:
     out_dir/
       stats.json                  # N, avgdl, P, S, salt plan, code-version hash
       docs/pid=NNNN.parquet       # doc_id, url, doclen, text  (doclens = projection)
+      partials/pid=NNNN.arrow     # map output of the disk exchange; removed at the end
       segments/seg=SSSS/{dict.parquet,postings.bin,skips.bin}
       manifest.jsonl              # one row per (stage, partition)
       metrics.parquet             # mirror of manifest rows
 
 Every unit writes ``*.tmp`` then renames (atomic on one filesystem), then
-appends its manifest row with a blake2b checksum. Resume scans the manifest,
-verifies checksums, and skips finished units. A code-version hash over the
-frozen modules guards against resuming across semantic changes.
+appends its manifest row with a blake2b checksum. The units are the pid
+(docs + partials, one row with both checksums) and the segment bucket.
+Resume scans the manifest, verifies checksums, and skips finished units. A
+code-version hash over the frozen modules guards against resuming across
+semantic changes.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ class ManifestRow:
     status: str  # "done" | "failed"
     doclen_sum: int = 0  # docs stage only: Σ doclen of the partition, so
     # global stats (N, avgdl) come from the manifest — no extra Ray job
+    partials_checksum: str = ""  # docs stage only: the pid's map-output
+    # file partials/pid=NNNN.arrow (``checksum`` covers its docs file)
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -89,21 +94,20 @@ def read_manifest(out_dir: str) -> list[dict]:
     return rows
 
 
-def completed_units(out_dir: str, stage: str, verify: bool = False, paths=None) -> set[int]:
-    """partition_ids with a status=done manifest row (optionally re-checksum
-    the artifact via ``paths[pid]``)."""
+def completed_units(out_dir: str, stage: str, paths: dict[int, dict[str, str]]) -> set[int]:
+    """partition_ids of ``paths`` with a status=done manifest row whose
+    checksums still match the artifacts: ``paths[pid]`` maps each checksum
+    field of the row to the file it covers."""
     done = set()
     for row in read_manifest(out_dir):
-        if row["stage"] != stage or row["status"] != "done":
-            continue
         pid = int(row["partition_id"])
-        if verify and paths and pid in paths:
-            try:
-                if file_checksum(paths[pid]) != row["checksum"]:
-                    continue
-            except OSError:
-                continue
-        done.add(pid)
+        if row["stage"] != stage or row["status"] != "done" or pid not in paths:
+            continue
+        try:
+            if all(file_checksum(p) == row.get(k) for k, p in paths[pid].items()):
+                done.add(pid)
+        except OSError:
+            continue
     return done
 
 

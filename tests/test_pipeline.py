@@ -209,7 +209,6 @@ def test_partial_resume_completes_missing_partitions(tmp_path):
     ]
     with open(man, "w") as f:
         f.writelines(keep)
-    os.remove(os.path.join(out, "_DOCS_DONE"))
     os.remove(os.path.join(out, "_INDEX_DONE"))
     build_index(pages, out, num_partitions=4, num_segments=2, n_salts=2, resume=True)
     for f, want in ref.items():
@@ -228,7 +227,6 @@ def test_resume_detects_corrupted_partition(tmp_path):
     good = open(victim, "rb").read()
     with open(victim, "ab") as f:  # corrupt: append junk (checksum mismatch)
         f.write(b"CORRUPTION")
-    os.remove(os.path.join(out, "_DOCS_DONE"))
     os.remove(os.path.join(out, "_INDEX_DONE"))
     build_index(pages, out, num_partitions=4, num_segments=2, n_salts=2, resume=True)
     with open(victim, "rb") as f:
@@ -2492,28 +2490,6 @@ def _seg_hashes(out):
     return h
 
 
-def test_exchange_disk_equals_sort_byte_identical(tmp_path):
-    """The round-5 disk exchange (per-pid map-output IPC files + per-bucket
-    random-access assembly) must produce byte-identical segments to the
-    groupby("bucket") sort-shuffle — AssembleSegment orders by
-    (term, min_doc_id) internally and partials of one (term, bucket) own
-    disjoint docID ranges, so the exchange is pure plumbing."""
-    import hashlib
-    import os
-
-    pages = str(tmp_path / "pages")
-    fixtures.write_pages_dir(pages, 300, seed=21, rows_per_file=100)
-
-    s1 = build_index(pages, str(tmp_path / "idx_sort"), num_partitions=4,
-                     num_segments=2, n_salts=2, exchange="sort")
-    s2 = build_index(pages, str(tmp_path / "idx_disk"), num_partitions=4,
-                     num_segments=2, n_salts=2, exchange="disk")
-    assert s1["n_docs"] == s2["n_docs"]
-    assert _seg_hashes(str(tmp_path / "idx_sort")) == _seg_hashes(str(tmp_path / "idx_disk"))
-    # the shuffle checkpoint is cleaned up after assembly
-    assert not os.path.isdir(os.path.join(str(tmp_path / "idx_disk"), "partials"))
-
-
 def test_exchange_disk_handles_empty_buckets(tmp_path):
     """A tiny corpus with many salts leaves some (seg, salt) buckets with
     zero partials; the disk-exchange assemble must skip them (no segment
@@ -2525,49 +2501,140 @@ def test_exchange_disk_handles_empty_buckets(tmp_path):
     fixtures.write_pages_dir(pages, 40, seed=5, rows_per_file=40)
     out = str(tmp_path / "idx")
     stats = build_index(pages, out, num_partitions=2, num_segments=2,
-                        n_salts=8, exchange="disk")
+                        n_salts=8)
     assert stats["n_docs"] > 0
     n_buckets = 2 * 8
     present = len(os.listdir(os.path.join(out, "segments")))
     assert 0 < present <= n_buckets
+    # the shuffle checkpoint is cleaned up after assembly
+    assert not os.path.isdir(os.path.join(out, "partials"))
     from aarhus_ray.pipelines.query import query_index
 
     q = fixtures.gen_queries(5, seed=1)
     assert query_index(out, q, k=3, resolve_urls=False).count() > 0
 
 
-def test_exchange_disk_crash_after_phase1_resumes_identical(tmp_path, monkeypatch):
-    """Kill the disk-exchange build between the map-out barrier and
-    assembly (docs/ + partials/ written, no segments): resume must finish
-    through the two-phase checkpoint path, produce byte-identical
-    segments to an uninterrupted build, and clean the stale partials/."""
-    import hashlib
-    import os
+def _stats_bytes(out):
+    with open(os.path.join(out, "stats.json"), "rb") as f:
+        return f.read()
 
-    import pytest as _pytest
 
-    pages = str(tmp_path / "pages")
+def _unit_rows(out):
+    """Manifest rows per unit: {("docs", pid) | ("segment", bucket): n}."""
+    from collections import Counter
+
+    from aarhus_ray.state import manifest as mf
+
+    return Counter((r["stage"], int(r["partition_id"])) for r in mf.read_manifest(out))
+
+
+def _lose_pids(out):
+    for pid in (0, 2):
+        os.remove(os.path.join(out, "docs", f"pid={pid:04d}.parquet"))
+        os.remove(os.path.join(out, "partials", f"pid={pid:04d}.arrow"))
+    return {("docs", 0), ("docs", 2)}
+
+
+def _corrupt_partials(out):
+    with open(os.path.join(out, "partials", "pid=0001.arrow"), "ab") as f:
+        f.write(b"CORRUPTION")
+    return {("docs", 1)}
+
+
+def _lose_segments(out):
+    for sid in (1, 2):
+        shutil.rmtree(os.path.join(out, "segments", f"seg={sid:04d}"))
+    return {("segment", 1), ("segment", 2)}
+
+
+def _stale_tmp(out):
+    """Leftovers of units killed between tmp-write and rename."""
+    os.makedirs(os.path.join(out, "segments", "seg=0003.tmp"))
+    with open(os.path.join(out, "segments", "seg=0003.tmp", "postings.bin"), "wb") as f:
+        f.write(b"torn")
+    for rel in ("partials/pid=0002.arrow.tmp", "docs/pid=0003.parquet.tmp"):
+        with open(os.path.join(out, rel), "wb") as f:
+            f.write(b"torn")
+    return set()
+
+
+def _nothing(out):
+    return set()
+
+
+# (crash seam, damage done to the crashed index, expected re-run units)
+_CRASHES = {
+    "after_map_out": ("_after_phase1", _nothing),
+    "lost_pids": ("_after_phase1", _lose_pids),
+    "corrupt_partials": ("_after_phase1", _corrupt_partials),
+    "lost_segments": ("_after_phase2", _lose_segments),
+    "stale_tmp": ("_after_phase2", _stale_tmp),
+    "before_stats": ("_after_phase2", _nothing),
+}
+
+
+@pytest.fixture(scope="module")
+def crash_ref(tmp_path_factory):
+    """Uninterrupted reference build of the crash-matrix corpus."""
+    root = tmp_path_factory.mktemp("crash_ref")
+    pages = str(root / "pages")
     fixtures.write_pages_dir(pages, 300, seed=21, rows_per_file=100)
-
-    ref = str(tmp_path / "idx_ref")
+    ref = str(root / "idx")
     build_index(pages, ref, num_partitions=4, num_segments=2, n_salts=2)
+    return pages, ref
 
-    crash = str(tmp_path / "idx_crash")
+
+@pytest.mark.parametrize("case", sorted(_CRASHES))
+def test_crash_matrix_resumes_identical(crash_ref, tmp_path, monkeypatch, case):
+    """Kill the build at a unit boundary, damage what a crash can damage,
+    and resume: segments (per-file md5) and stats.json must equal an
+    uninterrupted build's, partials/ must be gone, and only the broken
+    units may run again (one more manifest row each, none for the rest)."""
     from aarhus_ray.pipelines import build as build_mod
 
-    def boom():
-        raise RuntimeError("injected crash after disk-exchange phase 1")
+    pages, ref = crash_ref
+    seam, damage = _CRASHES[case]
+    crash = str(tmp_path / "idx")
 
-    monkeypatch.setattr(build_mod, "_after_disk_phase1", boom)
-    with _pytest.raises(RuntimeError, match="injected crash"):
-        build_index(pages, crash, num_partitions=4, num_segments=2,
-                    n_salts=2, exchange="disk")
-    monkeypatch.setattr(build_mod, "_after_disk_phase1", lambda: None)
-    assert os.path.isdir(os.path.join(crash, "partials"))  # stale checkpoint
-    assert not os.path.isdir(os.path.join(crash, "segments", "seg=0000"))
+    def boom():
+        raise RuntimeError(f"injected crash at {seam}")
+
+    monkeypatch.setattr(build_mod, seam, boom)
+    with pytest.raises(RuntimeError, match="injected crash"):
+        build_index(pages, crash, num_partitions=4, num_segments=2, n_salts=2)
+    monkeypatch.undo()
+    assert os.path.isdir(os.path.join(crash, "partials"))  # the checkpoint
+    assert not os.path.exists(os.path.join(crash, "stats.json"))
+    assert not os.path.exists(os.path.join(crash, "_INDEX_DONE"))
+    before = _unit_rows(crash)
+    rerun = damage(crash)
 
     stats = build_index(pages, crash, num_partitions=4, num_segments=2,
                         n_salts=2, resume=True)
     assert stats["n_docs"] > 0
     assert _seg_hashes(crash) == _seg_hashes(ref)
+    assert _stats_bytes(crash) == _stats_bytes(ref)
     assert not os.path.isdir(os.path.join(crash, "partials"))
+    assert not glob.glob(os.path.join(crash, "*", "*.tmp"))
+    after = _unit_rows(crash)
+    if seam == "_after_phase1":
+        # phase 2 had not started: every bucket is assembled once, on resume
+        rerun |= {u for u in after if u[0] == "segment"}
+    assert {u for u in after if after[u] != before.get(u, 0)} == rerun
+    assert all(after[u] == before.get(u, 0) + 1 for u in rerun)
+    assert {u[1] for u in after if u[0] == "docs"} == {0, 1, 2, 3}
+
+
+def test_compaction_rewrites_build_segments_byte_identical(crash_ref, tmp_path):
+    """compact_index on a single-generation, tombstone-free index goes
+    through the same disk exchange as the build, so it must rewrite the
+    build's segments byte for byte."""
+    from aarhus_ray.pipelines.maintain import compact_index
+
+    _, ref = crash_ref
+    idx = str(tmp_path / "idx")
+    shutil.copytree(ref, idx)
+    want = _seg_hashes(ref)
+    compact_index(idx)
+    assert _seg_hashes(idx) == want
+    assert not os.path.exists(idx + ".compact.tmp")
