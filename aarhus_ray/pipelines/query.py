@@ -1087,26 +1087,50 @@ def _merge_range_partials(out, k: int):
     return out
 
 
-def _empty_topk_frame():
+# the serving result frame: (column, dtype) in output order — the dtypes
+# QueryScorer's result table converts to
+_TOPK_COLUMNS = (("query_id", np.int64), ("rank", np.int32),
+                 ("doc_id", np.uint64), ("score", np.float64))
+
+
+def _topk_frame(cols):
+    """(query_id, rank, doc_id, score) arrays → the serving DataFrame."""
     import pandas as pd
 
-    return pd.DataFrame({"query_id": pd.Series([], dtype="int64"),
-                         "rank": pd.Series([], dtype="int32"),
-                         "doc_id": pd.Series([], dtype="int64"),
-                         "score": pd.Series([], dtype="float64")})
+    return pd.DataFrame({name: np.asarray(c, dtype=dt)
+                         for (name, dt), c in zip(_TOPK_COLUMNS, cols)})
+
+
+def _empty_topk_frame():
+    return _topk_frame([()] * len(_TOPK_COLUMNS))
+
+
+def _in_qid_rank_order(out) -> bool:
+    """True when rows are strictly ascending by (query_id, rank) — the
+    order each scorer slice already emits; only shuffled or duplicate
+    query ids (or a range merge over them) break it."""
+    q = out["query_id"].to_numpy()
+    r = out["rank"].to_numpy()
+    return bool(np.all((q[1:] > q[:-1]) | ((q[1:] == q[:-1]) & (r[1:] > r[:-1]))))
 
 
 @ray.remote
 class _ServeScorer:
     """Standing scorer actor for the serving pool: holds a CachedOp over
     QueryScorer; the scorer builds once in THIS process (CachedOp's
-    worker-process cache) and stays warm across calls."""
+    worker-process cache) and stays warm across calls. A request crosses
+    the actor boundary as plain columns both ways: an int64 query-id
+    array and a list of texts in, the four result arrays (query_id, rank,
+    doc_id, score) out; the Arrow table the scorer consumes is built
+    here, on the actor's side."""
 
     def __init__(self, fn):
         self.fn = fn
 
-    def score(self, tbl: pa.Table) -> pa.Table:
-        return self.fn(tbl)
+    def score(self, qids: np.ndarray, texts: list) -> tuple:
+        out = self.fn(pa.table({"query_id": pa.array(qids, pa.int64()),
+                                "text": pa.array(texts, pa.string())}))
+        return tuple(out[name].to_numpy() for name, _ in _TOPK_COLUMNS)
 
 
 _SERVE_POOLS: dict = {}
@@ -1120,11 +1144,16 @@ def start_serving(out_dir: str, k: int = 10, method: str = "wand",
     state stays hot, a query answers in one actor round-trip instead of a
     fresh Dataset pipeline launch (~1s fixed, the measured cap on per-call
     QPS — BENCH/BASELINE.md). Idempotent per (out_dir, version, k, method,
-    n, n_ranges, mode) — every query_index retrieval ``mode`` (and/phrase/
-    near/msm/spans/…) serves from its own pool, the per-doc semantics are
-    unchanged; a rebuilt index (new version) evicts the stale pool.
-    The pool is primed so the first served batch pays no scorer
-    construction.
+    n_actors, n_ranges, mode), ``n_actors`` as given (None stays None) —
+    every query_index retrieval ``mode`` (and/phrase/near/msm/spans/…)
+    serves from its own pool, the per-doc semantics are unchanged; a
+    rebuilt index (new version) evicts the stale pool.
+
+    A warm lookup costs one ``os.stat`` (the stats.json version) and a
+    dict hit. Only a miss checks the segments, resolves the actor count
+    (``n_actors`` or the cluster's CPUs), evicts older-version pools of
+    the index and spawns the pool, primed with one query so the first
+    served batch pays no scorer construction.
 
     ``n_ranges``: the CLUSTER-shape pool — the doc space splits into
     contiguous pid ranges (the query_index_doc_sharded bound: each range
@@ -1133,13 +1162,13 @@ def start_serving(out_dir: str, k: int = 10, method: str = "wand",
     query batch to one actor per range and merges the k-sized partials
     under the frozen order. None = one full-state range (single-node
     shape). Returns a list of range sub-pools (flat case: one)."""
-    segs = _require_segments(out_dir)
     version = index_version(out_dir)
-    n = n_actors or max(1, _cpus())
-    key = (out_dir, version, k, method, n, n_ranges, mode)
+    key = (out_dir, version, k, method, n_actors, n_ranges, mode)
     pool = _SERVE_POOLS.get(key)
     if pool is not None:
         return pool
+    segs = _require_segments(out_dir)
+    n = n_actors or max(1, _cpus())
     for stale in [k_ for k_ in _SERVE_POOLS if k_[0] == out_dir and k_[1] < version]:
         _kill_pool(stale)
     if n_ranges is None:
@@ -1152,9 +1181,8 @@ def start_serving(out_dir: str, k: int = 10, method: str = "wand",
            for a in arg_sets]
     per = max(1, n // len(fns))
     pool = [[_ServeScorer.remote(fn) for _ in range(per)] for fn in fns]
-    tiny = pa.table({"query_id": pa.array([0], pa.int64()),
-                     "text": pa.array(["the"], pa.string())})
-    ray.get([a.score.remote(tiny) for sub in pool for a in sub])
+    prime = np.zeros(1, np.int64)
+    ray.get([a.score.remote(prime, ["the"]) for sub in pool for a in sub])
     _SERVE_POOLS[key] = pool
     return pool
 
@@ -1174,30 +1202,40 @@ def stop_serving(out_dir: str | None = None) -> None:
 def serve_queries(out_dir: str, queries, k: int = 10, method: str = "wand",
                   n_actors: int | None = None, batch_size: int = 256,
                   n_ranges: int | None = None, mode: str = "or"):
-    """Answer a query table from the standing pool (start_serving):
-    round-robin slices → concurrent actor round-trips → one concat.
-    Bit-identical to ``query_index(..., resolve_urls=False)`` (same
-    scorer fn, same frozen order; pinned by test) — only the dispatch
-    differs. With ``n_ranges`` every slice fans to one actor per doc
-    range and the k-sized per-range partials merge under (score DESC,
-    doc_id ASC) — exact, the query_index_doc_sharded argument: each doc
-    is scored wholly inside one range with global df/idf. Returns a
-    pandas DataFrame (query_id, rank, doc_id, score) sorted by
-    (query_id, rank)."""
+    """Answer a query table (query_id, text) — or a parquet path to one —
+    from the standing pool (start_serving): the table is cut into
+    ``batch_size`` slices, each sent round-robin as an int64 query-id
+    array plus a list of texts, one actor round-trip per slice (per range
+    with ``n_ranges``), all in flight at once; the returned result arrays
+    concatenate column by column into the frame. Bit-identical to
+    ``query_index(..., resolve_urls=False)`` (same scorer fn, same frozen
+    order; pinned by test) — only the dispatch differs. With ``n_ranges``
+    the k-sized per-range partials merge under (score DESC, doc_id ASC) —
+    exact, the query_index_doc_sharded argument: each doc is scored wholly
+    inside one range with global df/idf.
+
+    Returns a pandas DataFrame (query_id int64, rank int32, doc_id uint64,
+    score float64) sorted by (query_id, rank). Slices come back in that
+    order whenever the query ids ascend, so the sort runs only for
+    shuffled or duplicate ids."""
     pool = start_serving(out_dir, k, method, n_actors, n_ranges, mode)
     if isinstance(queries, str):
         queries = pq.read_table(queries)
     n = queries.num_rows
     if n == 0:
         return _empty_topk_frame()
+    qids = queries["query_id"].to_numpy().astype(np.int64, copy=False)
+    texts = queries["text"].to_pylist()
     futs = [
-        sub[i % len(sub)].score.remote(queries.slice(off, batch_size))
+        sub[i % len(sub)].score.remote(qids[off:off + batch_size], texts[off:off + batch_size])
         for i, off in enumerate(range(0, n, batch_size))
         for sub in pool
     ]
-    out = pa.concat_tables(ray.get(futs)).to_pandas()
+    out = _topk_frame([np.concatenate(col) for col in zip(*ray.get(futs))])
     if len(pool) > 1:
         out = _merge_range_partials(out, k)
+    if _in_qid_rank_order(out):
+        return out
     return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
 
 

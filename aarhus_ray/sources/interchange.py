@@ -273,16 +273,20 @@ def _avro_file_bytes(batch: pa.Table) -> bytes:
 
 
 def _avro_read_long(buf: bytes, pos: int) -> tuple[int, int]:
+    """Zigzag varint at ``pos`` → (value, next pos). A 64-bit long takes
+    at most 10 bytes; a longer continuation run or a buffer that ends
+    mid-varint is a ValueError, never an IndexError or an unbounded
+    integer."""
     z = 0
-    shift = 0
-    while True:
+    for shift in range(0, 70, 7):
+        if pos >= len(buf):
+            raise ValueError(f"truncated Avro varint at byte {pos}")
         b = buf[pos]
         pos += 1
         z |= (b & 0x7F) << shift
         if not b & 0x80:
-            break
-        shift += 7
-    return (z >> 1) ^ -(z & 1), pos
+            return (z >> 1) ^ -(z & 1), pos
+    raise ValueError(f"Avro varint longer than 10 bytes ending at byte {pos}")
 
 
 def _parse_avro(data: bytes) -> pa.Table:

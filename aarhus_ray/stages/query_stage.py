@@ -23,7 +23,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from .. import codecs
-from ..bm25 import brute_force_topk
+from ..bm25 import brute_force_topk, idf, score_tf, topk_select
 from ..partition import DOC_ID_PARTITION_SHIFT
 from ..state import manifest as mf
 from ..textnorm import tokenize
@@ -733,9 +733,6 @@ class QueryScorer:
         return doc_ids[m], vals[m], lasts, bmax
 
     def _term_arrays(self, term: str, owners: list["Segment"]):
-        from ..bm25 import idf as idf_fn
-        from ..bm25 import score_tf
-
         if self.doc_range is None and self.filter_ids is None and self.exclude_ids is None:
             got = self._shared_impacts.get(term)
             if got is not None:
@@ -751,7 +748,7 @@ class QueryScorer:
                 got = self._apply_filter(got)
             else:
                 doc_ids, tfs = self._gather_postings(term, owners)
-                idf_val = idf_fn(self._global_df(term, owners), self.n_docs)
+                idf_val = idf(self._global_df(term, owners), self.n_docs)
                 skips_cat = np.concatenate([seg.term_skips(term) for seg in owners])
                 lasts = skips_cat["last_doc_id"].copy()
                 bmax = codecs.tf_upper_bound(skips_cat["max_tf"], idf_val)
@@ -865,8 +862,6 @@ class QueryScorer:
         scores = np.zeros(len(cand), dtype=np.float64)
         for i in range(len(entries)):  # sorted-term order
             scores += kept[i]
-        from ..bm25 import topk_select
-
         return topk_select(cand, scores, self.k)
 
     def _score_query_msm(self, text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -922,8 +917,6 @@ class QueryScorer:
         cand, scores = cand[keep], scores_all[keep]
         if len(cand) == 0:
             return np.empty(0, np.uint64), np.empty(0, np.float64)
-        from ..bm25 import topk_select
-
         return topk_select(cand, scores, self.k)
 
     def _score_query_terms_set(self, text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -964,8 +957,6 @@ class QueryScorer:
         cand, scores = cand[keep], scores_all[keep]
         if len(cand) == 0:
             return np.empty(0, np.uint64), np.empty(0, np.float64)
-        from ..bm25 import topk_select
-
         return topk_select(cand, scores, self.k)
 
     def _conj_candidates(self, terms: list[str], entries: list[tuple]) -> np.ndarray:
@@ -1134,8 +1125,6 @@ class QueryScorer:
         scores = np.zeros(len(cand), dtype=np.float64)
         for doc_ids, contribs, _, _ in entries:  # sorted-term order
             scores += contribs[np.searchsorted(doc_ids, cand)]
-        from ..bm25 import topk_select
-
         return topk_select(cand, scores, self.k)
 
     def _score_query_span(self, text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -1183,8 +1172,6 @@ class QueryScorer:
         scores = np.zeros(len(cand), dtype=np.float64)
         for doc_ids, contribs, _, _ in entries:  # sorted-term order
             scores += contribs[np.searchsorted(doc_ids, cand)]
-        from ..bm25 import topk_select
-
         return topk_select(cand, scores, self.k)
 
     def _score_query_span_not(self, text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -1271,8 +1258,6 @@ class QueryScorer:
         scores = np.zeros(len(cand), dtype=np.float64)
         for doc_ids, contribs, _, _ in entries:  # sorted-term order
             scores += contribs[np.searchsorted(doc_ids, cand)]
-        from ..bm25 import topk_select
-
         return topk_select(cand, scores, self.k)
 
     def _score_query_span_containing(self, text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -1357,8 +1342,6 @@ class QueryScorer:
         scores = np.zeros(len(cand), dtype=np.float64)
         for doc_ids, contribs, _, _ in entries:  # sorted-term order
             scores += contribs[np.searchsorted(doc_ids, cand)]
-        from ..bm25 import topk_select
-
         return topk_select(cand, scores, self.k)
 
     def _score_query_span_or(self, text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -1433,8 +1416,6 @@ class QueryScorer:
             ok = idx < len(doc_ids)
             ok[ok] = doc_ids[idx[ok]] == matched[ok]
             scores[ok] += contribs[idx[ok]]
-        from ..bm25 import topk_select
-
         return topk_select(matched, scores, self.k)
 
     def _score_query_span_within(self, text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -1506,8 +1487,6 @@ class QueryScorer:
         for t in sorted(set(little)):  # little terms only (frozen scoring)
             doc_ids, contribs, _, _ = entries[t]
             scores += contribs[np.searchsorted(doc_ids, cand)]
-        from ..bm25 import topk_select
-
         return topk_select(cand, scores, self.k)
 
     def _score_query_intervals(self, text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -1616,8 +1595,6 @@ class QueryScorer:
             ok = idx < len(doc_ids)
             ok[ok] = doc_ids[idx[ok]] == cand[ok]
             scores[ok] += contribs[idx[ok]]
-        from ..bm25 import topk_select
-
         return topk_select(cand, scores, self.k)
 
     def _score_query_span_multi(self, text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -1730,8 +1707,6 @@ class QueryScorer:
         scores = np.zeros(len(cand), dtype=np.float64)
         for doc_ids, contribs, _, _ in entries:  # sorted-term order
             scores += contribs[np.searchsorted(doc_ids, cand)]
-        from ..bm25 import topk_select
-
         return topk_select(cand, scores, self.k)
 
     def _expand_prefix(self, prefix: str) -> set[str]:
@@ -1843,8 +1818,6 @@ class QueryScorer:
         for doc_ids, contribs, _, _ in fixed_entries:  # sorted-term order
             scores += contribs[np.searchsorted(doc_ids, docs)]
         scores += best  # fixed-sum first, max last — the SQL's addition order
-        from ..bm25 import topk_select
-
         return topk_select(docs, scores, self.k)
 
     def _expand_wildcard(self, pattern: str) -> set[str]:
@@ -2006,8 +1979,6 @@ class QueryScorer:
             w = weights[t]
             entries.append((t, doc_ids, contribs * w, lasts, bmax * w))
         if self.method == "brute":
-            from ..bm25 import topk_select
-
             all_ids = np.unique(np.concatenate([e[1] for e in entries]))
             scores = np.zeros(len(all_ids), dtype=np.float64)
             for _, doc_ids, contribs, _, _ in entries:  # sorted-term order
@@ -2082,8 +2053,6 @@ class QueryScorer:
             ok = pos < len(doc_ids)
             ok[ok] = doc_ids[pos[ok]] == cand[ok]
             scores[ok] += contribs[pos[ok]]
-        from ..bm25 import topk_select
-
         return topk_select(cand, scores, self.k)
 
     def _score_query_qs(self, text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -2167,8 +2136,6 @@ class QueryScorer:
             ok = pos < len(doc_ids)
             ok[ok] = doc_ids[pos[ok]] == cand[ok]
             scores[ok] += weights[t] * contribs[pos[ok]]
-        from ..bm25 import topk_select
-
         return topk_select(cand, scores, self.k)
 
     def _score_query(self, text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -2219,8 +2186,6 @@ class QueryScorer:
     def _score_terms(self, toks: set[str]) -> tuple[np.ndarray, np.ndarray]:
         """Disjunctive BM25 top-k over a concrete term set (the or-mode
         engine; prefix mode feeds it the expanded set). OOV terms drop."""
-        from ..bm25 import idf as idf_fn
-
         owners = {}
         for t in toks:
             segs = self._owners(t)
@@ -2243,7 +2208,7 @@ class QueryScorer:
             for t in terms:
                 gdf = self._global_df(t, owners[t])
                 for seg in owners[t]:
-                    cursors.append(seg.cursor(t, idf_fn(gdf, self.n_docs)))
+                    cursors.append(seg.cursor(t, idf(gdf, self.n_docs)))
             return wand_topk(cursors, self.doclens.lookup_one, self.avgdl, self.k)
         # default "wand": vectorized Block-Max WAND over cached full arrays,
         # or — when the query's terms cover a large fraction of the corpus
@@ -2428,8 +2393,6 @@ class FacetTopK:
         self._value_order = sorted(range(len(self.values)), key=self.values.__getitem__)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..bm25 import topk_select
-
         qids_out: list[int] = []
         vals_out: list[str] = []
         ranks_out: list[int] = []
@@ -2517,8 +2480,6 @@ class FunctionScoreTopK:
         return scores * self._factor(vals)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..bm25 import topk_select
-
         qids_out: list[int] = []
         ranks_out: list[int] = []
         docs_out: list[np.ndarray] = []
@@ -2708,8 +2669,6 @@ class CombinedFieldsTopK:
         self.avgdl_c = float(int(dlc.sum())) / float(self.n_docs)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..bm25 import idf, score_tf, topk_select
-
         qids_out: list[int] = []
         ranks_out: list[int] = []
         docs_out: list[np.ndarray] = []
@@ -2798,8 +2757,6 @@ class BoostingTopK:
         return np.unique(np.concatenate(parts))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..bm25 import topk_select
-
         qids_out: list[int] = []
         ranks_out: list[int] = []
         docs_out: list[np.ndarray] = []
@@ -2871,8 +2828,6 @@ class SynonymTopK:
         self.synonyms = {base: tuple(syns) for base, syns in synonyms}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..bm25 import idf as idf_fn, score_tf, topk_select
-
         sc = self.scorer
         qids_out: list[int] = []
         ranks_out: list[int] = []
@@ -2898,7 +2853,7 @@ class SynonymTopK:
                 mtf = np.zeros(len(uids), dtype=np.float64)
                 np.add.at(mtf, inv, tfs)
                 dfm = max(sc._global_df(t, sc._owners(t)) for t in members)
-                merged.append((uids, mtf, idf_fn(dfm, sc.n_docs)))
+                merged.append((uids, mtf, idf(dfm, sc.n_docs)))
             cand = np.unique(np.concatenate([m[0] for m in merged]))
             dls = sc.doclens.lookup(cand).astype(np.float64)
             scores = np.zeros(len(cand), dtype=np.float64)
@@ -2946,8 +2901,6 @@ class RescoreTopK:
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..bm25 import topk_select
-
         qids_out: list[int] = []
         ranks_out: list[int] = []
         docs_out: list[np.ndarray] = []
@@ -4484,8 +4437,6 @@ class CollapseTopK(FacetTopK):
     associatively (max by the frozen order / sum)."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..bm25 import topk_select
-
         qids_out: list[int] = []
         vals_out: list[str] = []
         ranks_out: list[int] = []

@@ -20,7 +20,7 @@ import heapq
 import numpy as np
 
 from . import codecs
-from .bm25 import score_tf
+from .bm25 import score_tf, topk_select
 
 # Sentinel above every legal docID: the (pid<<40)|row scheme caps pid below
 # 2^24, so real doc_ids stay < 2^64 - 2^40 < 2^64-1.
@@ -210,8 +210,6 @@ def block_max_topk(
     chunks run; when block maxes are flat (pruning can't bite), total
     vectorized passes stay O(log n_blocks) instead of O(n_blocks).
     """
-    from .bm25 import topk_select
-
     term_entries = [te for te in term_entries if len(te[3])]
     if not term_entries:
         return np.empty(0, np.uint64), np.empty(0, np.float64)
@@ -313,8 +311,6 @@ def dense_accum_topk(
     per-node shard replica, NOT for 10^12 docs in one address space; at
     cluster scale selective queries stay on WAND and head terms are served
     from these same per-node impact arrays (SCALE.md)."""
-    from .bm25 import topk_select
-
     for pos, contribs in pos_entries:  # sorted-term order → float determinism
         scratch[pos] += contribs
     n = len(scratch)

@@ -3350,6 +3350,39 @@ def test_avro_codec_roundtrip_and_adversarial_inputs():
         _parse_avro(corrupted)
 
 
+def test_avro_varint_rejects_truncated_buffer():
+    """A buffer that ends inside a varint (continuation bit set on its
+    last byte, or nothing left to read) is a ValueError, not IndexError."""
+    import pytest
+
+    from aarhus_ray.sources.interchange import _avro_long, _avro_read_long
+
+    full = _avro_long(2**40)
+    for cut in (full[:-1], b"", b"\x80\x80"):
+        with pytest.raises(ValueError, match="truncated"):
+            _avro_read_long(cut, 0)
+    with pytest.raises(ValueError, match="truncated"):
+        _avro_read_long(full, len(full))
+
+
+def test_avro_varint_stops_at_ten_bytes():
+    """A 64-bit long is at most 10 varint bytes: nine continuation bytes
+    and a terminator still decode, a run of ten 0x80 bytes is a
+    ValueError however much buffer follows."""
+    import pytest
+
+    from aarhus_ray.sources.interchange import _avro_long, _avro_read_long
+
+    v, pos = _avro_read_long(b"\x80" * 9 + b"\x01", 0)
+    assert (v, pos) == (2**62, 10)
+    for n in (2**63 - 1, -(2**63)):
+        assert _avro_read_long(_avro_long(n), 0) == (n, 10)
+    with pytest.raises(ValueError, match="10 bytes"):
+        _avro_read_long(b"\x80" * 10 + b"\x01", 0)
+    with pytest.raises(ValueError, match="10 bytes"):
+        _avro_read_long(b"\x80" * 64, 0)
+
+
 def test_warc_codec_member_walk_and_adversarial_payloads():
     """The WARC encoder/parser pair must survive payloads containing
     CRLFs, the literal record marker, and non-ASCII — Content-Length

@@ -1794,6 +1794,77 @@ def test_serving_pool_matches_pipeline(golden_index):
     assert not [k_ for k_ in _SERVE_POOLS if k_[0] == idx]
 
 
+def test_serving_request_shapes_match_pipeline(golden_index, monkeypatch):
+    """Every request shape the pool answers equals the sorted
+    query_index(..., resolve_urls=False) frame, columns and dtypes both:
+    shuffled query ids, adjacent duplicate ids (rows that arrive out of
+    (query_id, rank) order and must be sorted), an all-OOV request, an
+    empty table, and the doc-range (n_ranges=2) pool. A warm request
+    re-checks neither the segments nor the cluster's CPUs."""
+    import pandas as pd
+    import ray
+
+    from aarhus_ray.pipelines import query as qmod
+    from aarhus_ray.pipelines.query import serve_queries, stop_serving
+
+    idx = golden_index["index"]
+
+    def ref(tbl):
+        # through Arrow: Dataset.to_pandas drops the columns of an
+        # all-empty result, the Arrow blocks keep the scorer's schema
+        blocks = ray.get(query_index(idx, tbl, k=5, resolve_urls=False).to_arrow_refs())
+        return (pa.concat_tables(blocks).to_pandas()
+                .sort_values(["query_id", "rank"]).reset_index(drop=True))
+
+    def table(qids, texts):
+        return pa.table({"query_id": pa.array(qids, pa.int64()),
+                         "text": pa.array(texts, pa.string())})
+
+    base = fixtures.gen_queries(24, seed=5)
+    texts = base["text"].to_pylist()
+    order = np.random.default_rng(7).permutation(len(texts))
+    shuffled = table(order.tolist(), texts)
+    dup_ids = [i // 2 for i in range(len(texts))]  # 0,0,1,1,… adjacent pairs
+    duplicated = table(dup_ids, texts)
+    oov = table([3, 1, 2], ["zzqxv qqzzyy", "xxqqzz", "vvqqxxzz jjqqzz"])
+    empty = table([], [])
+    dtypes = {"query_id": "int64", "rank": "int32", "doc_id": "uint64", "score": "float64"}
+    try:
+        for tbl in (shuffled, duplicated, oov):
+            got = serve_queries(idx, tbl, k=5, n_actors=2, batch_size=5)
+            pd.testing.assert_frame_equal(got, ref(tbl))
+            assert got.dtypes.astype(str).to_dict() == dtypes
+            if tbl is duplicated:  # both queries of an id answered: ranks repeat
+                assert got.duplicated(["query_id", "rank"]).any()
+        sharded = serve_queries(idx, shuffled, k=5, n_actors=2, batch_size=5, n_ranges=2)
+        pd.testing.assert_frame_equal(sharded, ref(shuffled))
+        # an empty request: the same columns and dtypes as a non-empty one
+        # (query_index has no blocks to carry a schema for an empty table,
+        # so the all-OOV answer stands in as its empty frame)
+        got_empty = serve_queries(idx, empty, k=5, n_actors=2)
+        assert got_empty.empty and got_empty.dtypes.astype(str).to_dict() == dtypes
+        pd.testing.assert_frame_equal(got_empty, ref(oov))
+
+        calls = {"_require_segments": 0, "_cpus": 0}
+
+        def counting(name):
+            real = getattr(qmod, name)
+
+            def wrapper(*a, **kw):
+                calls[name] += 1
+                return real(*a, **kw)
+            return wrapper
+
+        want = ref(shuffled)
+        for name in calls:
+            monkeypatch.setattr(qmod, name, counting(name))
+        warm = serve_queries(idx, shuffled, k=5, n_actors=2, batch_size=5)
+        assert calls == {"_require_segments": 0, "_cpus": 0}
+        pd.testing.assert_frame_equal(warm, want)
+    finally:
+        stop_serving(idx)
+
+
 def test_matchset_boxplot_on_real_index(golden_index):
     """MatchsetBoxplot == python recompute over the docs sidecar: type-1
     quartiles of doclen at floor(q·(n−1)) plus Tukey 1.5·IQR outlier
