@@ -17,8 +17,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+import ray
+
 from ..pipelines.build import build_index
-from ..pipelines.query import query_index
+from ..pipelines.query import attach_urls, query_index
 from ..textnorm import tokenize
 
 # Frozen query set (query_id = position). Duplicate terms count once (frozen
@@ -53,24 +55,36 @@ def url_doc_id(url: str) -> int:
     return int(url[len("doc://") :])
 
 
-def docs_as_pages(sf_dir: str, out_path: str) -> str:
-    """documents → pages-schema parquet (url, warc_ts, html, text, lang)."""
-    t = pq.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
-    ids = t["doc_id"].to_pylist()
-    texts = t["text"].to_pylist()
-    htmls = [f"<html><body><p>{x}</p></body></html>".encode() for x in texts]
+def _write_pages(out_path: str, url, warc_ts, text, lang) -> str:
+    """The one pages writer: (url, warc_ts, html, text, lang) parquet at
+    ``out_path``, the html wrapping each text in one paragraph."""
+    html = [f"<html><body><p>{x}</p></body></html>".encode() for x in text.to_pylist()]
     pages = pa.table(
-        {
-            "url": pa.array([doc_url(i) for i in ids], pa.string()),
-            "warc_ts": pa.array([doc_ts_us(i) for i in ids], pa.timestamp("us")),
-            "html": pa.array(htmls, pa.binary()),
-            "text": pa.array(texts, pa.string()),
-            "lang": t["lang"],
-        }
+        {"url": url, "warc_ts": warc_ts, "html": pa.array(html, pa.binary()),
+         "text": text, "lang": lang}
     )
     os.makedirs(os.path.dirname(out_path), exist_ok=True)
     pq.write_table(pages, out_path)
     return out_path
+
+
+def _source_pages(sf_dir: str, out_path: str, text_of) -> str:
+    """documents → pages: url and crawl ts derived from the source doc_id,
+    text = ``text_of(doc text)``."""
+    t = pq.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
+    ids = t["doc_id"].to_pylist()
+    return _write_pages(
+        out_path,
+        pa.array([doc_url(i) for i in ids], pa.string()),
+        pa.array([doc_ts_us(i) for i in ids], pa.timestamp("us")),
+        pa.array([text_of(x) for x in t["text"].to_pylist()], pa.string()),
+        t["lang"],
+    )
+
+
+def docs_as_pages(sf_dir: str, out_path: str) -> str:
+    """documents → pages-schema parquet (url, warc_ts, html, text, lang)."""
+    return _source_pages(sf_dir, out_path, lambda text: text)
 
 
 def _work_dir(sf_dir: str) -> str:
@@ -88,59 +102,127 @@ def _ensure_index(sf_dir: str, fresh: bool = False, positions: bool = False) -> 
     (per-segment pos.bin sidecar) so phrase queries verify adjacency from
     decoded positions instead of re-tokenizing checkpoint text. The ONE
     build-config definition shared by every fulltext op."""
-    work = _work_dir(sf_dir)
     if fresh:
-        shutil.rmtree(work, ignore_errors=True)
-    pages = os.path.join(work, "pages", "part-0000.parquet")
+        shutil.rmtree(_work_dir(sf_dir), ignore_errors=True)
+    return _pages_index(sf_dir, "", lambda p: docs_as_pages(sf_dir, p), positions=positions)
+
+
+def _pages_index(sf_dir: str, name: str, write_pages, num_partitions: int = 8,
+                 positions: bool = False) -> str:
+    """Build an index once under the sf_dir-keyed workdir: pages written
+    by ``write_pages(path)`` into ``pages<name>/`` unless already there,
+    then the index in ``index<name>`` (``_pos`` appended when positional)
+    unless its ``_INDEX_DONE`` marker exists. Returns the index path."""
+    work = _work_dir(sf_dir)
+    pages = os.path.join(work, f"pages{name}", "part-0000.parquet")
     if not os.path.exists(pages):
-        docs_as_pages(sf_dir, pages)
-    index = os.path.join(work, "index" + ("_pos" if positions else ""))
+        write_pages(pages)
+    index = os.path.join(work, f"index{name}" + ("_pos" if positions else ""))
     if not os.path.exists(os.path.join(index, "_INDEX_DONE")):
-        build_index(
-            os.path.dirname(pages),
-            index,
-            num_partitions=8,
-            num_segments=2,
-            n_salts=2,
-            positions=positions,
-        )
+        build_index(os.path.dirname(pages), index, num_partitions=num_partitions,
+                    num_segments=2, n_salts=2, positions=positions)
     return index
 
 
-def _query_table(query_texts) -> pa.Table:
+def _index_copy(sf_dir: str, suffix: str) -> str:
+    """A private copy of the cached index at ``<workdir><suffix>/index``
+    (the workdir made fresh) for an op that mutates it."""
+    base = _ensure_index(sf_dir, fresh=False)
+    work = _work_dir(sf_dir) + suffix
+    shutil.rmtree(work, ignore_errors=True)
+    os.makedirs(work)
+    index = os.path.join(work, "index")
+    shutil.copytree(base, index)
+    return index
+
+
+def _halves_index(sf_dir: str, suffix: str) -> str:
+    """Build over the FIRST half of documents-as-pages, then graft the
+    second half in as a delta generation (pipelines/maintain.
+    add_documents); returns the index under a fresh ``<workdir><suffix>``."""
+    from ..pipelines.maintain import add_documents
+
+    work = _work_dir(sf_dir) + suffix
+    shutil.rmtree(work, ignore_errors=True)
+    full = pq.read_table(docs_as_pages(sf_dir, os.path.join(work, "pages_all", "part-0000.parquet")))
+    half = full.num_rows // 2
+    for name, part in (("pages_a", full.slice(0, half)), ("pages_b", full.slice(half))):
+        os.makedirs(os.path.join(work, name))
+        pq.write_table(part, os.path.join(work, name, "part-0000.parquet"))
+    index = os.path.join(work, "index")
+    build_index(os.path.join(work, "pages_a"), index, num_partitions=8, num_segments=2, n_salts=2)
+    add_documents(index, os.path.join(work, "pages_b"), num_partitions=4)
+    return index
+
+
+def _delete_mod_and_compact(sf_dir: str, index: str) -> str:
+    """Tombstone every doc whose SOURCE doc_id % DELETE_MOD == 0 (by url),
+    then compact ``index``; returns it."""
+    from ..pipelines.maintain import compact_index, delete_documents
+
+    src = pq.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    delete_documents(index, urls=[doc_url(i) for i in src["doc_id"].to_pylist() if i % DELETE_MOD == 0])
+    compact_index(index)
+    return index
+
+
+def _query_table(query_texts, **cols) -> pa.Table:
+    """The query table of a registry op: ``query_id`` = position, ``text``,
+    then any extra ``cols`` (name → Arrow array; a ``query_id`` given
+    there replaces the positional one)."""
     return pa.table(
         {
             "query_id": pa.array(range(len(query_texts)), pa.int64()),
             "text": pa.array(list(query_texts), pa.string()),
+            **cols,
         }
     )
 
 
-def _rank_frame(res: pd.DataFrame) -> pd.DataFrame:
-    """Shared output contract for url-resolved rankings: map each url back
-    to its SOURCE doc_id and emit (query_id, rank:int32, doc_id) in
-    (query_id, rank) order — the one place the driver-facing dtype/sort
-    normalization lives (every ranking op and oracle shares it)."""
-    if len(res) == 0:  # empty result sets can arrive column-less
-        return pd.DataFrame(
-            {
-                "query_id": pd.Series([], dtype="int64"),
-                "rank": pd.Series([], dtype="int32"),
-                "doc_id": pd.Series([], dtype="int64"),
-            }
-        )
-    res = res.copy()
-    res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
-    out = res[["query_id", "rank", "doc_id"]].sort_values(["query_id", "rank"])
-    out["rank"] = out["rank"].astype("int32")
-    return out.reset_index(drop=True)
+# the (query_id, rank, doc_id) ranking every top-k op returns, and the
+# scored match set a re-ranking op reads
+_RANKED = ("query_id", "rank", "doc_id")
+_SCORED = ("query_id", "doc_id", "score")
 
 
-def _run_queries(index: str, query_texts, k: int, mode: str, **kw) -> pd.DataFrame:
-    res = query_index(
-        index, _query_table(query_texts), k=k, resolve_urls=True, mode=mode, **kw
-    ).to_pandas()
-    return _rank_frame(res)
+def _rank_frame(ds, by=("query_id", "rank"), cols=None, index: str | None = None) -> pd.DataFrame:
+    """The one result runner of the registry ops: read ``ds`` through its
+    Arrow blocks, so every column keeps the op's Arrow type (rank int32)
+    even when no row matched; with ``index``, attach each row's url from
+    that index; rows carrying a url get their SOURCE doc_id (int64) back;
+    then sort by ``by``, keep ``cols`` (all when None) and reset the
+    index."""
+    out = ds if index is None else attach_urls(ds, index)
+    res = pa.concat_tables(ray.get(out.to_arrow_refs()), promote_options="default")
+    if res.num_columns == 0:
+        # nothing matched and Ray Data hands all-empty blocks to a second
+        # map stage without their schema: take the op's own (re-run, empty)
+        res = ds.schema().base_schema.empty_table()
+        res = res if index is None else res.append_column("url", pa.array([], pa.string()))
+    res = res.to_pandas()
+    if "url" in res.columns:
+        res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
+    res = res.sort_values(list(by))
+    if cols is not None:
+        res = res[list(cols)]
+    return res.reset_index(drop=True)
+
+
+def _rerank(res: pd.DataFrame, k: int, key: str = "score") -> pd.DataFrame:
+    """A whole match set re-ranked in SOURCE doc_id space: (``key`` DESC,
+    doc_id ASC) per query, the first k, as (query_id, rank:int32,
+    doc_id:int64)."""
+    res = res.sort_values(["query_id", key, "doc_id"], ascending=[True, False, True])
+    out = res.groupby("query_id", sort=True).head(k).reset_index(drop=True)
+    out["rank"] = (out.groupby("query_id").cumcount() + 1).astype("int32")
+    return out[["query_id", "rank", "doc_id"]].astype({"query_id": "int64", "doc_id": "int64"})
+
+
+def _run_queries(index: str, query_texts, k: int, mode: str, cols=_RANKED, **kw) -> pd.DataFrame:
+    """query_index over ``query_texts`` (query_id = position), its doc_ids
+    mapped to source ids, as ``cols`` in (query_id, rank) order."""
+    ds = query_index(index, _query_table(query_texts), k=k, resolve_urls=False, mode=mode, **kw)
+    return _rank_frame(ds, cols=cols, index=index)
 
 
 def bm25_topk(sf_dir: str, k: int = 10, fresh: bool = True) -> pd.DataFrame:
@@ -354,23 +436,7 @@ def bm25_topk_incremental(sf_dir: str, k: int = 10) -> pd.DataFrame:
     shared plan, folded stats), then answer FT_QUERIES over the union.
     Shares fulltext_bm25_topk's full-corpus DuckDB oracle: an incremental
     index must be indistinguishable from a fresh build over everything."""
-    from ..pipelines.maintain import add_documents
-
-    work = _work_dir(sf_dir) + "_incr"
-    shutil.rmtree(work, ignore_errors=True)
-    pages_all = os.path.join(work, "pages_all", "part-0000.parquet")
-    docs_as_pages(sf_dir, pages_all)
-    full = pq.read_table(pages_all)
-    half = full.num_rows // 2
-    dir_a = os.path.join(work, "pages_a")
-    dir_b = os.path.join(work, "pages_b")
-    os.makedirs(dir_a), os.makedirs(dir_b)
-    pq.write_table(full.slice(0, half), os.path.join(dir_a, "part-0000.parquet"))
-    pq.write_table(full.slice(half), os.path.join(dir_b, "part-0000.parquet"))
-    index = os.path.join(work, "index")
-    build_index(dir_a, index, num_partitions=8, num_segments=2, n_salts=2)
-    add_documents(index, dir_b, num_partitions=4)
-    return _run_queries(index, FT_QUERIES, k, "or")
+    return _run_queries(_halves_index(sf_dir, "_incr"), FT_QUERIES, k, "or")
 
 
 def bm25_topk_phrase(sf_dir: str, k: int = 10) -> pd.DataFrame:
@@ -395,18 +461,7 @@ def bm25_topk_deleted(sf_dir: str, k: int = 10) -> pd.DataFrame:
     indistinguishable from a fresh build over the surviving corpus.
     Pre-compaction (visibility-only, stale-stats) semantics are pinned in
     tests/test_deletes.py."""
-    from ..pipelines.maintain import compact_index, delete_documents
-
-    base = _ensure_index(sf_dir, fresh=False)
-    work = _work_dir(sf_dir) + "_del"
-    shutil.rmtree(work, ignore_errors=True)
-    index = os.path.join(work, "index")
-    os.makedirs(work)
-    shutil.copytree(base, index)
-    src = pq.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    dead = [doc_url(i) for i in src["doc_id"].to_pylist() if i % DELETE_MOD == 0]
-    delete_documents(index, urls=dead)
-    compact_index(index)
+    index = _delete_mod_and_compact(sf_dir, _index_copy(sf_dir, "_del"))
     return _run_queries(index, FT_QUERIES, k, "or")
 
 
@@ -427,26 +482,7 @@ def bm25_topk_lifecycle(sf_dir: str, k: int = 10) -> pd.DataFrame:
     build over exactly the surviving corpus — one hash pins the whole
     maintain.py lifecycle end to end (the pieces are pinned separately
     by bm25_topk_incremental / _deleted / tests/test_maintain.py)."""
-    from ..pipelines.maintain import add_documents, compact_index, delete_documents
-
-    work = _work_dir(sf_dir) + "_life"
-    shutil.rmtree(work, ignore_errors=True)
-    pages_all = os.path.join(work, "pages_all", "part-0000.parquet")
-    docs_as_pages(sf_dir, pages_all)
-    full = pq.read_table(pages_all)
-    half = full.num_rows // 2
-    dir_a = os.path.join(work, "pages_a")
-    dir_b = os.path.join(work, "pages_b")
-    os.makedirs(dir_a), os.makedirs(dir_b)
-    pq.write_table(full.slice(0, half), os.path.join(dir_a, "part-0000.parquet"))
-    pq.write_table(full.slice(half), os.path.join(dir_b, "part-0000.parquet"))
-    index = os.path.join(work, "index")
-    build_index(dir_a, index, num_partitions=8, num_segments=2, n_salts=2)
-    add_documents(index, dir_b, num_partitions=4)
-    src = pq.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    dead = [doc_url(i) for i in src["doc_id"].to_pylist() if i % DELETE_MOD == 0]
-    delete_documents(index, urls=dead)
-    compact_index(index)
+    index = _delete_mod_and_compact(sf_dir, _halves_index(sf_dir, "_life"))
     return _run_queries(index, FT_QUERIES, k, "or")
 
 
@@ -464,12 +500,8 @@ def bm25_topk_snapshot_pit(sf_dir: str, k: int = 10) -> pd.DataFrame:
     separately in tests/test_maintain.py."""
     from ..pipelines.maintain import delete_by_query, restore_index, snapshot_index
 
-    base = _ensure_index(sf_dir, fresh=False)
-    work = _work_dir(sf_dir) + "_pit"
-    shutil.rmtree(work, ignore_errors=True)
-    src = os.path.join(work, "index")
-    os.makedirs(work)
-    shutil.copytree(base, src)
+    src = _index_copy(sf_dir, "_pit")
+    work = os.path.dirname(src)
     snap = os.path.join(work, "snap")
     snapshot_index(src, snap)
     delete_by_query(src, DBQ_TEXT, mode="and")  # mutate AFTER the snapshot
@@ -490,12 +522,7 @@ def bm25_topk_force_merged(sf_dir: str, k: int = 10) -> pd.DataFrame:
     additionally pins segment count and byte-level dict coarsening."""
     from ..pipelines.maintain import compact_index
 
-    base = _ensure_index(sf_dir, fresh=False)
-    work = _work_dir(sf_dir) + "_fm"
-    shutil.rmtree(work, ignore_errors=True)
-    index = os.path.join(work, "index")
-    os.makedirs(work)
-    shutil.copytree(base, index)
+    index = _index_copy(sf_dir, "_fm")
     compact_index(index, num_segments=1)
     return _run_queries(index, FT_QUERIES, k, "or")
 
@@ -517,12 +544,7 @@ def bm25_topk_delete_by_query(sf_dir: str, k: int = 10) -> pd.DataFrame:
     fulltext_bm25_deleted.)"""
     from ..pipelines.maintain import delete_by_query
 
-    base = _ensure_index(sf_dir, fresh=False)
-    work = _work_dir(sf_dir) + "_dbq"
-    shutil.rmtree(work, ignore_errors=True)
-    index = os.path.join(work, "index")
-    os.makedirs(work)
-    shutil.copytree(base, index)
+    index = _index_copy(sf_dir, "_dbq")
     delete_by_query(index, DBQ_TEXT, mode="and")
     return _run_queries(index, FT_QUERIES, k, "or")
 
@@ -693,20 +715,7 @@ def completion_suggest(sf_dir: str) -> pd.DataFrame:
     from ..pipelines.query import suggest_completions
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_COMPLETIONS)), pa.int64()),
-            "text": pa.array(list(FT_COMPLETIONS), pa.string()),
-        }
-    )
-    out = (
-        suggest_completions(index, queries, size=COMPLETION_SIZE)
-        .to_pandas()
-        .sort_values(["query_id", "rank"])
-        .reset_index(drop=True)
-    )
-    out["rank"] = out["rank"].astype("int32")
-    return out
+    return _rank_frame(suggest_completions(index, _query_table(FT_COMPLETIONS), size=COMPLETION_SIZE))
 
 
 def completion_suggest_oracle_sql() -> str:
@@ -758,12 +767,7 @@ def adjacency_matrix_query(sf_dir: str) -> pd.DataFrame:
             "text_b": pa.array([r[2] for r in rows], pa.string()),
         }
     )
-    return (
-        adjacency_matrix(index, pairs)
-        .to_pandas()
-        .sort_values("pair_id")
-        .reset_index(drop=True)
-    )
+    return _rank_frame(adjacency_matrix(index, pairs), by=("pair_id",))
 
 
 def adjacency_matrix_oracle_sql() -> str:
@@ -818,18 +822,7 @@ def rank_eval_query(sf_dir: str, k: int = 10) -> pd.DataFrame:
     from ..pipelines.query import rank_eval
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    return (
-        rank_eval(index, queries, k=k)
-        .to_pandas()
-        .sort_values("query_id")
-        .reset_index(drop=True)
-    )
+    return _rank_frame(rank_eval(index, _query_table(FT_QUERIES), k=k), by=("query_id",))
 
 
 def rank_eval_oracle_sql(k: int = 10) -> str:
@@ -906,28 +899,12 @@ def explain_query(sf_dir: str, k: int = 10) -> pd.DataFrame:
     reconstructs the hit's ranking score bit-exactly. The oracle replays
     the frozen ranking and joins the same statistics in SQL."""
     from ..pipelines.query import explain_topk
-    from ..stages.query_stage import UrlResolver
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
+    return _rank_frame(
+        explain_topk(index, _query_table(FT_QUERIES), k=k), by=("query_id", "rank", "term"),
+        cols=("query_id", "rank", "doc_id", "term", "tf", "df", "dl"), index=index,
     )
-    ds = explain_topk(index, queries, k=k).map_batches(
-        UrlResolver, fn_constructor_args=(index,), batch_format="pyarrow",
-        concurrency=(1, 2),
-    )
-    res = ds.to_pandas()
-    res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
-    out = (
-        res[["query_id", "rank", "doc_id", "term", "tf", "df", "dl"]]
-        .sort_values(["query_id", "rank", "term"])
-        .reset_index(drop=True)
-    )
-    out["rank"] = out["rank"].astype("int32")
-    return out
 
 
 def explain_oracle_sql(k: int = 10) -> str:
@@ -1808,14 +1785,8 @@ def percentile_ranks_query(sf_dir: str) -> pd.DataFrame:
     from ..pipelines.query import percentile_ranks
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    out = percentile_ranks(index, queries, field="doclen", probes=PR_PROBES).to_pandas()
-    return out.sort_values(["query_id", "probe"]).reset_index(drop=True)
+    out = percentile_ranks(index, _query_table(FT_QUERIES), field="doclen", probes=PR_PROBES)
+    return _rank_frame(out, by=("query_id", "probe"))
 
 
 def percentile_ranks_oracle_sql() -> str:
@@ -1889,8 +1860,7 @@ def analyze_query(sf_dir: str) -> pd.DataFrame:
         columns=["doc_id", "text"],
         filter=pads.field("doc_id") < AN_NDOCS,
     )
-    out = ds.map_batches(_analyze_batch, batch_format="pyarrow").to_pandas()
-    return out.sort_values(["doc_id", "pos"]).reset_index(drop=True)
+    return _rank_frame(ds.map_batches(_analyze_batch, batch_format="pyarrow"), by=("doc_id", "pos"))
 
 
 def analyze_oracle_sql() -> str:
@@ -2088,26 +2058,10 @@ def bm25_topk_update_by_query(sf_dir: str, k: int = 10) -> pd.DataFrame:
     order exactly as the oracle's (score DESC, source doc_id ASC)."""
     from ..pipelines.maintain import update_by_query
 
-    base = _ensure_index(sf_dir, fresh=False)
-    work = _work_dir(sf_dir) + "_ubq"
-    shutil.rmtree(work, ignore_errors=True)
-    index = os.path.join(work, "index")
-    os.makedirs(work)
-    shutil.copytree(base, index)
+    index = _index_copy(sf_dir, "_ubq")
     update_by_query(index, UBQ_TEXT, _ubq_transform, mode="and")
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    res = query_index(index, queries, k=1 << 20, method="brute", resolve_urls=True).to_pandas()
-    res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
-    res = res.sort_values(["query_id", "score", "doc_id"], ascending=[True, False, True])
-    res["rank"] = res.groupby("query_id").cumcount() + 1
-    out = res[res["rank"] <= k][["query_id", "rank", "doc_id"]]
-    out["rank"] = out["rank"].astype("int32")
-    return out.reset_index(drop=True)
+    res = _run_queries(index, FT_QUERIES, 1 << 20, "or", cols=_SCORED, method="brute")
+    return _rerank(res, k)
 
 
 def bm25_update_by_query_oracle_sql(k: int = 10) -> str:
@@ -2375,14 +2329,7 @@ def facet_counts_query(sf_dir: str) -> pd.DataFrame:
     from ..pipelines.query import facet_counts
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    out = facet_counts(index, queries, facet="lang").to_pandas()
-    return out.sort_values(["query_id", "lang"]).reset_index(drop=True)
+    return _rank_frame(facet_counts(index, _query_table(FT_QUERIES), facet="lang"), by=("query_id", "lang"))
 
 
 def facet_counts_oracle_sql() -> str:
@@ -2576,26 +2523,12 @@ def facet_topk_query(sf_dir: str, k: int = 5) -> pd.DataFrame:
     (pipelines/query.facet_topk). Output (query_id, lang, rank, doc_id),
     lang ascending, 1-based ranks per group."""
     from ..pipelines.query import facet_topk
-    from ..stages.query_stage import UrlResolver
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
+    return _rank_frame(
+        facet_topk(index, _query_table(FT_QUERIES), facet="lang", k=k),
+        by=("query_id", "lang", "rank"), cols=("query_id", "lang", "rank", "doc_id"), index=index,
     )
-    ds = facet_topk(index, queries, facet="lang", k=k).map_batches(
-        UrlResolver, fn_constructor_args=(index,), batch_format="pyarrow",
-        concurrency=(1, 2),
-    )
-    res = ds.to_pandas()
-    res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
-    out = res[["query_id", "lang", "rank", "doc_id"]].sort_values(
-        ["query_id", "lang", "rank"]
-    )
-    out["rank"] = out["rank"].astype("int32")
-    return out.reset_index(drop=True)
 
 
 def facet_topk_oracle_sql(k: int = 5) -> str:
@@ -2649,26 +2582,12 @@ def collapse_topk_query(sf_dir: str, k: int = 5) -> pd.DataFrame:
     (pipelines/query.collapse_topk). Contrast fulltext_facet_topk, which
     returns a full page per group."""
     from ..pipelines.query import collapse_topk
-    from ..stages.query_stage import UrlResolver
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
+    return _rank_frame(
+        collapse_topk(index, _query_table(FT_QUERIES), facet="lang", k=k),
+        cols=("query_id", "rank", "doc_id", "lang", "n_group"), index=index,
     )
-    ds = collapse_topk(index, queries, facet="lang", k=k).map_batches(
-        UrlResolver, fn_constructor_args=(index,), batch_format="pyarrow",
-        concurrency=(1, 2),
-    )
-    res = ds.to_pandas()
-    res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
-    out = res[["query_id", "rank", "doc_id", "lang", "n_group"]].sort_values(
-        ["query_id", "rank"]
-    )
-    out["rank"] = out["rank"].astype("int32")
-    return out.reset_index(drop=True)
 
 
 def collapse_oracle_sql(k: int = 5) -> str:
@@ -2827,18 +2746,9 @@ def top_metrics_query(sf_dir: str) -> pd.DataFrame:
     from ..pipelines.query import top_metrics
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
+    return _rank_frame(
+        top_metrics(index, _query_table(FT_QUERIES), field="warc_ts", metric="doclen", size=TM_SIZE)
     )
-    out = top_metrics(
-        index, queries, field="warc_ts", metric="doclen", size=TM_SIZE
-    ).to_pandas()
-    out = out.sort_values(["query_id", "rank"]).reset_index(drop=True)
-    out["rank"] = out["rank"].astype("int32")
-    return out
 
 
 def top_metrics_oracle_sql() -> str:
@@ -2898,29 +2808,11 @@ def sliced_scroll_query(sf_dir: str) -> pd.DataFrame:
     so all slices are emitted (a real consumer would filter its own
     slice inside the same map)."""
     from ..pipelines.query import export_matches
-    from ..stages.query_stage import UrlResolver
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    ds = (
-        export_matches(index, queries)
-        .map_batches(
-            UrlResolver, fn_constructor_args=(index,), batch_format="pyarrow",
-            concurrency=(1, 2),
-        )
-        .map_batches(_add_slice_id, batch_format="pyarrow")
-    )
-    res = ds.to_pandas()
-    res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
-    out = res[["query_id", "slice_id", "doc_id"]].sort_values(
-        ["query_id", "slice_id", "doc_id"]
-    )
-    return out.reset_index(drop=True)
+    ds = attach_urls(export_matches(index, _query_table(FT_QUERIES)), index)
+    by = ("query_id", "slice_id", "doc_id")
+    return _rank_frame(ds.map_batches(_add_slice_id, batch_format="pyarrow"), by=by, cols=by)
 
 
 def sliced_scroll_oracle_sql() -> str:
@@ -3015,16 +2907,10 @@ def diversified_sampler_query(sf_dir: str) -> pd.DataFrame:
     from ..pipelines.query import diversified_sampler
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
     out = diversified_sampler(
-        index, queries, facet="lang", sample_size=DS_N, max_per_value=DS_CAP
-    ).to_pandas()
-    return out.sort_values(["query_id", "lang"]).reset_index(drop=True)
+        index, _query_table(FT_QUERIES), facet="lang", sample_size=DS_N, max_per_value=DS_CAP
+    )
+    return _rank_frame(out, by=("query_id", "lang"))
 
 
 def diversified_sampler_oracle_sql() -> str:
@@ -3394,25 +3280,11 @@ def bm25_topk_recency(sf_dir: str, k: int = 10) -> pd.DataFrame:
     path: ts order ≠ doc order, and the oracle replays the permutation in
     integer SQL. Output (query_id, rank, doc_id, warc_ts)."""
     from ..pipelines.query import sort_topk
-    from ..stages.query_stage import UrlResolver
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    ds = sort_topk(index, queries, field="warc_ts", k=k).map_batches(
-        UrlResolver, fn_constructor_args=(index,), batch_format="pyarrow",
-        concurrency=(1, 2),
-    )
-    res = ds.to_pandas()
-    res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
-    res["warc_ts"] = res["warc_ts"].astype("int64")
-    out = res[["query_id", "rank", "doc_id", "warc_ts"]].sort_values(["query_id", "rank"])
-    out["rank"] = out["rank"].astype("int32")
-    return out.reset_index(drop=True)
+    out = _rank_frame(sort_topk(index, _query_table(FT_QUERIES), field="warc_ts", k=k),
+                      cols=("query_id", "rank", "doc_id", "warc_ts"), index=index)
+    return out.astype({"warc_ts": "int64"})
 
 
 def bm25_recency_oracle_sql(k: int = 10) -> str:
@@ -3521,14 +3393,7 @@ def match_counts_query(sf_dir: str) -> pd.DataFrame:
     from ..pipelines.query import match_counts
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    out = match_counts(index, queries).to_pandas()
-    return out.sort_values("query_id").reset_index(drop=True)
+    return _rank_frame(match_counts(index, _query_table(FT_QUERIES)), by=("query_id",))
 
 
 def match_counts_oracle_sql() -> str:
@@ -3577,24 +3442,10 @@ def synonym_topk_query(sf_dir: str, k: int = 10) -> pd.DataFrame:
     pseudo-term with merged tf and max-df idf —
     stages/query_stage.SynonymTopK). Output integer-only."""
     from ..pipelines.query import synonym_topk
-    from ..stages.query_stage import UrlResolver
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_SYN_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_SYN_QUERIES), pa.string()),
-        }
-    )
-    ds = synonym_topk(index, queries, synonyms=FT_SYNONYMS, k=k).map_batches(
-        UrlResolver, fn_constructor_args=(index,), batch_format="pyarrow",
-        concurrency=(1, 2),
-    )
-    res = ds.to_pandas()
-    res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
-    out = res[["query_id", "rank", "doc_id"]].sort_values(["query_id", "rank"])
-    out["rank"] = out["rank"].astype("int32")
-    return out.reset_index(drop=True)
+    ds = synonym_topk(index, _query_table(FT_SYN_QUERIES), synonyms=FT_SYNONYMS, k=k)
+    return _rank_frame(ds, cols=_RANKED, index=index)
 
 
 def synonym_oracle_sql(k: int = 10) -> str:
@@ -3659,26 +3510,12 @@ def function_score_query(sf_dir: str, k: int = 10) -> pd.DataFrame:
     (pipelines/query.function_score_topk). Linear decay replays
     bit-faithfully in SQL (no transcendentals); output integer-only."""
     from ..pipelines.query import function_score_topk
-    from ..stages.query_stage import UrlResolver
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
     ds = function_score_topk(
-        index, queries, origin_us=FS_ORIGIN_US, scale_us=FS_SCALE_US, k=k
-    ).map_batches(
-        UrlResolver, fn_constructor_args=(index,), batch_format="pyarrow",
-        concurrency=(1, 2),
+        index, _query_table(FT_QUERIES), origin_us=FS_ORIGIN_US, scale_us=FS_SCALE_US, k=k
     )
-    res = ds.to_pandas()
-    res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
-    out = res[["query_id", "rank", "doc_id"]].sort_values(["query_id", "rank"])
-    out["rank"] = out["rank"].astype("int32")
-    return out.reset_index(drop=True)
+    return _rank_frame(ds, cols=_RANKED, index=index)
 
 
 def field_value_factor_query(sf_dir: str, k: int = 10) -> pd.DataFrame:
@@ -3693,26 +3530,11 @@ def field_value_factor_query(sf_dir: str, k: int = 10) -> pd.DataFrame:
     full match set (the _full_ranking pattern) to keep the external
     (fscore DESC, doc_id ASC) tie order exact."""
     from ..pipelines.query import field_value_factor_topk
-    from ..stages.query_stage import UrlResolver
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
     k_all = 1 << 30  # whole match set: ties re-rank in source-id space
-    ds = field_value_factor_topk(index, queries, field="doclen", k=k_all).map_batches(
-        UrlResolver, fn_constructor_args=(index,), batch_format="pyarrow",
-        concurrency=(1, 2),
-    )
-    res = ds.to_pandas()
-    res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
-    res = res.sort_values(["query_id", "score", "doc_id"], ascending=[True, False, True])
-    res["rank"] = res.groupby("query_id").cumcount().astype("int32") + 1
-    out = res[res["rank"] <= k][["query_id", "rank", "doc_id"]]
-    return out.reset_index(drop=True)
+    ds = field_value_factor_topk(index, _query_table(FT_QUERIES), field="doclen", k=k_all)
+    return _rerank(_rank_frame(ds, cols=_SCORED, index=index), k)
 
 
 def field_value_factor_oracle_sql(k: int = 10) -> str:
@@ -3785,29 +3607,14 @@ def rank_feature_query(sf_dir: str, k: int = 10) -> pd.DataFrame:
     full match set (the _full_ranking pattern) to keep the external
     (fscore DESC, doc_id ASC) tie order exact."""
     from ..pipelines.query import rank_feature_topk
-    from ..stages.query_stage import UrlResolver
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
     k_all = 1 << 30  # whole match set: ties re-rank in source-id space
     ds = rank_feature_topk(
-        index, queries, field="doclen", pivot=RF_PIVOT, weight=FEATURE_WEIGHT,
+        index, _query_table(FT_QUERIES), field="doclen", pivot=RF_PIVOT, weight=FEATURE_WEIGHT,
         k=k_all,
-    ).map_batches(
-        UrlResolver, fn_constructor_args=(index,), batch_format="pyarrow",
-        concurrency=(1, 2),
     )
-    res = ds.to_pandas()
-    res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
-    res = res.sort_values(["query_id", "score", "doc_id"], ascending=[True, False, True])
-    res["rank"] = res.groupby("query_id").cumcount().astype("int32") + 1
-    out = res[res["rank"] <= k][["query_id", "rank", "doc_id"]]
-    return out.reset_index(drop=True)
+    return _rerank(_rank_frame(ds, cols=_SCORED, index=index), k)
 
 
 def rank_feature_oracle_sql(k: int = 10) -> str:
@@ -3869,29 +3676,14 @@ def distance_feature_query(sf_dir: str, k: int = 10) -> pd.DataFrame:
     docs equidistant on opposite sides collide — ties re-rank in source
     doc_id space over the full match set (the _full_ranking pattern)."""
     from ..pipelines.query import distance_feature_topk
-    from ..stages.query_stage import UrlResolver
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
     k_all = 1 << 30  # whole match set: ties re-rank in source-id space
     ds = distance_feature_topk(
-        index, queries, field="warc_ts", origin_us=DF_ORIGIN_US,
+        index, _query_table(FT_QUERIES), field="warc_ts", origin_us=DF_ORIGIN_US,
         pivot_us=DF_PIVOT_US, weight=FEATURE_WEIGHT, k=k_all,
-    ).map_batches(
-        UrlResolver, fn_constructor_args=(index,), batch_format="pyarrow",
-        concurrency=(1, 2),
     )
-    res = ds.to_pandas()
-    res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
-    res = res.sort_values(["query_id", "score", "doc_id"], ascending=[True, False, True])
-    res["rank"] = res.groupby("query_id").cumcount().astype("int32") + 1
-    out = res[res["rank"] <= k][["query_id", "rank", "doc_id"]]
-    return out.reset_index(drop=True)
+    return _rerank(_rank_frame(ds, cols=_SCORED, index=index), k)
 
 
 def distance_feature_oracle_sql(k: int = 10) -> str:
@@ -4007,14 +3799,8 @@ def date_histogram_query(sf_dir: str) -> pd.DataFrame:
     from ..pipelines.query import date_histogram
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    out = date_histogram(index, queries, bucket_us=HIST_BUCKET_US).to_pandas()
-    return out.sort_values(["query_id", "bucket"]).reset_index(drop=True)
+    out = date_histogram(index, _query_table(FT_QUERIES), bucket_us=HIST_BUCKET_US)
+    return _rank_frame(out, by=("query_id", "bucket"))
 
 
 def date_histogram_oracle_sql() -> str:
@@ -4092,14 +3878,8 @@ def rare_terms_query(sf_dir: str) -> pd.DataFrame:
     from ..pipelines.query import rare_terms
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    out = rare_terms(index, queries, max_doc_count=RT_MAX_DF).to_pandas()
-    return out.sort_values(["query_id", "term"]).reset_index(drop=True)
+    out = rare_terms(index, _query_table(FT_QUERIES), max_doc_count=RT_MAX_DF)
+    return _rank_frame(out, by=("query_id", "term"))
 
 
 def rare_terms_oracle_sql() -> str:
@@ -4142,14 +3922,8 @@ def histogram_pipeline_query(sf_dir: str) -> pd.DataFrame:
     from ..pipelines.query import histogram_agg
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    out = histogram_agg(index, queries, field="doclen", interval=HP_INTERVAL).to_pandas()
-    return out.sort_values(["query_id", "bucket"]).reset_index(drop=True)
+    out = histogram_agg(index, _query_table(FT_QUERIES), field="doclen", interval=HP_INTERVAL)
+    return _rank_frame(out, by=("query_id", "bucket"))
 
 
 def histogram_pipeline_oracle_sql() -> str:
@@ -4205,16 +3979,8 @@ def auto_date_histogram_query(sf_dir: str) -> pd.DataFrame:
     from ..pipelines.query import auto_date_histogram
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    out = auto_date_histogram(
-        index, queries, field="warc_ts", target_buckets=ADH_TARGET
-    ).to_pandas()
-    return out.sort_values(["query_id", "bucket"]).reset_index(drop=True)
+    out = auto_date_histogram(index, _query_table(FT_QUERIES), field="warc_ts", target_buckets=ADH_TARGET)
+    return _rank_frame(out, by=("query_id", "bucket"))
 
 
 def auto_date_histogram_oracle_sql() -> str:
@@ -4285,17 +4051,11 @@ def moving_window_query(sf_dir: str) -> pd.DataFrame:
     from ..pipelines.query import moving_window_agg
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
     out = moving_window_agg(
-        index, queries, field="doclen", interval=HP_INTERVAL,
+        index, _query_table(FT_QUERIES), field="doclen", interval=HP_INTERVAL,
         window=MW_WINDOW, lag=MW_LAG,
-    ).to_pandas()
-    return out.sort_values(["query_id", "bucket"]).reset_index(drop=True)
+    )
+    return _rank_frame(out, by=("query_id", "bucket"))
 
 
 def moving_window_oracle_sql() -> str:
@@ -4347,17 +4107,11 @@ def bucket_sort_query(sf_dir: str) -> pd.DataFrame:
     from ..pipelines.query import bucket_sort_agg
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
     out = bucket_sort_agg(
-        index, queries, field="doclen", interval=HP_INTERVAL,
+        index, _query_table(FT_QUERIES), field="doclen", interval=HP_INTERVAL,
         min_count=BS_MIN_COUNT, size=BS_SIZE,
-    ).to_pandas()
-    return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
+    )
+    return _rank_frame(out, by=("query_id", "rank"))
 
 
 def bucket_sort_oracle_sql() -> str:
@@ -4416,14 +4170,8 @@ def range_agg_query(sf_dir: str) -> pd.DataFrame:
     from ..pipelines.query import range_agg
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    out = range_agg(index, queries, field="doclen", ranges=RANGE_BOUNDS).to_pandas()
-    return out.sort_values(["query_id", "range_idx"]).reset_index(drop=True)
+    out = range_agg(index, _query_table(FT_QUERIES), field="doclen", ranges=RANGE_BOUNDS)
+    return _rank_frame(out, by=("query_id", "range_idx"))
 
 
 def range_agg_oracle_sql() -> str:
@@ -4491,16 +4239,8 @@ def matrix_stats_query(sf_dir: str) -> pd.DataFrame:
     from ..pipelines.query import matrix_stats
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    out = matrix_stats(
-        index, queries, b_off=BASE_TS_US, b_div=MS_B_DIV
-    ).to_pandas()
-    return out.sort_values("query_id").reset_index(drop=True)
+    out = matrix_stats(index, _query_table(FT_QUERIES), b_off=BASE_TS_US, b_div=MS_B_DIV)
+    return _rank_frame(out, by=("query_id",))
 
 
 def matrix_stats_oracle_sql() -> str:
@@ -4566,18 +4306,16 @@ def composite_agg_query(sf_dir: str) -> pd.DataFrame:
     frames = []
     page = 0
     while live:
-        reqs = pa.table(
-            {
-                "query_id": pa.array(live, pa.int64()),
-                "text": pa.array([FT_QUERIES[q] for q in live], pa.string()),
-                "after_lang": pa.array([cursors[q][0] for q in live], pa.string()),
-                "after_bucket": pa.array([cursors[q][1] for q in live], pa.int64()),
-            }
+        reqs = _query_table(
+            [FT_QUERIES[q] for q in live],
+            query_id=pa.array(live, pa.int64()),
+            after_lang=pa.array([cursors[q][0] for q in live], pa.string()),
+            after_bucket=pa.array([cursors[q][1] for q in live], pa.int64()),
         )
-        res = composite_agg(
-            index, reqs, bucket_us=COMP_BUCKET_US, size=COMP_PAGE_SIZE
-        ).to_pandas()
-        res = res.sort_values(["query_id", "lang", "bucket"]).reset_index(drop=True)
+        res = _rank_frame(
+            composite_agg(index, reqs, bucket_us=COMP_BUCKET_US, size=COMP_PAGE_SIZE),
+            by=("query_id", "lang", "bucket"),
+        )
         nxt = []
         for qid in live:
             g = res[res["query_id"] == qid]
@@ -4640,14 +4378,8 @@ def matchset_stats_query(sf_dir: str) -> pd.DataFrame:
     from ..pipelines.query import matchset_stats
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    out = matchset_stats(index, queries).to_pandas()
-    return out.sort_values("query_id").reset_index(drop=True)
+    out = matchset_stats(index, _query_table(FT_QUERIES))
+    return _rank_frame(out, by=("query_id",))
 
 
 def matchset_stats_oracle_sql() -> str:
@@ -4686,14 +4418,8 @@ def string_stats_query(sf_dir: str) -> pd.DataFrame:
     from ..pipelines.query import matchset_string_stats
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    out = matchset_string_stats(index, queries).to_pandas()
-    return out.sort_values("query_id").reset_index(drop=True)
+    out = matchset_string_stats(index, _query_table(FT_QUERIES))
+    return _rank_frame(out, by=("query_id",))
 
 
 def string_stats_oracle_sql() -> str:
@@ -4742,14 +4468,8 @@ def mad_query(sf_dir: str) -> pd.DataFrame:
     from ..pipelines.query import matchset_mad
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    out = matchset_mad(index, queries, field="doclen").to_pandas()
-    return out.sort_values("query_id").reset_index(drop=True)
+    out = matchset_mad(index, _query_table(FT_QUERIES), field="doclen")
+    return _rank_frame(out, by=("query_id",))
 
 
 def mad_oracle_sql() -> str:
@@ -4805,17 +4525,11 @@ def multi_terms_query(sf_dir: str) -> pd.DataFrame:
     from ..pipelines.query import multi_terms
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
     out = multi_terms(
-        index, queries, facet="lang", field="doclen",
+        index, _query_table(FT_QUERIES), facet="lang", field="doclen",
         bucket_width=MT_BUCKET_W, k=MT_K,
-    ).to_pandas()
-    return out.sort_values(["query_id", "lang", "len_bucket"]).reset_index(drop=True)
+    )
+    return _rank_frame(out, by=("query_id", "lang", "len_bucket"))
 
 
 def multi_terms_oracle_sql() -> str:
@@ -4872,8 +4586,7 @@ def terms_enum_query(sf_dir: str) -> pd.DataFrame:
             "prefix": pa.array(list(TE_PREFIXES), pa.string()),
         }
     )
-    out = terms_enum(index, prefixes, size=TE_SIZE).to_pandas()
-    return out.sort_values(["prefix_id", "rank"]).reset_index(drop=True)
+    return _rank_frame(terms_enum(index, prefixes, size=TE_SIZE), by=("prefix_id", "rank"))
 
 
 def terms_enum_oracle_sql() -> str:
@@ -4907,14 +4620,8 @@ def extended_stats_query(sf_dir: str) -> pd.DataFrame:
     from ..pipelines.query import matchset_extended_stats
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    out = matchset_extended_stats(index, queries, field="doclen").to_pandas()
-    return out.sort_values("query_id").reset_index(drop=True)
+    out = matchset_extended_stats(index, _query_table(FT_QUERIES), field="doclen")
+    return _rank_frame(out, by=("query_id",))
 
 
 def extended_stats_oracle_sql() -> str:
@@ -4949,14 +4656,8 @@ def filters_agg_query(sf_dir: str) -> pd.DataFrame:
     from ..pipelines.query import filters_agg
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    out = filters_agg(index, queries).to_pandas()
-    return out.sort_values(["query_id", "bucket"]).reset_index(drop=True)
+    out = filters_agg(index, _query_table(FT_QUERIES))
+    return _rank_frame(out, by=("query_id", "bucket"))
 
 
 def filters_agg_oracle_sql() -> str:
@@ -5004,14 +4705,8 @@ def bucket_script_query(sf_dir: str) -> pd.DataFrame:
     from ..pipelines.query import bucket_script_agg
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    out = bucket_script_agg(index, queries, share_denom=BUCKET_SCRIPT_DENOM).to_pandas()
-    return out.sort_values(["query_id", "lang"]).reset_index(drop=True)
+    out = bucket_script_agg(index, _query_table(FT_QUERIES), share_denom=BUCKET_SCRIPT_DENOM)
+    return _rank_frame(out, by=("query_id", "lang"))
 
 
 def bucket_script_oracle_sql() -> str:
@@ -5056,14 +4751,8 @@ def t_test_query(sf_dir: str) -> pd.DataFrame:
     from ..pipelines.query import t_test_agg
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    out = t_test_agg(index, queries).to_pandas()
-    return out.sort_values(["query_id"]).reset_index(drop=True)
+    out = t_test_agg(index, _query_table(FT_QUERIES))
+    return _rank_frame(out, by=("query_id",))
 
 
 def t_test_oracle_sql() -> str:
@@ -5117,26 +4806,10 @@ def export_matches_query(sf_dir: str) -> pd.DataFrame:
     strongest completeness check of the postings layer: every (query,
     matching-doc) pair must surface, not just top-k."""
     from ..pipelines.query import export_matches
-    from ..stages.query_stage import UrlResolver
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    ds = export_matches(index, queries).map_batches(
-        UrlResolver, fn_constructor_args=(index,), batch_format="pyarrow",
-        concurrency=(1, 2),
-    )
-    res = ds.to_pandas()
-    res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
-    return (
-        res[["query_id", "doc_id"]]
-        .sort_values(["query_id", "doc_id"])
-        .reset_index(drop=True)
-    )
+    by = ("query_id", "doc_id")
+    return _rank_frame(export_matches(index, _query_table(FT_QUERIES)), by=by, cols=by, index=index)
 
 
 def export_matches_oracle_sql() -> str:
@@ -5579,41 +5252,14 @@ def docs_as_title_pages(sf_dir: str, out_path: str) -> str:
     tokens). Every doc appears (an empty title is a doclen-0 doc), so the
     title field's N matches the corpus and its own avgdl/df are the
     field-local statistics Lucene keeps per field."""
-    t = pq.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
-    ids = t["doc_id"].to_pylist()
-    titles = [_title_of(x) for x in t["text"].to_pylist()]
-    pages = pa.table(
-        {
-            "url": pa.array([doc_url(i) for i in ids], pa.string()),
-            "warc_ts": pa.array([doc_ts_us(i) for i in ids], pa.timestamp("us")),
-            "html": pa.array(
-                [f"<html><body><p>{x}</p></body></html>".encode() for x in titles],
-                pa.binary(),
-            ),
-            "text": pa.array(titles, pa.string()),
-            "lang": t["lang"],
-        }
-    )
-    os.makedirs(os.path.dirname(out_path), exist_ok=True)
-    pq.write_table(pages, out_path)
-    return out_path
+    return _source_pages(sf_dir, out_path, _title_of)
 
 
 def _ensure_title_index(sf_dir: str) -> str:
     """Build (or reuse) the TITLE-field index — a second postings space
     with its own doclens/avgdl/df, which is exactly what a Lucene field
     is. Reuses the whole build pipeline unchanged."""
-    work = _work_dir(sf_dir)
-    pages = os.path.join(work, "pages_title", "part-0000.parquet")
-    if not os.path.exists(pages):
-        docs_as_title_pages(sf_dir, pages)
-    index = os.path.join(work, "index_title")
-    if not os.path.exists(os.path.join(index, "_INDEX_DONE")):
-        build_index(
-            os.path.dirname(pages), index,
-            num_partitions=8, num_segments=2, n_salts=2,
-        )
-    return index
+    return _pages_index(sf_dir, "_title", lambda p: docs_as_title_pages(sf_dir, p))
 
 
 REINDEX_LANG = "en"  # _reindex filter: destination holds only lang='en'
@@ -5628,39 +5274,18 @@ def _ensure_reindexed(sf_dir: str) -> str:
     (bm25_topk_filtered keeps GLOBAL statistics and only gates
     eligibility). Reuses the whole build pipeline unchanged; cached under
     the workdir with the same _INDEX_DONE idempotency as every index."""
-    src = _ensure_index(sf_dir, fresh=False)
-    work = _work_dir(sf_dir)
-    pages = os.path.join(work, "pages_reindex", "part-0000.parquet")
-    if not os.path.exists(pages):
-        t = pq.read_table(
-            os.path.join(src, "docs"),
-            columns=["url", "text", "lang", "warc_ts"],
-            filters=[("lang", "=", REINDEX_LANG)],
-        ).sort_by("url")
-        out = pa.table(
-            {
-                "url": t["url"],
-                "warc_ts": t["warc_ts"].cast(pa.timestamp("us")),
-                "html": pa.array(
-                    [
-                        f"<html><body><p>{x}</p></body></html>".encode()
-                        for x in t["text"].to_pylist()
-                    ],
-                    pa.binary(),
-                ),
-                "text": t["text"],
-                "lang": t["lang"],
-            }
-        )
-        os.makedirs(os.path.dirname(pages), exist_ok=True)
-        pq.write_table(out, pages)
-    index = os.path.join(work, "index_reindex")
-    if not os.path.exists(os.path.join(index, "_INDEX_DONE")):
-        build_index(
-            os.path.dirname(pages), index,
-            num_partitions=8, num_segments=2, n_salts=2,
-        )
-    return index
+    return _pages_index(sf_dir, "_reindex", lambda p: _lang_pages(sf_dir, REINDEX_LANG, p))
+
+
+def _lang_pages(sf_dir: str, lang: str, out_path: str) -> str:
+    """The cached index's docs sidecar filtered to ``lang``, url-sorted,
+    written back as pages."""
+    t = pq.read_table(
+        os.path.join(_ensure_index(sf_dir, fresh=False), "docs"),
+        columns=["url", "text", "lang", "warc_ts"],
+        filters=[("lang", "=", lang)],
+    ).sort_by("url")
+    return _write_pages(out_path, t["url"], t["warc_ts"].cast(pa.timestamp("us")), t["text"], t["lang"])
 
 
 # Multi-index alias search: the alias spans one index per language —
@@ -5673,39 +5298,8 @@ def _ensure_lang_index(sf_dir: str, lang: str) -> str:
     ``lang``, rebuilt as a standalone index with its OWN recomputed
     statistics (each ES index carries its own stats — that per-index
     independence is exactly what cross-index search must respect)."""
-    src = _ensure_index(sf_dir, fresh=False)
-    work = _work_dir(sf_dir)
-    pages = os.path.join(work, f"pages_alias_{lang}", "part-0000.parquet")
-    if not os.path.exists(pages):
-        t = pq.read_table(
-            os.path.join(src, "docs"),
-            columns=["url", "text", "lang", "warc_ts"],
-            filters=[("lang", "=", lang)],
-        ).sort_by("url")
-        out = pa.table(
-            {
-                "url": t["url"],
-                "warc_ts": t["warc_ts"].cast(pa.timestamp("us")),
-                "html": pa.array(
-                    [
-                        f"<html><body><p>{x}</p></body></html>".encode()
-                        for x in t["text"].to_pylist()
-                    ],
-                    pa.binary(),
-                ),
-                "text": t["text"],
-                "lang": t["lang"],
-            }
-        )
-        os.makedirs(os.path.dirname(pages), exist_ok=True)
-        pq.write_table(out, pages)
-    index = os.path.join(work, f"index_alias_{lang}")
-    if not os.path.exists(os.path.join(index, "_INDEX_DONE")):
-        build_index(
-            os.path.dirname(pages), index,
-            num_partitions=4, num_segments=2, n_salts=2,
-        )
-    return index
+    return _pages_index(sf_dir, f"_alias_{lang}", lambda p: _lang_pages(sf_dir, lang, p),
+                        num_partitions=4)
 
 
 def msearch_alias_query(sf_dir: str, k: int = 10) -> pd.DataFrame:
@@ -5719,25 +5313,12 @@ def msearch_alias_query(sf_dir: str, k: int = 10) -> pd.DataFrame:
     source space (the _full_ranking pattern) keeps the tie order exact.
     At cluster scale each member index is its own doc-range-sharded
     scorer fleet and the merge is the same k-sized fold as multifield's."""
-    frames = []
     n_docs = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    for lang in ALIAS_LANGS:
-        index = _ensure_lang_index(sf_dir, lang)
-        res = query_index(index, queries, k=n_docs, resolve_urls=True).to_pandas()
-        res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
-        frames.append(res[["query_id", "doc_id", "score"]])
-    allr = pd.concat(frames, ignore_index=True)
-    allr = allr.sort_values(
-        ["query_id", "score", "doc_id"], ascending=[True, False, True]
-    ).reset_index(drop=True)
-    allr["rank"] = allr.groupby("query_id").cumcount().astype("int32") + 1
-    return allr.loc[allr["rank"] <= k, ["query_id", "rank", "doc_id"]].reset_index(drop=True)
+    frames = [
+        _run_queries(_ensure_lang_index(sf_dir, lang), FT_QUERIES, n_docs, "or", cols=_SCORED)
+        for lang in ALIAS_LANGS
+    ]
+    return _rerank(pd.concat(frames, ignore_index=True), k)
 
 
 def msearch_alias_oracle_sql(k: int = 10) -> str:
@@ -5804,21 +5385,8 @@ def reindex_lang_query(sf_dir: str, k: int = 10) -> pd.DataFrame:
     itself is what the oracle pins (its CTEs compute every statistic over
     the lang='en' subset only). Full-set re-rank in source doc_id space
     (the _full_ranking pattern) keeps the external tie order exact."""
-    index = _ensure_reindexed(sf_dir)
     n_docs = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    res = query_index(index, queries, k=n_docs, resolve_urls=True).to_pandas()
-    res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
-    res = res.sort_values(
-        ["query_id", "score", "doc_id"], ascending=[True, False, True]
-    ).reset_index(drop=True)
-    res["rank"] = res.groupby("query_id").cumcount().astype("int32") + 1
-    return res.loc[res["rank"] <= k, ["query_id", "rank", "doc_id"]].reset_index(drop=True)
+    return _rerank(_run_queries(_ensure_reindexed(sf_dir), FT_QUERIES, n_docs, "or", cols=_SCORED), k)
 
 
 def reindex_lang_oracle_sql(k: int = 10) -> str:
@@ -5868,17 +5436,7 @@ def _full_ranking(index: str, k_all: int) -> pd.DataFrame:
     """Complete per-field scores for FT_QUERIES (brute path scores the
     whole match set; k_all >= corpus size keeps every doc), in SOURCE
     doc_id space."""
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    res = query_index(
-        index, queries, k=k_all, method="brute", resolve_urls=True
-    ).to_pandas()
-    res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
-    return res[["query_id", "doc_id", "score"]]
+    return _run_queries(index, FT_QUERIES, k_all, "or", cols=_SCORED, method="brute")
 
 
 def bm25_topk_doc_sharded(sf_dir: str, k: int = 10, n_ranges: int = 4) -> pd.DataFrame:
@@ -5896,16 +5454,12 @@ def bm25_topk_doc_sharded(sf_dir: str, k: int = 10, n_ranges: int = 4) -> pd.Dat
     same ranking. URL resolution reuses the partition-pruned UrlResolver
     on the k-sized result (driver-side — right-sized even at scale)."""
     from ..pipelines.query import query_index_doc_sharded
-    from ..stages.query_stage import UrlResolver
 
     index = _ensure_index(sf_dir, fresh=False)
     res = query_index_doc_sharded(
         index, _query_table(FT_QUERIES), n_ranges=n_ranges, k=k
     )
-    resolved = UrlResolver(index)(
-        pa.Table.from_pandas(res, preserve_index=False)
-    ).to_pandas()
-    return _rank_frame(resolved)
+    return _rank_frame(ray.data.from_pandas(res), cols=_RANKED, index=index)
 
 
 def bm25_topk_serving(sf_dir: str, k: int = 10) -> pd.DataFrame:
@@ -5921,7 +5475,6 @@ def bm25_topk_serving(sf_dir: str, k: int = 10) -> pd.DataFrame:
     this call started is torn down after the answer so repeated runs
     never leak actors; a pool that was already serving stays up."""
     from ..pipelines.query import _SERVE_POOLS, _kill_pool, serve_queries
-    from ..stages.query_stage import UrlResolver
 
     index = _ensure_index(sf_dir, fresh=False)
     before = set(_SERVE_POOLS)
@@ -5931,10 +5484,7 @@ def bm25_topk_serving(sf_dir: str, k: int = 10) -> pd.DataFrame:
     finally:
         for key in set(_SERVE_POOLS) - before:
             _kill_pool(key)
-    resolved = UrlResolver(index)(
-        pa.Table.from_pandas(res, preserve_index=False)
-    ).to_pandas()
-    return _rank_frame(resolved)
+    return _rank_frame(ray.data.from_pandas(res), cols=_RANKED, index=index)
 
 
 def bm25_topk_daat(sf_dir: str, k: int = 10) -> pd.DataFrame:
@@ -5978,14 +5528,7 @@ def bm25_topk_multifield(sf_dir: str, k: int = 10) -> pd.DataFrame:
     m["score"] = (
         W_TITLE * m["score_t"].fillna(0.0) + W_BODY * m["score_b"].fillna(0.0)
     )
-    m = m.sort_values(
-        ["query_id", "score", "doc_id"], ascending=[True, False, True], kind="mergesort"
-    )
-    out = m.groupby("query_id", sort=True).head(k).reset_index(drop=True)
-    out["rank"] = out.groupby("query_id", sort=False).cumcount().astype("int32") + 1
-    out["query_id"] = out["query_id"].astype("int64")
-    out["doc_id"] = out["doc_id"].astype("int64")
-    return out[["query_id", "rank", "doc_id"]]
+    return _rerank(m, k)
 
 
 def bm25_multifield_oracle_sql(k: int = 10) -> str:
@@ -6064,29 +5607,12 @@ def combined_fields_query(sf_dir: str, k: int = 10) -> pd.DataFrame:
     so the page re-ranks in source doc_id space over the full match set
     (the _full_ranking pattern)."""
     from ..pipelines.query import combined_fields_topk
-    from ..stages.query_stage import UrlResolver
 
     body = _ensure_index(sf_dir, fresh=False)
     title = _ensure_title_index(sf_dir)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
     k_all = 1 << 30  # whole match set: ties re-rank in source-id space
-    ds = combined_fields_topk(
-        body, title, queries, w_title=CF_W_TITLE, k=k_all
-    ).map_batches(
-        UrlResolver, fn_constructor_args=(body,), batch_format="pyarrow",
-        concurrency=(1, 2),
-    )
-    res = ds.to_pandas()
-    res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
-    res = res.sort_values(["query_id", "score", "doc_id"], ascending=[True, False, True])
-    res["rank"] = res.groupby("query_id").cumcount().astype("int32") + 1
-    out = res[res["rank"] <= k][["query_id", "rank", "doc_id"]]
-    return out.reset_index(drop=True)
+    ds = combined_fields_topk(body, title, _query_table(FT_QUERIES), w_title=CF_W_TITLE, k=k_all)
+    return _rerank(_rank_frame(ds, cols=_SCORED, index=body), k)
 
 
 def combined_fields_oracle_sql(k: int = 10) -> str:
@@ -6259,29 +5785,14 @@ def random_score_query(sf_dir: str, k: int = 10) -> pd.DataFrame:
     partial top-k exactly like the kNN scan. Output (query_id, rank,
     doc_id)."""
     from ..pipelines.query import export_matches
-    from ..stages.query_stage import UrlResolver
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    ds = export_matches(index, queries).map_batches(
-        UrlResolver, fn_constructor_args=(index,), batch_format="pyarrow",
-        concurrency=(1, 2),
-    )
-    res = ds.to_pandas()
-    res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
+    res = _rank_frame(export_matches(index, _query_table(FT_QUERIES)), by=("query_id",), index=index)
     res["h"] = [
         int(hashlib.md5(f"{RS_SEED}:{u}".encode()).hexdigest()[:16], 16)
         for u in res["url"]
     ]
-    res = res.sort_values(["query_id", "h", "doc_id"], ascending=[True, False, True])
-    out = res.groupby("query_id", sort=True).head(k).reset_index(drop=True)
-    out["rank"] = (out.groupby("query_id").cumcount() + 1).astype("int32")
-    return out[["query_id", "rank", "doc_id"]]
+    return _rerank(res, k, "h")
 
 
 def random_score_oracle_sql(k: int = 10) -> str:
@@ -6351,23 +5862,13 @@ def bm25_topk_cross_fields(sf_dir: str, k: int = 10) -> pd.DataFrame:
     cluster scale the same combine runs per doc-range shard — both
     fields' scorers shard identically — with a k-sized merge, exactly
     the multifield story. Output (query_id, rank, doc_id)."""
-    from ..pipelines.query import query_index
-
     body = _ensure_index(sf_dir, fresh=False)
     title = _ensure_title_index(sf_dir)
     terms = sorted({t for q in FT_CROSS for t in q.split()})
-    tq = pa.table(
-        {
-            "query_id": pa.array(range(len(terms)), pa.int64()),
-            "text": pa.array(terms, pa.string()),
-        }
-    )
     k_all = 1 << 30
 
     def rank(idx: str) -> pd.DataFrame:
-        res = query_index(idx, tq, k=k_all, method="brute", resolve_urls=True).to_pandas()
-        res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
-        return res[["query_id", "doc_id", "score"]]
+        return _run_queries(idx, terms, k_all, "or", cols=_SCORED, method="brute")
 
     m = rank(body).merge(
         rank(title), on=["query_id", "doc_id"], how="outer", suffixes=("_b", "_t")
@@ -6383,15 +5884,7 @@ def bm25_topk_cross_fields(sf_dir: str, k: int = 10) -> pd.DataFrame:
     )
     j = expand.merge(m[["term", "doc_id", "c"]], on="term")
     scored = j.groupby(["qid", "doc_id"], sort=True)["c"].sum().reset_index()
-    scored = scored.sort_values(
-        ["qid", "c", "doc_id"], ascending=[True, False, True], kind="mergesort"
-    )
-    out = scored.groupby("qid", sort=True).head(k).reset_index(drop=True)
-    out["rank"] = (out.groupby("qid").cumcount() + 1).astype("int32")
-    out = out.rename(columns={"qid": "query_id"})
-    out["query_id"] = out["query_id"].astype("int64")
-    out["doc_id"] = out["doc_id"].astype("int64")
-    return out[["query_id", "rank", "doc_id"]]
+    return _rerank(scored.rename(columns={"qid": "query_id"}), k, "c")
 
 
 def bm25_cross_fields_oracle_sql(k: int = 10) -> str:
@@ -6467,37 +5960,21 @@ def search_after_query(sf_dir: str, k: int = 10) -> pd.DataFrame:
     replays. Output (query_id, rank, doc_id, warc_ts), rank 1..k within
     the page."""
     from ..pipelines.query import search_after_topk, sort_topk
-    from ..stages.query_stage import UrlResolver
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    page1 = sort_topk(index, queries, field="warc_ts", k=k).to_pandas()
+    page1 = _rank_frame(sort_topk(index, _query_table(FT_QUERIES), field="warc_ts", k=k))
     last = page1[page1["rank"] == page1.groupby("query_id")["rank"].transform("max")]
     cur = {int(r.query_id): (int(r.warc_ts), int(r.doc_id)) for r in last.itertuples()}
     keep = [qid for qid in range(len(FT_QUERIES)) if qid in cur]
-    q2 = pa.table(
-        {
-            "query_id": pa.array(keep, pa.int64()),
-            "text": pa.array([FT_QUERIES[qid] for qid in keep], pa.string()),
-            "after_val": pa.array([cur[qid][0] for qid in keep], pa.int64()),
-            "after_doc": pa.array([cur[qid][1] for qid in keep], pa.uint64()),
-        }
+    q2 = _query_table(
+        [FT_QUERIES[qid] for qid in keep],
+        query_id=pa.array(keep, pa.int64()),
+        after_val=pa.array([cur[qid][0] for qid in keep], pa.int64()),
+        after_doc=pa.array([cur[qid][1] for qid in keep], pa.uint64()),
     )
-    ds = search_after_topk(index, q2, field="warc_ts", k=k).map_batches(
-        UrlResolver, fn_constructor_args=(index,), batch_format="pyarrow",
-        concurrency=(1, 2),
-    )
-    res = ds.to_pandas()
-    res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
-    res["warc_ts"] = res["warc_ts"].astype("int64")
-    out = res[["query_id", "rank", "doc_id", "warc_ts"]].sort_values(["query_id", "rank"])
-    out["rank"] = out["rank"].astype("int32")
-    return out.reset_index(drop=True)
+    out = _rank_frame(search_after_topk(index, q2, field="warc_ts", k=k),
+                      cols=("query_id", "rank", "doc_id", "warc_ts"), index=index)
+    return out.astype({"warc_ts": "int64"})
 
 
 def search_after_oracle_sql(k: int = 10) -> str:
@@ -6539,15 +6016,9 @@ def percolate_query(sf_dir: str) -> pd.DataFrame:
     (query_id, doc_id), integer-only."""
     from ..pipelines.query import percolate
 
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    out = percolate(f"{sf_dir}/documents.parquet", queries).to_pandas()
-    out["doc_id"] = out["doc_id"].astype("int64")
-    return out.sort_values(["query_id", "doc_id"]).reset_index(drop=True)
+    out = _rank_frame(percolate(f"{sf_dir}/documents.parquet", _query_table(FT_QUERIES)),
+                      by=("query_id", "doc_id"))
+    return out.astype({"doc_id": "int64"})
 
 
 def percolate_oracle_sql() -> str:
@@ -6589,8 +6060,7 @@ def term_stats_query(sf_dir: str) -> pd.DataFrame:
 
     index = _ensure_index(sf_dir, fresh=False)
     terms = pa.table({"term": pa.array(list(FT_STAT_TERMS), pa.string())})
-    out = term_stats(index, terms).to_pandas()
-    return out.sort_values("term").reset_index(drop=True)
+    return _rank_frame(term_stats(index, terms), by=("term",))
 
 
 def term_stats_oracle_sql() -> str:
@@ -6619,14 +6089,8 @@ def facet_cardinality_query(sf_dir: str) -> pd.DataFrame:
     from ..pipelines.query import facet_cardinality
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    out = facet_cardinality(index, queries, facet="lang").to_pandas()
-    return out.sort_values("query_id").reset_index(drop=True)
+    out = facet_cardinality(index, _query_table(FT_QUERIES), facet="lang")
+    return _rank_frame(out, by=("query_id",))
 
 
 def facet_cardinality_oracle_sql() -> str:
@@ -6660,14 +6124,8 @@ def matchset_percentiles_query(sf_dir: str) -> pd.DataFrame:
     from ..pipelines.query import matchset_percentiles
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    out = matchset_percentiles(index, queries, quantiles=PCTL_QUANTILES).to_pandas()
-    return out.sort_values(["query_id", "pct"]).reset_index(drop=True)
+    out = matchset_percentiles(index, _query_table(FT_QUERIES), quantiles=PCTL_QUANTILES)
+    return _rank_frame(out, by=("query_id", "pct"))
 
 
 def matchset_percentiles_oracle_sql() -> str:
@@ -6710,14 +6168,8 @@ def matchset_boxplot_query(sf_dir: str) -> pd.DataFrame:
     from ..pipelines.query import matchset_boxplot
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    out = matchset_boxplot(index, queries, field="doclen").to_pandas()
-    return out.sort_values(["query_id"]).reset_index(drop=True)
+    out = matchset_boxplot(index, _query_table(FT_QUERIES), field="doclen")
+    return _rank_frame(out, by=("query_id",))
 
 
 def matchset_boxplot_oracle_sql() -> str:
@@ -6781,26 +6233,10 @@ def rescore_query(sf_dir: str, k: int = 10) -> pd.DataFrame:
     phrase score; page = rescored window's top-k
     (pipelines/query.rescore_topk). Output integer-only."""
     from ..pipelines.query import rescore_topk
-    from ..stages.query_stage import UrlResolver
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_PHRASES)), pa.int64()),
-            "text": pa.array(list(FT_PHRASES), pa.string()),
-        }
-    )
-    ds = rescore_topk(
-        index, queries, window=RESCORE_WINDOW, weight=RESCORE_W, k=k
-    ).map_batches(
-        UrlResolver, fn_constructor_args=(index,), batch_format="pyarrow",
-        concurrency=(1, 2),
-    )
-    res = ds.to_pandas()
-    res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
-    out = res[["query_id", "rank", "doc_id"]].sort_values(["query_id", "rank"])
-    out["rank"] = out["rank"].astype("int32")
-    return out.reset_index(drop=True)
+    ds = rescore_topk(index, _query_table(FT_PHRASES), window=RESCORE_WINDOW, weight=RESCORE_W, k=k)
+    return _rank_frame(ds, cols=_RANKED, index=index)
 
 
 def rescore_oracle_sql(k: int = 10) -> str:
@@ -6902,12 +6338,7 @@ def hybrid_rrf_query(sf_dir: str, k: int = 10) -> pd.DataFrame:
     f["rrf"] = np.where(np.isnan(lr), 0.0, 1.0 / (RRF_K + lr)) + np.where(
         np.isnan(vr), 0.0, 1.0 / (RRF_K + vr)
     )
-    f = f.sort_values(["query_id", "rrf", "doc_id"], ascending=[True, False, True])
-    out = f.groupby("query_id", sort=True).head(k).reset_index(drop=True)
-    out["rank"] = (out.groupby("query_id").cumcount() + 1).astype("int32")
-    out["query_id"] = out["query_id"].astype("int64")
-    out["doc_id"] = out["doc_id"].astype("int64")
-    return out[["query_id", "rank", "doc_id"]]
+    return _rerank(f, k, "rrf")
 
 
 def hybrid_rrf_oracle_sql(k: int = 10) -> str:
@@ -7006,25 +6437,12 @@ def bm25_topk_boosting(sf_dir: str, k: int = 10) -> pd.DataFrame:
     contrast fulltext_bm25_boolean's must_not, which removes). Output
     (query_id, rank, doc_id), integer-only."""
     from ..pipelines.query import boosting_topk
-    from ..stages.query_stage import UrlResolver
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_BOOSTING)), pa.int64()),
-            "text": pa.array([p for p, _ in FT_BOOSTING], pa.string()),
-            "neg": pa.array([n for _, n in FT_BOOSTING], pa.string()),
-        }
-    )
-    ds = boosting_topk(index, queries, negative_boost=NEG_BOOST, k=k).map_batches(
-        UrlResolver, fn_constructor_args=(index,), batch_format="pyarrow",
-        concurrency=(1, 2),
-    )
-    res = ds.to_pandas()
-    res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
-    out = res[["query_id", "rank", "doc_id"]].sort_values(["query_id", "rank"])
-    out["rank"] = out["rank"].astype("int32")
-    return out.reset_index(drop=True)
+    queries = _query_table([p for p, _ in FT_BOOSTING],
+                           neg=pa.array([n for _, n in FT_BOOSTING], pa.string()))
+    ds = boosting_topk(index, queries, negative_boost=NEG_BOOST, k=k)
+    return _rank_frame(ds, cols=_RANKED, index=index)
 
 
 def bm25_boosting_oracle_sql(k: int = 10) -> str:
@@ -7112,14 +6530,7 @@ def bm25_topk_dismax(sf_dir: str, k: int = 10) -> pd.DataFrame:
     st = m["score_t"].fillna(0.0).to_numpy()
     sb = m["score_b"].fillna(0.0).to_numpy()
     m["score"] = np.maximum(st, sb) + DIS_TIE * np.minimum(st, sb)
-    m = m.sort_values(
-        ["query_id", "score", "doc_id"], ascending=[True, False, True], kind="mergesort"
-    )
-    out = m.groupby("query_id", sort=True).head(k).reset_index(drop=True)
-    out["rank"] = out.groupby("query_id", sort=False).cumcount().astype("int32") + 1
-    out["query_id"] = out["query_id"].astype("int64")
-    out["doc_id"] = out["doc_id"].astype("int64")
-    return out[["query_id", "rank", "doc_id"]]
+    return _rerank(m, k)
 
 
 def bm25_dismax_oracle_sql(k: int = 10) -> str:
@@ -7185,23 +6596,8 @@ def bm25_topk_terms_set(sf_dir: str, k: int = 10) -> pd.DataFrame:
     contract exact."""
     index = _ensure_index(sf_dir, fresh=False)
     n_docs = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_MSMS)), pa.int64()),
-            "text": pa.array(list(FT_MSMS), pa.string()),
-        }
-    )
-    res = query_index(
-        index, queries, k=n_docs, mode="terms_set", terms_set_mod=TSET_MOD,
-        resolve_urls=True,
-    ).to_pandas()
-    res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
-    res = res.sort_values(
-        ["query_id", "score", "doc_id"], ascending=[True, False, True]
-    ).reset_index(drop=True)
-    res["rank"] = res.groupby("query_id").cumcount().astype("int32") + 1
-    out = res.loc[res["rank"] <= k, ["query_id", "rank", "doc_id"]]
-    return out.reset_index(drop=True)
+    res = _run_queries(index, FT_MSMS, n_docs, "terms_set", cols=_SCORED, terms_set_mod=TSET_MOD)
+    return _rerank(res, k)
 
 
 def bm25_terms_set_oracle_sql(k: int = 10) -> str:
@@ -7563,15 +6959,7 @@ def hybrid_linear_query(sf_dir: str, k: int = 10) -> pd.DataFrame:
     from .ann import multi_knn_window
 
     index = _ensure_index(sf_dir, fresh=False)
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(FT_QUERIES)), pa.int64()),
-            "text": pa.array(list(FT_QUERIES), pa.string()),
-        }
-    )
-    res = query_index(index, queries, k=RRF_WINDOW, resolve_urls=True, mode="or").to_pandas()
-    res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
-    lex = res[["query_id", "doc_id", "score"]]
+    lex = _run_queries(index, FT_QUERIES, RRF_WINDOW, "or", cols=_SCORED)
     vec = multi_knn_window(
         sf_dir, range(len(FT_QUERIES)), RRF_WINDOW, keep_cos=True
     ).rename(columns={"vec_id": "doc_id"})[["query_id", "doc_id", "cos"]]
@@ -7590,12 +6978,7 @@ def hybrid_linear_query(sf_dir: str, k: int = 10) -> pd.DataFrame:
         vec[["query_id", "doc_id", "vn"]], on=["query_id", "doc_id"], how="outer"
     )
     f["fused"] = HL_WLEX * f["ln"].fillna(0.0) + HL_WVEC * f["vn"].fillna(0.0)
-    f = f.sort_values(["query_id", "fused", "doc_id"], ascending=[True, False, True])
-    out = f.groupby("query_id", sort=True).head(k).reset_index(drop=True)
-    out["rank"] = (out.groupby("query_id").cumcount() + 1).astype("int32")
-    out["query_id"] = out["query_id"].astype("int64")
-    out["doc_id"] = out["doc_id"].astype("int64")
-    return out[["query_id", "rank", "doc_id"]]
+    return _rerank(f, k, "fused")
 
 
 def hybrid_linear_oracle_sql(k: int = 10) -> str:
@@ -7703,15 +7086,7 @@ def bm25_topk_span_first(sf_dir: str, k: int = 10) -> pd.DataFrame:
     frozen here). Output (query_id, rank, doc_id)."""
     index = _ensure_index(sf_dir, fresh=False)
     terms = [q.split()[0] for q in FT_QUERIES]
-    queries = pa.table(
-        {
-            "query_id": pa.array(range(len(terms)), pa.int64()),
-            "text": pa.array(terms, pa.string()),
-        }
-    )
-    res = query_index(
-        index, queries, k=SF_CAND_WINDOW, resolve_urls=True, mode="or"
-    ).to_pandas()
+    res = _run_queries(index, terms, SF_CAND_WINDOW, "or", cols=_SCORED)
     # The candidate window must not saturate: a query whose term matches
     # >= SF_CAND_WINDOW docs would silently drop gated docs the SQL oracle
     # still scans. Fail loudly instead (widen SF_CAND_WINDOW, or serve the
@@ -7722,7 +7097,6 @@ def bm25_topk_span_first(sf_dir: str, k: int = 10) -> pd.DataFrame:
         f"span_first candidate window saturated (>= {SF_CAND_WINDOW} matches) "
         f"for query_ids {sat.index.tolist()}"
     )
-    res["doc_id"] = res["url"].map(url_doc_id).astype("int64")
 
     import ray.data
 
@@ -7754,12 +7128,7 @@ def bm25_topk_span_first(sf_dir: str, k: int = 10) -> pd.DataFrame:
         .map_batches(verify, batch_format="pyarrow")
         .to_pandas()
     )
-    f = res.merge(hits, on=["query_id", "doc_id"])
-    f = f.sort_values(["query_id", "score", "doc_id"], ascending=[True, False, True])
-    out = f.groupby("query_id", sort=True).head(k).reset_index(drop=True)
-    out["rank"] = (out.groupby("query_id").cumcount() + 1).astype("int32")
-    out["query_id"] = out["query_id"].astype("int64")
-    return out[["query_id", "rank", "doc_id"]]
+    return _rerank(res.merge(hits, on=["query_id", "doc_id"]), k)
 
 
 def bm25_span_first_oracle_sql(k: int = 10) -> str:
@@ -7916,5 +7285,4 @@ def has_parent_query(sf_dir: str) -> pd.DataFrame:
         .repartition(16)
         .map_batches(scan, batch_format="pyarrow")
     )
-    out = ds.to_pandas().sort_values(["doc_id", "chunk_idx"]).reset_index(drop=True)
-    return out.astype("int64")
+    return _rank_frame(ds, by=("doc_id", "chunk_idx")).astype("int64")

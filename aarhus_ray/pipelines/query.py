@@ -3,7 +3,8 @@
     queries → map_batches(CachedOp(QueryScorer))  # replicas; each query
                                                   # scored once, completely;
                                                   # scorer cached per worker
-            → map_batches(UrlResolver)            # partition-pruned lookup
+            → map_batches(CachedOp(UrlResolver))  # attach_urls: partition-
+                                                  # pruned lookup, a task too
 
 The index is TERM-sharded (segments = disjoint term ranges), so each scorer
 replica maps ALL segments (mmap — replicas on a node share page cache) and
@@ -378,14 +379,20 @@ def query_index(
         mode, filter_ref, near_window, min_should_match, span_slop,
         terms_set_mod, max_gaps,
     )
-    if resolve_urls:
-        merged = merged.map_batches(
-            qs.UrlResolver,
-            fn_constructor_args=(out_dir,),
-            batch_format="pyarrow",
-            concurrency=(1, 2),
-        )
-    return merged
+    return attach_urls(merged, out_dir) if resolve_urls else merged
+
+
+def attach_urls(ds: ray.data.Dataset, out_dir: str) -> ray.data.Dataset:
+    """Append a ``url`` column to a Dataset of rows carrying the
+    ``doc_id`` of an index (``out_dir``): ``UrlResolver`` run as a
+    stateless ``CachedOp`` task, so its per-pid url cache is kept per
+    worker process and index version, and no actor pool is spawned or
+    outlives the call. A doc_id the index does not hold raises
+    ``ValueError``."""
+    return ds.map_batches(
+        qs.CachedOp(out_dir, index_version(out_dir), qs.UrlResolver, (out_dir,)),
+        batch_format="pyarrow",
+    )
 
 
 def facet_counts(
@@ -1076,15 +1083,23 @@ def _doc_ranges(out_dir: str, n_ranges: int) -> list[tuple[tuple[int, int], tupl
     ]
 
 
-def _merge_range_partials(out, k: int):
+def _merge_range_partials(out, k: int, qids: np.ndarray | None = None):
     """Per-range k-sized partials → the global top-k under the frozen
     (score DESC, doc_id ASC) order with 1-based ranks (merge input is
-    queries × ranges × k — right-sized)."""
+    queries × ranges × k — right-sized). With ``qids`` the partials'
+    query ids are row positions into it: the merge then keeps two
+    queries that share an id apart, and maps the positions back to the
+    caller's ids, sorted by (query_id, rank)."""
     out = out.sort_values(["query_id", "score", "doc_id"],
                           ascending=[True, False, True], kind="mergesort")
     out = out.groupby("query_id", sort=True).head(k).reset_index(drop=True)
     out["rank"] = (out.groupby("query_id", sort=False).cumcount() + 1).astype("int32")
-    return out
+    if qids is None:
+        return out
+    out["query_id"] = qids[out["query_id"].to_numpy()]
+    if _in_qid_rank_order(out):
+        return out
+    return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
 
 
 # the serving result frame: (column, dtype) in output order — the dtypes
@@ -1226,14 +1241,16 @@ def serve_queries(out_dir: str, queries, k: int = 10, method: str = "wand",
         return _empty_topk_frame()
     qids = queries["query_id"].to_numpy().astype(np.int64, copy=False)
     texts = queries["text"].to_pylist()
+    # a range pool scores row positions, merged and mapped back to qids
+    sent = qids if len(pool) == 1 else np.arange(n, dtype=np.int64)
     futs = [
-        sub[i % len(sub)].score.remote(qids[off:off + batch_size], texts[off:off + batch_size])
+        sub[i % len(sub)].score.remote(sent[off:off + batch_size], texts[off:off + batch_size])
         for i, off in enumerate(range(0, n, batch_size))
         for sub in pool
     ]
     out = _topk_frame([np.concatenate(col) for col in zip(*ray.get(futs))])
     if len(pool) > 1:
-        out = _merge_range_partials(out, k)
+        return _merge_range_partials(out, k, qids)
     if _in_qid_rank_order(out):
         return out
     return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
@@ -1259,9 +1276,12 @@ def query_index_doc_sharded(
     under the frozen (score DESC, doc_id ASC) order — EXACT, bit-identical
     to the full-corpus scorer, unlike per-term-segment top-k (SURVEY §8.3).
 
-    Returns a pandas DataFrame (query_id, rank, doc_id, score): the merge
-    input is final-answer-sized (queries × n_ranges × k rows), so a driver
-    merge is right-sized even at cluster scale.
+    Returns a pandas DataFrame (query_id, rank, doc_id, score) sorted by
+    (query_id, rank): the merge input is final-answer-sized (queries ×
+    n_ranges × k rows), so a driver merge is right-sized even at cluster
+    scale. A query table or parquet path is scored under row positions,
+    so two queries that share an id stay two answers; a caller-built
+    Dataset is merged by its query ids.
 
     All ranges execute CONCURRENTLY in one union pipeline (round 4):
     warm-cache wall for 4 ranges ≈ one range's pipeline cost (~0.11s on
@@ -1270,6 +1290,14 @@ def query_index_doc_sharded(
     _require_segments(out_dir)
     if not doc_pids(out_dir):
         raise ValueError(f"no docs/pid=*.parquet under {out_dir}")
+    if isinstance(queries, str):
+        queries = pq.read_table(queries)
+    qids = None
+    if isinstance(queries, pa.Table):
+        qids = queries["query_id"].to_numpy().astype(np.int64, copy=False)
+        queries = queries.set_column(
+            queries.schema.get_field_index("query_id"), "query_id",
+            pa.array(np.arange(len(qids), dtype=np.int64)))
     qds = _query_blocks(queries)
     # shared_ref deliberately None: the point of this path is that a
     # scorer's state is bounded by its doc range, not a full-corpus
@@ -1283,4 +1311,4 @@ def query_index_doc_sharded(
     allp = merged_ds.to_pandas()
     if allp.empty:
         return _empty_topk_frame()
-    return _merge_range_partials(allp, k)[["query_id", "rank", "doc_id", "score"]]
+    return _merge_range_partials(allp, k, qids)[["query_id", "rank", "doc_id", "score"]]

@@ -9,7 +9,9 @@ postings and skip lists plus the global doclen sidecar load ONCE in
 ``UrlResolver`` resolves doc_id → url on the tiny final top-k table by
 lazily loading only the docs/pid files its doc_ids actually touch (doc_id
 encodes the partition, SURVEY.md §1.3) — a broadcast-free lookup that stays
-cheap at cluster scale.
+cheap at cluster scale. It runs as a stateless task through ``CachedOp``
+(``pipelines.query.attach_urls``), so its per-pid url cache is keyed by
+index version and no actor outlives the call.
 """
 
 from __future__ import annotations
@@ -4615,31 +4617,46 @@ class CachedOp:
 
 
 class UrlResolver:
-    """map_batches actor: doc_id → url by reading only the touched docs/pid
-    files (partition pruning via the docID scheme)."""
+    """doc_id → url by reading only the touched docs/pid files (partition
+    pruning via the docID scheme): one ``searchsorted`` per touched pid.
+    A doc_id that is not in its pid file — one from an older version of
+    the index, say — raises ``ValueError`` naming it, rather than taking
+    a neighbour's url. Runs as a ``CachedOp`` op (``attach_urls``) or as
+    a map_batches actor."""
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
-        self.cache: dict[int, tuple[np.ndarray, list[str]]] = {}
+        self.cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _load(self, pid: int):
         if pid not in self.cache:
-            tbl = pq.read_table(
-                os.path.join(self.out_dir, "docs", f"pid={pid:04d}.parquet"),
-                columns=["doc_id", "url"],
-            )
-            ids = tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            self.cache[pid] = (ids, tbl["url"].to_pylist())
+            path = os.path.join(self.out_dir, "docs", f"pid={pid:04d}.parquet")
+            if os.path.exists(path):
+                tbl = pq.read_table(path, columns=["doc_id", "url"])
+                ids = tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
+                urls = np.asarray(tbl["url"].to_pylist(), dtype=object)
+            else:
+                ids, urls = np.empty(0, np.uint64), np.empty(0, object)
+            self.cache[pid] = (ids, urls)
         return self.cache[pid]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        urls: list[str] = []
-        for d in doc_ids:
-            pid = int(d >> np.uint64(DOC_ID_PARTITION_SHIFT))
-            ids, us = self._load(pid)
-            urls.append(us[int(np.searchsorted(ids, d))])
-        return batch.append_column("url", pa.array(urls, pa.string()))
+        pids = doc_ids >> np.uint64(DOC_ID_PARTITION_SHIFT)
+        urls = np.empty(len(doc_ids), dtype=object)
+        for pid in np.unique(pids):
+            at = np.flatnonzero(pids == pid)
+            ids, us = self._load(int(pid))
+            want = doc_ids[at]
+            pos = np.searchsorted(ids, want)
+            found = pos < len(ids)
+            found[found] = ids[pos[found]] == want[found]
+            if not found.all():
+                raise ValueError(
+                    f"doc_id {int(want[~found][0])} is not in "
+                    f"{self.out_dir}/docs/pid={int(pid):04d}.parquet")
+            urls[at] = us[pos]
+        return batch.append_column("url", pa.array(urls.tolist(), pa.string()))
 
 
 class MatchsetExtendedStats(DocvalueTopK):

@@ -216,3 +216,26 @@ def test_mget_routing_and_tombstone_visibility(del_base, tmp_path):
     after = mget(idx, urls).to_pandas().set_index("url")
     assert not bool(after.loc[urls[0], "found"])
     assert bool(after.loc[urls[1], "found"])
+
+
+def test_url_cache_follows_compaction(del_base, tmp_path):
+    """Resolve urls, then delete + compact the same index in this session
+    and resolve again: every url equals a fresh read of the compacted
+    docs/ — the worker's per-pid url cache is keyed by index version."""
+    idx = _copy(del_base, tmp_path)
+    q = del_base["queries"]
+
+    def assert_urls_match_docs():
+        res = query_index(idx, q, k=10, resolve_urls=True).to_pandas()
+        docs = pa.concat_tables(
+            pq.read_table(f, columns=["doc_id", "url"])
+            for f in sorted(glob.glob(f"{idx}/docs/pid=*.parquet"))
+        )
+        url_of = dict(zip(docs["doc_id"].to_pylist(), docs["url"].to_pylist()))
+        assert len(res)
+        assert res["url"].tolist() == [url_of[int(d)] for d in res["doc_id"]]
+
+    assert_urls_match_docs()
+    delete_documents(idx, urls=_dead_urls(del_base, stride=3))
+    compact_index(idx)
+    assert_urls_match_docs()

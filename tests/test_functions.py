@@ -1437,6 +1437,16 @@ def test_top_metrics_and_knn_radius():
     assert r["cos"].tolist() == sims[keep][order].tolist()
 
 
+def test_run_queries_empty_result_keeps_columns():
+    """A ranking in which no query matches still carries the registry's
+    (query_id int64, rank int32, doc_id int64) columns."""
+    from aarhus_ray.functions.fulltext import _ensure_index, _run_queries
+
+    got = _run_queries(_ensure_index(SF, fresh=False), ["zzznotinvocab"], 10, "or")
+    assert got.empty
+    assert got.dtypes.astype(str).to_dict() == {"query_id": "int64", "rank": "int32", "doc_id": "int64"}
+
+
 def test_phrase_prefix_semantics():
     """phrase_prefix: (a) a single-expansion stem degenerates to plain
     phrase mode bit-identically ('slow sl' -> 'slow slow'); (b) full

@@ -150,6 +150,89 @@ def test_results_resolve_urls(golden_index):
         assert lookup[int(r["doc_id"])] == r["url"]
 
 
+def test_url_resolver_batch_matches_docs_in_any_order(golden_index):
+    """One searchsorted per touched pid gives every doc_id its own url,
+    whatever the order and pid mix of the batch (repeats included)."""
+    from aarhus_ray.stages.query_stage import UrlResolver
+
+    docs = _docs_table(golden_index["index"], ["doc_id", "url"])
+    ids = docs["doc_id"].to_numpy().astype(np.uint64)
+    pick = np.random.default_rng(3).choice(len(ids), 300, replace=True)
+    got = UrlResolver(golden_index["index"])(pa.table({"doc_id": pa.array(ids[pick], pa.uint64())}))
+    assert got["url"].to_pylist() == [docs["url"][int(i)].as_py() for i in pick]
+
+
+def _tiny_docs(tmp_path):
+    """docs/pid=0000.parquet holding doc_ids 0, 2 and 5 only."""
+    os.makedirs(tmp_path / "docs")
+    pq.write_table(
+        pa.table({"doc_id": pa.array([0, 2, 5], pa.uint64()),
+                  "url": pa.array(["u0", "u2", "u5"], pa.string())}),
+        str(tmp_path / "docs" / "pid=0000.parquet"),
+    )
+    return str(tmp_path)
+
+
+def test_url_resolver_rejects_id_missing_inside_its_pid(tmp_path):
+    """A doc_id between two live ids of its pid file (e.g. one from an
+    older index version) raises ValueError naming it, instead of taking
+    the next doc's url."""
+    from aarhus_ray.stages.query_stage import UrlResolver
+
+    r = UrlResolver(_tiny_docs(tmp_path))
+    assert r(pa.table({"doc_id": pa.array([5, 0], pa.uint64())}))["url"].to_pylist() == ["u5", "u0"]
+    with pytest.raises(ValueError, match="doc_id 3 "):
+        r(pa.table({"doc_id": pa.array([0, 3], pa.uint64())}))
+
+
+def test_url_resolver_rejects_id_past_the_end_or_missing_pid(tmp_path):
+    """A doc_id past the last row of its pid file, or in a pid with no
+    docs file, raises ValueError naming it (not IndexError or
+    FileNotFoundError)."""
+    from aarhus_ray.partition import DOC_ID_PARTITION_SHIFT
+    from aarhus_ray.stages.query_stage import UrlResolver
+
+    r = UrlResolver(_tiny_docs(tmp_path))
+    with pytest.raises(ValueError, match="doc_id 9 "):
+        r(pa.table({"doc_id": pa.array([9], pa.uint64())}))
+    other = (7 << DOC_ID_PARTITION_SHIFT) | 1
+    with pytest.raises(ValueError, match=f"doc_id {other} "):
+        r(pa.table({"doc_id": pa.array([2, other], pa.uint64())}))
+
+
+def test_url_resolution_releases_its_cpus(golden_index):
+    """attach_urls runs as a task: with the cyclic GC off, every CPU is
+    free again within 2 s of query_index(resolve_urls=True) returning (an
+    actor-pool resolver keeps its slots until the GC collects the pool)."""
+    import gc
+    import time
+
+    import ray
+
+    from aarhus_ray.pipelines.query import stop_serving
+
+    def wait_all_free(limit_s):
+        t0 = time.monotonic()
+        while time.monotonic() - t0 < limit_s:
+            if ray.available_resources().get("CPU", 0) == total:
+                return True
+            time.sleep(0.05)
+        return ray.available_resources().get("CPU", 0) == total
+
+    stop_serving()
+    gc.collect()
+    total = ray.cluster_resources()["CPU"]
+    assert wait_all_free(30), "CPUs held before the call"
+    q = fixtures.gen_queries(8, seed=3)
+    gc.disable()
+    try:
+        res = query_index(golden_index["index"], q, k=5, resolve_urls=True).to_pandas()
+        assert len(res) and res["url"].notna().all()
+        assert wait_all_free(2), ray.available_resources()
+    finally:
+        gc.enable()
+
+
 def test_build_resume_is_noop_and_identical(golden_index, tmp_path):
     """Resume after completion: nothing recomputed, stats identical.
     Also: a fresh build at the same config reproduces identical segments
@@ -1805,7 +1888,7 @@ def test_serving_request_shapes_match_pipeline(golden_index, monkeypatch):
     import ray
 
     from aarhus_ray.pipelines import query as qmod
-    from aarhus_ray.pipelines.query import serve_queries, stop_serving
+    from aarhus_ray.pipelines.query import query_index_doc_sharded, serve_queries, stop_serving
 
     idx = golden_index["index"]
 
@@ -1838,6 +1921,10 @@ def test_serving_request_shapes_match_pipeline(golden_index, monkeypatch):
                 assert got.duplicated(["query_id", "rank"]).any()
         sharded = serve_queries(idx, shuffled, k=5, n_actors=2, batch_size=5, n_ranges=2)
         pd.testing.assert_frame_equal(sharded, ref(shuffled))
+        # two queries sharing an id stay two answers through a range merge
+        for got in (serve_queries(idx, duplicated, k=5, n_actors=2, batch_size=5, n_ranges=2),
+                    query_index_doc_sharded(idx, duplicated, n_ranges=2, k=5)):
+            pd.testing.assert_frame_equal(got, ref(duplicated))
         # an empty request: the same columns and dtypes as a non-empty one
         # (query_index has no blocks to carry a schema for an empty table,
         # so the all-OOV answer stands in as its empty frame)

@@ -3,10 +3,14 @@ queries()[name](sf_dir) AND its oracle_sql()[name] via DuckDB, compare
 row count + column names + order-insensitive values.
 
     python tools/check_oracle.py [sf_dir] [name ...]
+
+Each name may be a shell pattern (``'fulltext_*'``). The run ends with
+one tally line: ``OK n / rows-only n / failed n``.
 """
 
 from __future__ import annotations
 
+import fnmatch
 import os
 import sys
 import time
@@ -81,7 +85,7 @@ def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> str:
 
 def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
-    only = set(sys.argv[2:])
+    only = sys.argv[2:]
 
     import ray
 
@@ -101,9 +105,9 @@ def main() -> int:
 
     qs = E.queries()
     sqls = E.oracle_sql()
-    failures = 0
+    failures = ok = rows_only = 0
     for name, fn in qs.items():
-        if only and name not in only:
+        if only and not any(fnmatch.fnmatchcase(name, pat) for pat in only):
             continue
         t0 = time.perf_counter()
         try:
@@ -115,6 +119,7 @@ def main() -> int:
         dt = time.perf_counter() - t0
         if name not in sqls:
             print(f"{name:32s} rows-only: {len(ray_df)} rows  ({dt:.1f}s)")
+            rows_only += 1
             continue
         try:
             sql_df = con.execute(sqls[name]).fetchdf()
@@ -124,8 +129,11 @@ def main() -> int:
             continue
         verdict = compare(name, ray_df, sql_df)
         print(f"{name:32s} {verdict}  ({len(ray_df)} rows, {dt:.1f}s)")
-        if verdict != "OK":
+        if verdict == "OK":
+            ok += 1
+        else:
             failures += 1
+    print(f"OK {ok} / rows-only {rows_only} / failed {failures}")
     ray.shutdown()
     return 1 if failures else 0
 
