@@ -135,9 +135,6 @@ def svb_decode_streams(control: np.ndarray, data: np.ndarray, n: int) -> np.ndar
 
 # ---------------------------------------------------------------- LEB128 varint
 
-_MAX_VARINT_BYTES = 10
-
-
 def varint_encode(values: np.ndarray) -> bytes:
     return varint_encode_with_lens(values)[0]
 
@@ -147,15 +144,17 @@ def varint_encode_with_lens(values: np.ndarray) -> tuple[bytes, np.ndarray]:
     n = len(v)
     if n == 0:
         return b"", np.empty(0, dtype=np.int64)
+    # byte columns sized by the largest value (small tfs need one pass, not 10)
+    width = max(1, -(-int(v.max()).bit_length() // 7))
     nb = np.ones(n, dtype=np.int64)
-    for k in range(1, _MAX_VARINT_BYTES):
+    for k in range(1, width):
         nb += v >= _U8(1 << (7 * k))
-    out = np.zeros((n, _MAX_VARINT_BYTES), dtype=np.uint8)
-    for k in range(_MAX_VARINT_BYTES):
+    out = np.empty((n, width), dtype=np.uint8)
+    for k in range(width):
         np.bitwise_and(v >> _U8(7 * k), _U8(0x7F), casting="unsafe", out=out[:, k])
-    cont = np.arange(_MAX_VARINT_BYTES)[None, :] < (nb - 1)[:, None]
+    cont = np.arange(width)[None, :] < (nb - 1)[:, None]
     out |= cont.astype(np.uint8) << 7
-    sel = np.arange(_MAX_VARINT_BYTES)[None, :] < nb[:, None]
+    sel = np.arange(width)[None, :] < nb[:, None]
     return out[sel].tobytes(), nb
 
 
@@ -200,35 +199,109 @@ def tf_upper_bound(tf, idf: float) -> float | np.ndarray:
     return idf * tf * (K1 + 1.0) / (tf + K1 * (1.0 - B))
 
 
+def exclusive_cumsum(lens: np.ndarray) -> np.ndarray:
+    """Start offsets of consecutive regions of the given lengths (int64)."""
+    out = np.zeros(len(lens), dtype=np.int64)
+    np.cumsum(lens[:-1], out=out[1:])
+    return out
+
+
 def encode_postings(doc_ids: np.ndarray, tfs: np.ndarray) -> tuple[bytes, bytes]:
-    """(sorted doc_ids, tfs) → (postings_blob, skips_blob).
-    Single vectorized pass: whole-list delta + Stream-VByte + varint, with
-    per-block offsets and block maxes computed by reduceat (no Python loop
-    over blocks — this runs once per term in segment assembly)."""
+    """(sorted doc_ids, tfs) → (postings_blob, skips_blob) of one term: the
+    one-term call of ``encode_postings_many``."""
     n = len(doc_ids)
-    if n == 0:
-        return b"", b""
+    postings, skips, _, _ = encode_postings_many(doc_ids, tfs, [0], [n])
+    return postings, skips
+
+
+def encode_postings_many(
+    doc_ids: np.ndarray, tfs: np.ndarray, starts, ends
+) -> tuple[bytes, bytes, np.ndarray, np.ndarray]:
+    """Encode many terms' posting lists in one vectorized pass.
+
+    Term i owns ``doc_ids[starts[i]:ends[i]]`` (ascending) and the matching
+    tfs. Returns (postings, skips, blob_lens, skip_lens): the terms' blobs
+    and skip records concatenated in term order, plus each term's byte
+    length in both, so term i's blob is the ``blob_lens[i]`` bytes after
+    ``blob_lens[:i].sum()``. Byte-identical to per-term encoding: segmented
+    deltas (each term's first gap is its absolute doc_id), one Stream-VByte
+    code pass with each term's control bytes padded to a multiple of 4, one
+    LEB128 pass over all tfs, then one scatter of every term's
+    ``[control][data][tf]`` regions into the output buffer. Skip records
+    come from per-term cumulative offsets and ``maximum.reduceat``."""
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    counts = ends - starts
+    n_terms = len(counts)
     doc_ids = np.asarray(doc_ids, dtype=np.uint64)
     tfs = np.asarray(tfs, dtype=np.uint64)
-    gaps = delta_encode(doc_ids)
-    control, data, lens = svb_encode_streams(gaps)
+    first = exclusive_cumsum(counts)  # term i's first row, flat
+    n = int(counts.sum())
+    if n_terms and not (starts == first).all():
+        # ranges that do not tile [0, n): gather them into flat term order
+        rows = np.arange(n) + np.repeat(starts - first, counts)
+        doc_ids, tfs = doc_ids[rows], tfs[rows]
+    else:
+        doc_ids, tfs = doc_ids[:n], tfs[:n]
+    if n == 0:
+        zeros = np.zeros(n_terms, dtype=np.int64)
+        return b"", b"", zeros, zeros
+    stop = first + counts
+    live = first[counts > 0]  # first rows of the non-empty terms
+
+    gaps = np.empty(n, dtype=np.uint64)
+    gaps[0] = doc_ids[0]
+    np.subtract(doc_ids[1:], doc_ids[:-1], out=gaps[1:])
+    gaps[live] = doc_ids[live]
+
+    # Stream-VByte: 2-bit codes placed at each term's own control slots
+    codes = np.zeros(n, dtype=np.uint8)
+    codes[gaps > 0xFF] = 1
+    codes[gaps > 0xFFFF] = 2
+    codes[gaps > 0xFFFFFFFF] = 3
+    lens = _SVB_LEN[codes]
+    ctl_lens = (counts + 3) // 4
+    ctl_first = exclusive_cumsum(ctl_lens)
+    n_ctl = int(ctl_lens.sum())
+    slots = np.zeros(n_ctl * 4, dtype=np.uint8)
+    slots[np.arange(n) + np.repeat(4 * ctl_first - first, counts)] = codes
+    q = slots.reshape(-1, 4)
+    control = (q[:, 0] | (q[:, 1] << 2) | (q[:, 2] << 4) | (q[:, 3] << 6)).astype(np.uint8)
+    mask = np.arange(8)[None, :] < lens[:, None]
+    data = gaps.view(np.uint8).reshape(n, 8)[mask]
     tf_blob, tf_lens = varint_encode_with_lens(tfs)
+    tf_stream = np.frombuffer(tf_blob, dtype=np.uint8)
 
-    n_blocks = (n + SKIP_BLOCK - 1) // SKIP_BLOCK
-    starts = np.arange(n_blocks, dtype=np.int64) * SKIP_BLOCK
-    ends = np.minimum(starts + SKIP_BLOCK, n)
-    data_cum = np.concatenate([[0], np.cumsum(lens)])
-    tf_cum = np.concatenate([[0], np.cumsum(tf_lens)])
-    data_start = len(control)
-    tf_start = data_start + len(data)
+    # per-row exclusive cumsums → per-term region sizes
+    data_cum = exclusive_cumsum(np.append(lens, 0))
+    tf_cum = exclusive_cumsum(np.append(tf_lens, 0))
+    data_lens = data_cum[stop] - data_cum[first]
+    tf_term_lens = tf_cum[stop] - tf_cum[first]
+    blob_lens = ctl_lens + data_lens + tf_term_lens
+    out_first = exclusive_cumsum(blob_lens)
 
-    skips = np.zeros(n_blocks, dtype=SKIP_DTYPE)
-    skips["last_doc_id"] = doc_ids[ends - 1]
-    skips["data_off"] = data_start + data_cum[starts]
-    skips["tf_off"] = tf_start + tf_cum[starts]
-    skips["count"] = (ends - starts).astype(np.uint32)
-    skips["max_tf"] = np.maximum.reduceat(tfs, starts).astype(np.uint32)
-    return control + data + tf_blob, skips.tobytes()
+    # scatter: byte k of a stream lands at k + (term's output start -
+    # term's start in that stream)
+    out = np.empty(int(blob_lens.sum()), dtype=np.uint8)
+    out[np.arange(n_ctl) + np.repeat(out_first - ctl_first, ctl_lens)] = control
+    data_at = out_first + ctl_lens  # term's data region, in `out`
+    out[np.arange(len(data)) + np.repeat(data_at - data_cum[first], data_lens)] = data
+    tf_at = data_at + data_lens
+    out[np.arange(len(tf_stream)) + np.repeat(tf_at - tf_cum[first], tf_term_lens)] = tf_stream
+
+    # skips: one record per SKIP_BLOCK postings of each term
+    n_blocks = (counts + SKIP_BLOCK - 1) // SKIP_BLOCK
+    blk_term = np.repeat(np.arange(n_terms), n_blocks)
+    blk_first = exclusive_cumsum(n_blocks)
+    blk_start = first[blk_term] + (np.arange(len(blk_term)) - blk_first[blk_term]) * SKIP_BLOCK
+    blk_end = np.minimum(blk_start + SKIP_BLOCK, stop[blk_term])
+    skips = np.zeros(len(blk_term), dtype=SKIP_DTYPE)
+    skips["last_doc_id"] = doc_ids[blk_end - 1]
+    skips["data_off"] = ctl_lens[blk_term] + data_cum[blk_start] - data_cum[first][blk_term]
+    skips["tf_off"] = (ctl_lens + data_lens)[blk_term] + tf_cum[blk_start] - tf_cum[first][blk_term]
+    skips["count"] = (blk_end - blk_start).astype(np.uint32)
+    skips["max_tf"] = np.maximum.reduceat(tfs, blk_start).astype(np.uint32)
+    return out.tobytes(), skips.tobytes(), blob_lens, n_blocks * SKIP_DTYPE.itemsize
 
 
 def decode_block(

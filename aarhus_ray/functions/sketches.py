@@ -79,6 +79,13 @@ def hll_estimate(registers: np.ndarray) -> float:
     return float(est)
 
 
+def hll_round(est: float) -> int:
+    """Half-up rounding of a (non-negative) estimate: DuckDB's ``round``
+    on the oracle side rounds halves away from zero, Python's ``round``
+    to even, so both sides of the HLL contract use this rule."""
+    return math.floor(est + 0.5)
+
+
 def hll_merge(sketches: list[np.ndarray]) -> np.ndarray:
     out = np.zeros(_M, dtype=np.uint8)
     for s in sketches:
@@ -101,7 +108,7 @@ def distinct_count_hll(sf_dir: str, table: str = "events", column: str = "props"
     blobs = ds.map_batches(sketch, batch_format="pyarrow").to_pandas()["sketch"]
     merged = hll_merge([np.frombuffer(b, dtype=np.uint8) for b in blobs])
     return pd.DataFrame(
-        {"table_name": [table], "column_name": [column], "approx_distinct": [round(hll_estimate(merged))]}
+        {"table_name": [table], "column_name": [column], "approx_distinct": [hll_round(hll_estimate(merged))]}
     )
 
 
@@ -113,7 +120,9 @@ def hll_oracle_sql(table: str = "events", column: str = "props") -> str:
     (zero registers contribute ``2^R0`` each), and the estimate divides the
     SAME embedded float64 numerator literal by ``CAST(S AS DOUBLE)`` — the
     one float op both sides share. Linear-counting branch mirrors
-    ``hll_estimate`` expression-for-expression."""
+    ``hll_estimate`` expression-for-expression. The register sum is
+    COALESCEd so a column with no non-NULL value folds to ``M·2^R0`` and
+    estimates 0, as the engine does."""
     rank_case = " ".join(
         [f"WHEN w = 0 THEN {_R0}"]
         + [f"WHEN w % {1 << k} = {1 << (k - 1)} THEN {k}" for k in range(1, 64 - HLL_P + 1)]
@@ -129,7 +138,8 @@ def hll_oracle_sql(table: str = "events", column: str = "props") -> str:
                    FROM slotted),
         regs AS (SELECT idx, MAX(rank) AS mr FROM ranked GROUP BY idx),
         folded AS (
-            SELECT SUM(CAST(1::BIGINT << CAST({_R0} - mr AS INTEGER) AS HUGEINT))
+            SELECT COALESCE(SUM(CAST(1::BIGINT << CAST({_R0} - mr AS INTEGER)
+                                        AS HUGEINT)), 0)
                        + CAST({_M} - COUNT(*) AS HUGEINT)
                          * CAST(1::BIGINT << {_R0} AS HUGEINT) AS s,
                    {_M} - COUNT(*) AS zeros

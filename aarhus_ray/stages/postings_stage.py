@@ -8,7 +8,10 @@ The merge is an external (disk) shuffle with one map side and one reduce
 side; build and compaction both use it:
 
 1. Map: ``PostingsEncoder`` turns one pid's docs into one encoded partial
-   row per (term, salt). Partials are pre-aggregated and varint-compressed
+   row per (term, salt), in whole-batch array passes: one LEB128 pass per
+   column, and every output column is a take at the (term, salt) run
+   starts or an (offsets, blob) buffer pair, with no per-row Python loop.
+   Partials are pre-aggregated and varint-compressed
    before the exchange (SURVEY.md §4.1), ~10× smaller than raw
    (term, doc, tf) triples. Heavy (Zipf-head) terms get
    ``salt = pid * n_salts // P`` — a function of the doc partition, NOT
@@ -24,9 +27,15 @@ side; build and compaction both use it:
 2. Reduce: ``assemble_from_disk_batch`` runs one task per bucket — the
    salted-key skew split IS the reducer granularity, so the heaviest
    term's merge spreads over n_salts tasks. Each bucket mmaps its batch
-   from every pid file and ``assemble_segment`` merges each term's
-   partials (vectorized segmented decode), encodes with block-max skips,
-   writes ``segments/seg=BBBB/{dict.parquet,postings.bin,skips.bin}``
+   from every pid file and ``assemble_segment`` merges the whole bucket at
+   once: one segmented decode of the sorted rows' concatenated blobs (read
+   from the Arrow value buffers), then one ``codecs.encode_postings_many``
+   call that encodes every term with its block-max skips. The dict columns
+   come from the run starts and the kernel's per-term lengths; pos.bin is
+   the sorted rows' pos blobs back to back. Only a term whose partials
+   interleave (the argsort fallback) gets a per-term fix-up of its
+   positions. It writes
+   ``segments/seg=BBBB/{dict.parquet,postings.bin,skips.bin}``
    atomically and appends a manifest row. Segments stay globally
    term-sorted (seg_id is the major key); a heavy term's full list is the
    salt-ordered concatenation of its shards, performed zero-cost on
@@ -55,10 +64,16 @@ from ..partition import DOC_ID_PARTITION_SHIFT, hash64
 from ..textnorm import tokenize_flat
 from ..state import manifest as mf
 
-PARTIAL_COLUMNS = [
-    "term", "seg_id", "salt", "bucket", "min_doc_id",
-    "doc_ids", "tfs", "df_partial", "max_tf", "pos",
-]
+def _binary_array(offsets: np.ndarray, blob: bytes) -> pa.Array:
+    """Binary array whose row i is ``blob[offsets[i]:offsets[i + 1]]``,
+    built straight from the (offsets, data) buffers; ``offsets[0]`` is 0."""
+    if int(offsets[-1]) > np.iinfo(np.int32).max:
+        raise ValueError("binary partial column exceeds 2 GiB")
+    return pa.Array.from_buffers(
+        pa.binary(),
+        len(offsets) - 1,
+        [None, pa.py_buffer(np.ascontiguousarray(offsets, dtype=np.int32)), pa.py_buffer(blob)],
+    )
 
 
 def seg_dir(out_dir: str, seg_id: int) -> str:
@@ -70,7 +85,12 @@ def partials_path(out_dir: str, pid: int) -> str:
 
 
 class PostingsEncoder:
-    """Actor-pool stage: (doc_id, text) batches → encoded partial postings."""
+    """Map-side encoder: (doc_id, text) batches → encoded partial postings.
+
+    A plain object, not a Ray stage: a build makes one and passes it to
+    every ``dedup_assign_write`` call (one per pid group), and compaction
+    passes one to each of its per-docs-file tasks, which call it on their
+    docs (``__call__``) or flat tokens (``encode_flat``)."""
 
     def __init__(
         self,
@@ -116,7 +136,8 @@ class PostingsEncoder:
         ASCII by construction ([a-z0-9]+), so Arrow's bytewise string sort
         equals Python's codepoint sort. Per-TERM work (heavy lookup, light
         salt hash, segment assignment) runs on the ~vocabulary-sized run
-        list, not per row."""
+        list; the output columns are index arrays and (offsets, blob)
+        buffers over whole-batch encodes, with no per-row loop."""
         if len(flat_terms) == 0:
             return pa.Table.from_pylist([], schema=self._schema())
         if self.positions:
@@ -182,7 +203,6 @@ class PostingsEncoder:
         if n > 1:
             key_change[1:] |= salts[1:] != salts[:-1]
         starts = np.flatnonzero(key_change)
-        ends = np.append(starts[1:], n)
         # Whole-batch vectorized encode, then per-run byte slicing: partials
         # use self-delimiting LEB128 varints (byte-sliceable at any value
         # boundary) so ONE encode pass serves every run; Stream-VByte is
@@ -219,39 +239,26 @@ class PostingsEncoder:
             pos_blob, pos_lens = codecs.varint_encode_with_lens(comb)
             pos_byte_off = np.concatenate([[0], np.cumsum(pos_lens)])
             slot_bounds = np.append(CS, n + len(V))  # posting i starts at slot CS[i]
-        run_max_tf = np.maximum.reduceat(tfs, starts)
+        bounds = np.append(starts, n)  # output row r = flat rows [s, e)
         out_run = run_id[starts]  # term-run index of each output row
-        rows = {k: [] for k in PARTIAL_COLUMNS}
-        for ri, (s, e) in enumerate(zip(starts, ends)):
-            tr = int(out_run[ri])
-            salt = int(salts[s])
-            seg = int(run_seg[tr])
-            rows["term"].append(run_terms[tr])
-            rows["seg_id"].append(seg)
-            rows["salt"].append(salt)
-            rows["bucket"].append(seg * self.n_salts + salt)
-            rows["min_doc_id"].append(int(docs[s]))
-            rows["doc_ids"].append(doc_blob[doc_off[s] : doc_off[e]])
-            rows["tfs"].append(tf_blob[tf_off[s] : tf_off[e]])
-            rows["df_partial"].append(e - s)
-            rows["max_tf"].append(int(run_max_tf[ri]))
-            rows["pos"].append(
-                pos_blob[pos_byte_off[slot_bounds[s]] : pos_byte_off[slot_bounds[e]]]
-                if self.positions
-                else b""
-            )
+        seg = run_seg[out_run].astype(np.uint32)
+        salt = salts[starts]
         return pa.table(
             {
-                "term": pa.array(rows["term"], pa.string()),
-                "seg_id": pa.array(rows["seg_id"], pa.uint32()),
-                "salt": pa.array(rows["salt"], pa.uint32()),
-                "bucket": pa.array(rows["bucket"], pa.uint32()),
-                "min_doc_id": pa.array(rows["min_doc_id"], pa.uint64()),
-                "doc_ids": pa.array(rows["doc_ids"], pa.binary()),
-                "tfs": pa.array(rows["tfs"], pa.binary()),
-                "df_partial": pa.array(rows["df_partial"], pa.uint32()),
-                "max_tf": pa.array(rows["max_tf"], pa.uint32()),
-                "pos": pa.array(rows["pos"], pa.binary()),
+                "term": terms_arr.take(pa.array(starts)),
+                "seg_id": pa.array(seg, pa.uint32()),
+                "salt": pa.array(salt, pa.uint32()),
+                "bucket": pa.array(seg * np.uint32(self.n_salts) + salt, pa.uint32()),
+                "min_doc_id": pa.array(docs[starts], pa.uint64()),
+                "doc_ids": _binary_array(doc_off[bounds], doc_blob),
+                "tfs": _binary_array(tf_off[bounds], tf_blob),
+                "df_partial": pa.array(np.diff(bounds), pa.uint32()),
+                "max_tf": pa.array(np.maximum.reduceat(tfs, starts), pa.uint32()),
+                "pos": (
+                    _binary_array(pos_byte_off[slot_bounds[bounds]], pos_blob)
+                    if self.positions
+                    else _binary_array(np.zeros(len(bounds), np.int64), b"")
+                ),
             }
         )
 
@@ -273,18 +280,36 @@ class PostingsEncoder:
         )
 
 
-def _decode_partials_segmented(
-    doc_blobs: list[bytes], tf_blobs: list[bytes], dfs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode MANY partial blobs in two vectorized passes.
+def _binary_values(col) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, values) of a binary column, read from its Arrow buffers:
+    row i is ``values[offsets[i]:offsets[i + 1]]`` and ``values`` is the
+    ordered concatenation of every row, with no per-row Python object."""
+    arr = col.combine_chunks()
+    _, off_buf, val_buf = arr.buffers()
+    offsets = np.frombuffer(off_buf, dtype=np.int32)[arr.offset : arr.offset + len(arr) + 1]
+    offsets = offsets.astype(np.int64)
+    values = (
+        np.frombuffer(val_buf, dtype=np.uint8)[offsets[0] : offsets[-1]]
+        if val_buf is not None
+        else np.empty(0, np.uint8)
+    )
+    return offsets - offsets[0], values
 
-    Concatenates all gap blobs → one varint_decode → segmented cumsum
-    (each partial's first gap is its absolute min docID, so the running sum
-    is corrected at every partial boundary). Returns (docs, tfs, starts)
-    where starts[i] is the row offset of partial i in the flat arrays.
+
+def _decode_partials_segmented(
+    doc_blob: np.ndarray, tf_blob: np.ndarray, dfs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode MANY partials in two vectorized passes.
+
+    ``doc_blob``/``tf_blob`` are the partials' gap and tf blobs
+    concatenated in row order: one varint_decode each, then a segmented
+    cumsum (each partial's first gap is its absolute min docID, so the
+    running sum is corrected at every partial boundary). Returns
+    (docs, tfs, starts) where starts[i] is the row offset of partial i in
+    the flat arrays.
     """
-    gaps = codecs.varint_decode(b"".join(doc_blobs))
-    tfs = codecs.varint_decode(b"".join(tf_blobs))
+    gaps = codecs.varint_decode(doc_blob)
+    tfs = codecs.varint_decode(tf_blob)
     counts = np.asarray(dfs, dtype=np.int64)
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     run_cum = np.cumsum(gaps, dtype=np.uint64)
@@ -303,13 +328,12 @@ def _sorted_runs(group: pa.Table):
     all partials decoded segmented, term-run boundaries computed,
     within-run docID order verified (argsort fallback — partials own
     disjoint docID ranges, so ordered concat is already sorted in the
-    normal case). Returns (t_s, docs, tfs, run_row_starts, flat_starts,
-    flat_ends, pos_blobs_sorted, run_perms): pos_blobs_sorted
-    is the per-row positional blobs in merge order (None when the partials
-    carry no positions), run_perms maps run index → the posting
-    permutation the argsort fallback applied (positions must follow)."""
-    import pyarrow.compute as pc
-
+    normal case). Returns (run_terms, docs, tfs, run_row_starts,
+    flat_starts, flat_ends, pos, run_perms): run_terms is the Arrow string
+    array of each run's term; pos is (row byte offsets, values) of the
+    positional blobs in merge order (None when the partials carry no
+    positions); run_perms maps run index → the posting permutation the
+    argsort fallback applied (positions must follow)."""
     n_rows = len(group)
     # Arrow-native (term, salt, min_doc_id) sort + one take: the previous
     # np.lexsort over a Python-object term array cost ~0.3s on a 90k-row
@@ -325,28 +349,20 @@ def _sorted_runs(group: pa.Table):
     g = group.take(idx).combine_chunks()
     term_arr = g["term"].combine_chunks()
     dfs_s = g["df_partial"].to_numpy(zero_copy_only=False).astype(np.int64)
-    doc_blobs = g["doc_ids"].to_pylist()
-    tf_blobs = g["tfs"].to_pylist()
-    pos_blobs_sorted = None
+    pos = None
     if "pos" in g.column_names:
-        pos_raw = g["pos"].to_pylist()
-        if any(pos_raw):
-            pos_blobs_sorted = pos_raw
-    docs, tfs, row_flat_starts = _decode_partials_segmented(doc_blobs, tf_blobs, dfs_s)
+        pos_off, pos_vals = _binary_values(g["pos"])
+        if len(pos_vals):
+            pos = (pos_off, pos_vals)
+    docs, tfs, row_flat_starts = _decode_partials_segmented(
+        _binary_values(g["doc_ids"])[1], _binary_values(g["tfs"])[1], dfs_s
+    )
     # run boundaries off dictionary CODES (C++ equality), never strings
     codes = term_arr.dictionary_encode().indices.to_numpy(zero_copy_only=False)
     change = np.ones(n_rows, dtype=bool)
     change[1:] = codes[1:] != codes[:-1]
     run_row_starts = np.flatnonzero(change)
-    # term STRINGS materialize only at run starts — the single consumer
-    # indexes t_s[run_row_starts[r]], so a dict keyed by those rows keeps
-    # the indexing API without a 90k-object array
-    t_s = dict(
-        zip(
-            (int(i) for i in run_row_starts),
-            term_arr.take(pa.array(run_row_starts)).to_pylist(),
-        )
-    )
+    run_terms = term_arr.take(pa.array(run_row_starts))
     flat_starts = row_flat_starts[run_row_starts]
     flat_ends = np.append(flat_starts[1:], len(docs))
     run_perms: dict[int, np.ndarray] = {}
@@ -354,16 +370,17 @@ def _sorted_runs(group: pa.Table):
         ok = docs[1:] > docs[:-1]
         ok[flat_starts[1:] - 1] = True  # run boundaries exempt
         if not ok.all():
-            for ri, (rs, re_) in enumerate(zip(flat_starts, flat_ends)):
-                seg = docs[rs:re_]
-                if len(seg) > 1 and not np.all(seg[1:] > seg[:-1]):
-                    o = np.argsort(seg, kind="stable")
-                    docs[rs:re_] = seg[o]
-                    tfs[rs:re_] = tfs[rs:re_][o]
-                    run_perms[ri] = o
+            # rare: only runs holding an out-of-order pair are re-sorted
+            bad_runs = np.unique(np.searchsorted(flat_starts, np.flatnonzero(~ok), "right") - 1)
+            for ri in bad_runs.tolist():
+                rs, re_ = flat_starts[ri], flat_ends[ri]
+                o = np.argsort(docs[rs:re_], kind="stable")
+                docs[rs:re_] = docs[rs:re_][o]
+                tfs[rs:re_] = tfs[rs:re_][o]
+                run_perms[ri] = o
     return (
-        t_s, docs, tfs, run_row_starts, flat_starts, flat_ends,
-        pos_blobs_sorted, run_perms,
+        run_terms, docs, tfs, run_row_starts, flat_starts, flat_ends,
+        pos, run_perms,
     )
 
 
@@ -399,6 +416,31 @@ def write_partials(out_dir: str, pid: int, partials: pa.Table) -> str:
     return path
 
 
+def _permute_pos_runs(
+    pos_bin: np.ndarray,
+    run_off: np.ndarray,
+    pos_lens: np.ndarray,
+    dfs: np.ndarray,
+    run_perms: dict[int, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Re-order the positional sublists of the runs the argsort fallback
+    permuted (rare), so positions follow their postings; every other run's
+    bytes are kept as they are. Returns the new pos.bin and run lengths."""
+    parts, at = [], 0
+    pos_lens = pos_lens.copy()
+    for r in sorted(run_perms):
+        lo, hi = int(run_off[r]), int(run_off[r + 1])
+        vals = codecs.varint_decode(pos_bin[lo:hi])
+        bounds = codecs.pos_bounds(vals, int(dfs[r]))
+        vals = np.concatenate([vals[bounds[i] : bounds[i + 1]] for i in run_perms[r]])
+        fixed = np.frombuffer(codecs.varint_encode(vals), dtype=np.uint8)
+        parts += [pos_bin[at:lo], fixed]
+        pos_lens[r] = len(fixed)
+        at = hi
+    parts.append(pos_bin[at:])
+    return np.concatenate(parts), pos_lens
+
+
 def assemble_segment(out_dir: str, sid: int, group: pa.Table) -> None:
     """Merge one bucket's partials into ``segments/seg=BBBB/`` (tmp dir +
     rename) and append its segment manifest row."""
@@ -407,85 +449,55 @@ def assemble_segment(out_dir: str, sid: int, group: pa.Table) -> None:
     pin_worker()  # latched: once per worker process
     timer = mf.StageTimer()
     sdir = seg_dir(out_dir, sid)
-    (t_s, all_docs, all_tfs, run_rows, flat_starts, flat_ends,
-     pos_blobs, run_perms) = _sorted_runs(group)
-    dict_rows = {
-        "term": [], "df": [], "offset": [], "length": [],
-        "skip_offset": [], "skip_length": [], "max_tf": [],
-    }
-    postings_parts: list[bytes] = []
-    skips_parts: list[bytes] = []
-    pos_parts: list[bytes] = []
-    pos_offsets: list[int] = []
-    pos_lengths: list[int] = []
-    p_off = 0
-    s_off = 0
-    pp_off = 0
-    run_row_ends = np.append(run_rows[1:], len(group))
-    for r, (fs, fe) in enumerate(zip(flat_starts, flat_ends)):
-        docs = all_docs[fs:fe]
-        tfs = all_tfs[fs:fe]
-        blob, skips = codecs.encode_postings(docs, tfs)
-        dict_rows["term"].append(t_s[run_rows[r]])
-        dict_rows["df"].append(len(docs))
-        dict_rows["offset"].append(p_off)
-        dict_rows["length"].append(len(blob))
-        dict_rows["skip_offset"].append(s_off)
-        dict_rows["skip_length"].append(len(skips))
-        dict_rows["max_tf"].append(int(tfs.max()))
-        postings_parts.append(blob)
-        skips_parts.append(skips)
-        p_off += len(blob)
-        s_off += len(skips)
-        if pos_blobs is not None:
-            # positions merge = the same ordered concat as the docID
-            # blobs (sublists are self-contained [count, first, deltas])
-            pos_run = b"".join(pos_blobs[run_rows[r] : run_row_ends[r]])
-            perm = run_perms.get(r)
-            if perm is not None:
-                # rare out-of-order fallback: permute at posting level
-                vals = codecs.varint_decode(pos_run)
-                bounds = codecs.pos_bounds(vals, len(docs))
-                vals = np.concatenate([vals[bounds[i] : bounds[i + 1]] for i in perm])
-                pos_run = codecs.varint_encode_with_lens(vals)[0]
-            pos_parts.append(pos_run)
-            pos_offsets.append(pp_off)
-            pos_lengths.append(len(pos_run))
-            pp_off += len(pos_run)
-    tmp = sdir + ".tmp"
-    os.makedirs(tmp, exist_ok=True)
+    (run_terms, all_docs, all_tfs, run_rows, flat_starts, flat_ends,
+     pos, run_perms) = _sorted_runs(group)
+    postings, skips, blob_lens, skip_lens = codecs.encode_postings_many(
+        all_docs, all_tfs, flat_starts, flat_ends
+    )
     dict_tbl = pa.table(
         {
-            "term": pa.array(dict_rows["term"], pa.string()),
-            "df": pa.array(dict_rows["df"], pa.uint64()),
-            "offset": pa.array(dict_rows["offset"], pa.uint64()),
-            "length": pa.array(dict_rows["length"], pa.uint64()),
-            "skip_offset": pa.array(dict_rows["skip_offset"], pa.uint64()),
-            "skip_length": pa.array(dict_rows["skip_length"], pa.uint64()),
-            "max_tf": pa.array(dict_rows["max_tf"], pa.uint32()),
+            "term": run_terms,
+            "df": pa.array(flat_ends - flat_starts, pa.uint64()),
+            "offset": pa.array(codecs.exclusive_cumsum(blob_lens), pa.uint64()),
+            "length": pa.array(blob_lens, pa.uint64()),
+            "skip_offset": pa.array(codecs.exclusive_cumsum(skip_lens), pa.uint64()),
+            "skip_length": pa.array(skip_lens, pa.uint64()),
+            "max_tf": pa.array(np.maximum.reduceat(all_tfs, flat_starts), pa.uint32()),
         }
     )
-    if pos_blobs is not None:
+    if pos is not None:
+        # positions merge = the same ordered concat as the docID blobs
+        # (sublists are self-contained [count, first, deltas]), so pos.bin
+        # is the sorted rows' pos blobs back to back
+        row_off, pos_bin = pos
+        run_off = row_off[np.append(run_rows, len(group))]
+        pos_lens = np.diff(run_off)
+        if run_perms:
+            pos_bin, pos_lens = _permute_pos_runs(
+                pos_bin, run_off, pos_lens, flat_ends - flat_starts, run_perms
+            )
         # positional sidecar columns exist ONLY on positional builds so
         # the default index layout stays byte-identical
         dict_tbl = dict_tbl.append_column(
-            "pos_offset", pa.array(pos_offsets, pa.uint64())
-        ).append_column("pos_length", pa.array(pos_lengths, pa.uint64()))
+            "pos_offset", pa.array(codecs.exclusive_cumsum(pos_lens), pa.uint64())
+        ).append_column("pos_length", pa.array(pos_lens, pa.uint64()))
+    tmp = sdir + ".tmp"
+    os.makedirs(tmp, exist_ok=True)
     pq.write_table(dict_tbl, os.path.join(tmp, "dict.parquet"))
     with open(os.path.join(tmp, "postings.bin"), "wb") as f:
-        f.write(b"".join(postings_parts))
+        f.write(postings)
     with open(os.path.join(tmp, "skips.bin"), "wb") as f:
-        f.write(b"".join(skips_parts))
-    if pos_blobs is not None:
+        f.write(skips)
+    if pos is not None:
         with open(os.path.join(tmp, "pos.bin"), "wb") as f:
-            f.write(b"".join(pos_parts))
+            f.write(pos_bin)
     if os.path.isdir(sdir):
         import shutil
 
         shutil.rmtree(sdir)
     os.replace(tmp, sdir)
     files = ["dict.parquet", "postings.bin", "skips.bin"]
-    if pos_blobs is not None:
+    if pos is not None:
         files.append("pos.bin")
     mf.append_manifest(
         out_dir,

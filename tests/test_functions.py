@@ -444,6 +444,36 @@ def test_hll_over_events_table():
     assert int(oracle["approx_distinct"].iloc[0]) == approx
 
 
+def test_hll_rounds_halves_up_like_duckdb(monkeypatch):
+    import duckdb
+
+    from aarhus_ray.functions import sketches
+
+    con = duckdb.connect()
+    for x in (0.5, 2.5, 3.5, 1234.5, 2.4999, 7.0):
+        assert sketches.hll_round(x) == int(con.execute(f"SELECT round({x!r}::DOUBLE)").fetchone()[0])
+    # the engine op applies it: an estimate of exactly 2.5 reports 3 (to-even
+    # rounding would report 2, and DuckDB's round gives 3)
+    monkeypatch.setattr(sketches, "hll_estimate", lambda regs: 2.5)
+    out = sketches.distinct_count_hll(SF, "events", "props")
+    assert int(out["approx_distinct"].iloc[0]) == 3
+
+
+def test_hll_all_null_column_matches_oracle(tmp_path):
+    import duckdb
+    import pyarrow as pa
+
+    from aarhus_ray.functions.sketches import distinct_count_hll, hll_oracle_sql
+
+    pq.write_table(pa.table({"props": pa.array([None] * 50, pa.string())}), str(tmp_path / "empty.parquet"))
+    eng = int(distinct_count_hll(str(tmp_path), "empty", "props")["approx_distinct"].iloc[0])
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW empty AS SELECT * FROM '{tmp_path}/empty.parquet'")
+    oracle = con.execute(hll_oracle_sql("empty", "props")).fetchdf()["approx_distinct"]
+    assert eng == 0
+    assert oracle.notna().all() and int(oracle.iloc[0]) == eng
+
+
 def test_parallel_fixture_generation_deterministic(tmp_path):
     import filecmp
     import os
