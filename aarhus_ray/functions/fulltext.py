@@ -5488,19 +5488,25 @@ def bm25_topk_serving(sf_dir: str, k: int = 10) -> pd.DataFrame:
 
 
 def bm25_topk_daat(sf_dir: str, k: int = 10) -> pd.DataFrame:
-    """The cursor Block-Max WAND document-at-a-time path
-    (``method="wand_daat"`` — walks segment posting cursors directly,
-    no worker-cached contribution arrays; the memory shape a
-    streaming-from-disk cluster scorer uses) driver-attested against
-    bm25_topk's oracle. wand / wand_daat / brute are property-tested
-    bit-identical (CLAUDE.md invariant); this replays that identity per
-    driver run through the shared DuckDB hash — the third member of the
-    same-oracle-harder-path family (doc-sharded state, serving pool,
-    cursor DAAT)."""
-    return _run_queries(
-        _ensure_index(sf_dir, fresh=False), FT_QUERIES, k, "or",
-        method="wand_daat",
-    )
+    """The reference cursor Block-Max WAND, document at a time
+    (``query_stage.cursor_wand_topk`` — walks segment posting cursors
+    directly, no cached contribution arrays; the memory shape a
+    streaming-from-disk cluster scorer uses), run in this process and
+    attested against bm25_topk's oracle. Cursor WAND is a test oracle, not
+    a serving method; it is bit-identical to wand and brute (CLAUDE.md
+    invariant), and this replays that identity per driver run through the
+    shared DuckDB hash — the third member of the same-oracle-harder-path
+    family (doc-sharded state, serving pool, cursor DAAT)."""
+    from ..stages import query_stage as qs
+
+    index = _ensure_index(sf_dir, fresh=False)
+    scorer = qs.QueryScorer(index, k=k, method="brute")
+    hits = [
+        (qid, dict(zip(("doc_id", "score"), qs.cursor_wand_topk(scorer, tokenize(text)))))
+        for qid, text in enumerate(FT_QUERIES)
+    ]
+    ds = ray.data.from_arrow(qs._ranked_table(hits, qs._SCORED_HITS))
+    return _rank_frame(ds, cols=_RANKED, index=index)
 
 
 def bm25_topk_multifield(sf_dir: str, k: int = 10) -> pd.DataFrame:

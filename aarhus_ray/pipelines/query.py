@@ -64,32 +64,13 @@ def _impacts_for_terms(out_dir: str, seg_ids: tuple[int, ...], terms: tuple[str,
     terms' postings (gathering salted shards). ``dl_pair`` arrives as an
     ObjectRef argument, which Ray resolves to zero-copy plasma-backed
     numpy views — one shared copy serves every task."""
-    from .. import codecs as _codecs
-    from ..bm25 import idf as idf_fn, score_tf
-    from ..stages.query_stage import Segment
-
-    dl_ids, dl_lens = dl_pair
-    segs = [Segment(out_dir, sid) for sid in seg_ids]
+    doclens = qs.doclen_view(*dl_pair)
+    segs = [qs.Segment(out_dir, sid) for sid in seg_ids]
     out: dict[str, tuple] = {}
     for term in terms:
-        segs_of = [s for s in segs if term in s.dict]
-        gdf = sum(s.dict[term][0] for s in segs_of)
-        parts = [s.term_postings(term) for s in segs_of]
-        doc_ids = np.concatenate([p[0] for p in parts])
-        tfs = np.concatenate([p[1] for p in parts])
-        if len(doc_ids) > 1 and not np.all(doc_ids[1:] > doc_ids[:-1]):
-            o = np.argsort(doc_ids, kind="stable")
-            doc_ids, tfs = doc_ids[o], tfs[o]
-        dls = dl_lens[np.searchsorted(dl_ids, doc_ids)]
-        idf_val = idf_fn(gdf, n_docs)
-        contribs = score_tf(tfs, dls.astype("float64"), avgdl, idf_val)
-        skips_cat = np.concatenate([s.term_skips(term) for s in segs_of])
-        lasts = skips_cat["last_doc_id"].copy()
-        bmax = _codecs.tf_upper_bound(skips_cat["max_tf"], idf_val)
-        if len(lasts) > 1 and not np.all(lasts[1:] >= lasts[:-1]):
-            o = np.argsort(lasts, kind="stable")
-            lasts, bmax = lasts[o], bmax[o]
-        out[term] = (doc_ids, contribs, lasts, bmax)
+        owners = [s for s in segs if term in s.dict]
+        doc_ids, tfs = qs.gather_postings(term, owners)
+        out[term] = qs.term_impacts(term, owners, doc_ids, tfs, doclens, n_docs, avgdl)
     return out
 
 
@@ -335,6 +316,9 @@ def query_index(
     (query_id:int64, text:string). Returns a Dataset
     (query_id, rank, doc_id[, url], score).
 
+    ``method="wand"`` serves; ``method="brute"`` is its bit-identical
+    exhaustive oracle. Any other value raises ``ValueError``.
+
     ``mode="and"`` switches to conjunctive retrieval: only documents
     containing EVERY query term are eligible (an out-of-vocabulary term
     empties that query's result); scores are unchanged BM25 sums.
@@ -365,13 +349,8 @@ def query_index(
     ``filter_ids`` (sorted uint64 doc_ids, e.g. from ``facet_doc_ids``)
     restricts results to that doc set; BM25 statistics stay global (see
     QueryScorer). Composes with every mode."""
+    qs.check_method(method)  # at the driver, not wrapped by a Ray worker
     segs = _require_segments(out_dir)
-    if method == "wand_daat":
-        # fail at the driver, not wrapped inside a Ray worker: the cursor
-        # DAAT path reads segments directly and cannot see the exclude set
-        if mf.read_tombstones(out_dir) is not None:
-            raise ValueError("an index with tombstones supports wand/brute "
-                             "(the cursor DAAT path reads segments directly)")
     shared_ref = _shared_scorer_state(out_dir, segs)
     filter_ref = ray.put(np.ascontiguousarray(filter_ids, dtype=np.uint64)) if filter_ids is not None else None
     merged = run_index_op(

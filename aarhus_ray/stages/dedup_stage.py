@@ -56,9 +56,6 @@ def dedup_assign_write(group: pa.Table, *, out_dir: str, encoder) -> pa.Table:
     The pid's manifest row is appended only after BOTH files are renamed
     into place, and it carries both checksums: a crash between the two
     writes leaves no row, so resume re-runs the pid."""
-    from ..affinity import pin_worker
-
-    pin_worker()  # latched: once per worker process
     timer = mf.StageTimer()
     pid = int(group["pid"][0].as_py())
     urls = np.asarray(group["url"].to_pylist(), dtype=object)

@@ -34,9 +34,6 @@ def prep_batch_fn(
     skip = pa.array(sorted(skip_pids), pa.uint32()) if skip_pids else None
 
     def prep(batch: pa.Table) -> pa.Table:
-        from ..affinity import pin_worker
-
-        pin_worker()  # latched: once per worker process
         urls = pa.array([normalize_url(u) for u in batch["url"].to_pylist()], pa.string())
         batch = batch.set_column(batch.schema.get_field_index("url"), "url", urls)
         if lang_set is not None:
@@ -62,9 +59,6 @@ class ExtractUDF:
     def __init__(self) -> None:
         # touch the extractor once so lazy imports/regex compilation happen
         # here, not in the first batch
-        from ..affinity import pin_worker
-
-        pin_worker()  # opt-in core pinning (AARHUS_PIN_CPUS=1); no-op default
         extract_text(b"<html><body>warm</body></html>")
 
     def __call__(self, batch: pa.Table) -> pa.Table:

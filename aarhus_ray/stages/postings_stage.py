@@ -119,9 +119,6 @@ class PostingsEncoder:
         return (local * np.uint64(self.n_salts) // np.uint64(self.P)).astype(np.uint32)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..affinity import pin_worker
-
-        pin_worker()  # latched: once per worker process
         doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
         flat_terms, flat_docs, _ = tokenize_flat(batch["text"], doc_ids)
         return self.encode_flat(flat_terms, flat_docs)
@@ -444,9 +441,6 @@ def _permute_pos_runs(
 def assemble_segment(out_dir: str, sid: int, group: pa.Table) -> None:
     """Merge one bucket's partials into ``segments/seg=BBBB/`` (tmp dir +
     rename) and append its segment manifest row."""
-    from ..affinity import pin_worker
-
-    pin_worker()  # latched: once per worker process
     timer = mf.StageTimer()
     sdir = seg_dir(out_dir, sid)
     (run_terms, all_docs, all_tfs, run_rows, flat_starts, flat_ends,

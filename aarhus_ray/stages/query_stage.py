@@ -36,6 +36,140 @@ from .postings_stage import seg_dir
 # terms carry corpus-scale streams, ~4M int64 values ≈ 32 MB
 _POS_CACHE_VALS = 1 << 22
 
+# the positions of a term a candidate doc lacks (shared; never written)
+_NO_POS = np.empty(0, np.int64)
+
+# the (query_id, rank, doc_id, score) table of a scored top-k op
+_SCORED_HITS = pa.schema(
+    [("query_id", pa.int64()), ("rank", pa.int32()),
+     ("doc_id", pa.uint64()), ("score", pa.float64())]
+)
+
+
+def _no_hits() -> tuple[np.ndarray, np.ndarray]:
+    return np.empty(0, np.uint64), np.empty(0, np.float64)
+
+
+def _sorted_lookup(ids: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pos, ok): the searchsorted index of each of ``ids`` in the sorted
+    array ``table`` and whether the id is there (``table[pos[ok]] ==
+    ids[ok]``) — vectorized, O(n log m)."""
+    pos = np.searchsorted(table, ids)
+    ok = pos < len(table)
+    ok[ok] = table[pos[ok]] == ids[ok]
+    return pos, ok
+
+
+def _member_mask(ids: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Boolean membership of ``ids`` in the sorted array ``table``."""
+    return _sorted_lookup(ids, table)[1]
+
+
+def _intersect(lists: list[np.ndarray]) -> np.ndarray:
+    """Intersection of sorted doc-id arrays, smallest first (the
+    galloping-intersection analogue: a Zipf-head list AND a rare list
+    costs the rare list's length times log of the head's)."""
+    lists = sorted(lists, key=len)
+    cand = lists[0]
+    for ids in lists[1:]:
+        if len(cand) == 0:
+            break
+        cand = cand[_member_mask(cand, ids)]
+    return cand
+
+
+def _present_sum(cand: np.ndarray, entries, weights=None) -> np.ndarray:
+    """Each candidate's BM25 sum over ``entries`` — one (doc_ids,
+    contribs, ...) tuple per term in sorted-term order, the frozen
+    accumulation order brute shares — adding a term only where the
+    candidate holds it; ``weights`` (aligned with ``entries``) scales each
+    term's contributions. Over candidates that all hold a term the masked
+    add is the plain one, and a weight of 1.0 is exact."""
+    scores = np.zeros(len(cand), dtype=np.float64)
+    for i, e in enumerate(entries):
+        pos, ok = _sorted_lookup(cand, e[0])
+        c = e[1][pos[ok]]
+        scores[ok] += c if weights is None else weights[i] * c
+    return scores
+
+
+def _scored_union(entries) -> tuple[np.ndarray, np.ndarray]:
+    """The disjunctive match set of ``entries`` ((doc_ids, contribs, ...)
+    per term, sorted-term order) with each doc's BM25 sum, accumulated term
+    by term in that order — brute's accumulation exactly."""
+    if not entries:
+        return _no_hits()
+    ids = np.unique(np.concatenate([e[0] for e in entries]))
+    scores = np.zeros(len(ids), dtype=np.float64)
+    for e in entries:
+        scores[np.searchsorted(ids, e[0])] += e[1]
+    return ids, scores
+
+
+def _ranked_table(lists, schema: pa.Schema) -> pa.Table:
+    """The result table of a ranked op. ``lists`` holds one (key,
+    columns) pair per ranked list, ``columns`` mapping field names to
+    hit-aligned values in rank order. The first ``schema`` field takes
+    each row's list key, a ``rank`` field the 1-based position within its
+    list (unless the lists carry their own ranks), and every other field
+    its values, concatenated in list order."""
+    counts = np.array([len(next(iter(c.values()))) for _, c in lists], np.int64)
+    cols = {}
+    for i, f in enumerate(schema):
+        if i == 0:
+            vals = np.repeat(np.array([key for key, _ in lists], np.int64), counts)
+        elif f.name == "rank" and not (lists and "rank" in lists[0][1]):
+            starts = (np.cumsum(counts) - counts).astype(np.int32)
+            vals = np.arange(1, counts.sum() + 1, dtype=np.int32) - np.repeat(starts, counts)
+        elif pa.types.is_string(f.type):
+            vals = [v for _, c in lists for v in c[f.name]]
+        else:
+            # python lists (e.g. an empty one) take the field's dtype
+            dt = f.type.to_pandas_dtype()
+            vals = np.concatenate(
+                [v if isinstance(v := c[f.name], np.ndarray) else np.asarray(v, dt)
+                 for _, c in lists] or [np.empty(0, dt)]
+            )
+        cols[f.name] = pa.array(vals, f.type)
+    return pa.table(cols)
+
+
+def _docs_columns(out_dir: str, columns, pids: list[int] | None = None) -> pa.Table | None:
+    """The ``columns`` of the docs/ sidecar as one table in pid order —
+    doc_id ascending, since doc_id = (pid << 40) | row — reading only the
+    files of ``pids`` when given; None when there is no file."""
+    files = sorted(glob.glob(os.path.join(out_dir, "docs", "pid=*.parquet")))
+    if pids is not None:
+        want = {f"pid={p:04d}.parquet" for p in pids}
+        files = [f for f in files if os.path.basename(f) in want]
+    if not files:
+        return None
+    return pa.concat_tables([pq.read_table(f, columns=list(columns)) for f in files])
+
+
+def _facet_codes(out_dir: str, facet: str) -> tuple[np.ndarray, np.ndarray, list]:
+    """(doc_ids, codes, values): the docs/ sidecar's ``facet`` column
+    dictionary-encoded — code bytes per doc, not strings."""
+    import pyarrow.compute as pc
+
+    tbl = _docs_columns(out_dir, ["doc_id", facet])
+    enc = pc.dictionary_encode(tbl[facet].combine_chunks())
+    return (
+        tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64),
+        enc.indices.to_numpy(zero_copy_only=False).astype(np.int64),
+        enc.dictionary.to_pylist(),
+    )
+
+
+def _docvalues(out_dir: str, field: str) -> tuple[np.ndarray, np.ndarray]:
+    """(doc_ids, int64 values) of one numeric docs/ sidecar column,
+    doc_id ascending."""
+    tbl = _docs_columns(out_dir, ["doc_id", field])
+    return (
+        tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64),
+        tbl[field].cast(pa.int64()).to_numpy(zero_copy_only=False),
+    )
+
 
 def _min_cover_span(lists: list[np.ndarray]) -> int:
     """Minimum span (max−min) over one position picked from each sorted
@@ -352,16 +486,11 @@ class DoclenTable:
     goldens."""
 
     def __init__(self, out_dir: str, pids: list[int] | None = None):
-        files = sorted(glob.glob(os.path.join(out_dir, "docs", "pid=*.parquet")))
-        if pids is not None:
-            want = {f"pid={p:04d}.parquet" for p in pids}
-            files = [f for f in files if os.path.basename(f) in want]
-        tables = [pq.read_table(f, columns=["doc_id", "doclen"]) for f in files]
-        if not tables:
+        tbl = _docs_columns(out_dir, ["doc_id", "doclen"], pids)
+        if tbl is None:
             self.doc_ids = np.empty(0, np.uint64)
             self.doclens = np.empty(0, np.uint32)
             return
-        tbl = pa.concat_tables(tables)
         ids = tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
         dls = tbl["doclen"].to_numpy(zero_copy_only=False).astype(np.uint32)
         order = np.argsort(ids, kind="stable")
@@ -544,19 +673,80 @@ class Segment:
         return TermCursor(term, idf_val, float(bounds.max()), postings, skips, bounds)
 
 
+def _open_segments(out_dir: str, seg_ids: list[int] | None) -> list[Segment]:
+    """The index's segments (every one under ``out_dir`` when None)."""
+    if seg_ids is None:
+        from ..pipelines.query import list_segments
+
+        seg_ids = list_segments(out_dir)
+    return [Segment(out_dir, sid) for sid in seg_ids]
+
+
+def doclen_view(doc_ids: np.ndarray, doclens: np.ndarray) -> DoclenTable:
+    """A DoclenTable over given sorted arrays (e.g. zero-copy views of the
+    shared object-store copy)."""
+    table = DoclenTable.__new__(DoclenTable)
+    table.doc_ids, table.doclens = doc_ids, doclens
+    return table
+
+
+def gather_postings(term: str, owners: list[Segment]) -> tuple[np.ndarray, np.ndarray]:
+    """(doc_ids, tfs) of ``term`` over its owning shards, docID-sorted:
+    salted shards concatenate in docID order, and a stable sort fixes any
+    shard out of order."""
+    parts = [seg.term_postings(term) for seg in owners]
+    doc_ids = np.concatenate([p[0] for p in parts])
+    tfs = np.concatenate([p[1] for p in parts])
+    if len(doc_ids) > 1 and not np.all(doc_ids[1:] > doc_ids[:-1]):
+        o = np.argsort(doc_ids, kind="stable")
+        doc_ids, tfs = doc_ids[o], tfs[o]
+    return doc_ids, tfs
+
+
+def term_impacts(term: str, owners: list[Segment], doc_ids: np.ndarray, tfs: np.ndarray,
+                 doclens: DoclenTable, n_docs: int, avgdl: float) -> tuple:
+    """The impact arrays of ``term``, (doc_ids, contribs, lasts, bmax):
+    the query-independent BM25 contribution of each gathered posting
+    (``doc_ids``, ``tfs``) with the term's global idf, and the skip blocks
+    of every owning shard — last doc id and block-max score bound — in
+    doc order. The one builder of the scorer's cold path and of the
+    shared head-term impacts (pipelines.query)."""
+    idf_val = idf(sum(seg.dict[term][0] for seg in owners), n_docs)
+    skips = np.concatenate([seg.term_skips(term) for seg in owners])
+    lasts = skips["last_doc_id"].copy()
+    bmax = codecs.tf_upper_bound(skips["max_tf"], idf_val)
+    if len(lasts) > 1 and not np.all(lasts[1:] >= lasts[:-1]):
+        o = np.argsort(lasts, kind="stable")  # shards out of order
+        lasts, bmax = lasts[o], bmax[o]
+    contribs = score_tf(tfs, doclens.lookup(doc_ids).astype(np.float64), avgdl, idf_val)
+    return doc_ids, contribs, lasts, bmax
+
+
+def check_method(method: str) -> None:
+    """The scoring methods: "wand" serves, "brute" is its exhaustive
+    oracle (cursor WAND, ``cursor_wand_topk``, is a test oracle only)."""
+    if method not in ("wand", "brute"):
+        raise ValueError(f"method must be 'wand' or 'brute', not {method!r}")
+
+
 class QueryScorer:
     """Scores whole queries against the TERM-SHARDED index: segments hold
     disjoint term ranges (BASELINE.json:6 "globally sorted segments"), so a
     query's terms may live in different segments and per-segment top-k would
     split a document's score — the scorer therefore GATHERS each term's
-    cursor from the segment that owns it and runs one WAND over the full doc
-    space. Actors here are replicas (throughput), not shards (each query is
-    scored exactly once, completely).
+    postings from the segments that own it and runs one WAND over the full
+    doc space. Actors here are replicas (throughput), not shards (each query
+    is scored exactly once, completely).
 
     Segment files are memory-mapped, so replica actors on one node share
     page cache. At cluster scale the gather becomes a routed postings fetch
     from the segment holders; the per-query cost is O(query terms), which is
-    the standard term-sharded trade-off."""
+    the standard term-sharded trade-off.
+
+    Every non-``or`` mode runs the same steps through one helper each: term
+    lookup (``_owners_of``), posting intersection (``_intersect``), position
+    verification (``_positions_match`` over ``_candidate_positions``),
+    sorted-term scoring (``_present_sum`` / ``_scored_union``) and top-k."""
 
     def __init__(
         self,
@@ -575,7 +765,12 @@ class QueryScorer:
         terms_set_mod: int = 3,
         max_gaps: int = 2,
     ):
-        """``doc_range=(lo, hi)`` + ``pids`` activate the DOC-SHARDED mode
+        """``method``: "wand" (vectorized Block-Max WAND, or dense
+        accumulation when a query's postings cover much of the corpus) or
+        "brute" (exhaustive BM25, the in-test oracle); the two are
+        bit-identical.
+
+        ``doc_range=(lo, hi)`` + ``pids`` activate the DOC-SHARDED mode
         (cluster scorer-state path, SCALE.md): this scorer holds only the
         doclens of its partitions and scores each query over doc_ids in
         [lo, hi) — memory bounded by the doc range, results merged across
@@ -594,15 +789,7 @@ class QueryScorer:
         WAND's unfiltered block maxima remain admissible upper bounds and
         pruning stays exact (a filtered block's true max can only be
         lower)."""
-        from ..affinity import pin_worker
-
-        pin_worker()  # opt-in core pinning (AARHUS_PIN_CPUS=1); no-op default
-        stats = mf.read_stats(out_dir)
-        self.out_dir = out_dir
-        self.n_docs = int(stats["n_docs"])
-        self.avgdl = float(stats["avgdl"])
-        self.k = k
-        self.method = method
+        check_method(method)
         if mode not in ("or", "and", "phrase", "near", "span_near", "span_not",
                         "span_containing", "span_or", "span_within",
                         "span_multi", "prefix",
@@ -616,15 +803,16 @@ class QueryScorer:
                 f"'boost', 'boolean', 'msm', 'terms_set', 'wildcard', 'regexp', "
                 f"'query_string', 'phrase_prefix' or 'intervals', not {mode!r}"
             )
-        if mode == "and" and method not in ("wand", "brute"):
-            raise ValueError(f"conjunctive scoring supports wand/brute, not {method!r}")
-        if mode in ("prefix", "fuzzy", "fuzzy2", "boost", "boolean", "msm", "terms_set",
-                    "wildcard", "regexp", "query_string") and method not in ("wand", "brute"):
-            raise ValueError(f"{mode} scoring supports wand/brute, not {method!r}")
         if mode in ("phrase", "near", "span_near", "span_not", "span_containing",
                     "span_or", "span_within", "span_multi",
                     "phrase_prefix", "intervals") and method != "wand":
             raise ValueError(f"{mode} scoring supports method='wand', not {method!r}")
+        stats = mf.read_stats(out_dir)
+        self.out_dir = out_dir
+        self.n_docs = int(stats["n_docs"])
+        self.avgdl = float(stats["avgdl"])
+        self.k = k
+        self.method = method
         self.mode = mode
         self.near_window = int(near_window)
         self.min_should_match = int(min_should_match)
@@ -634,11 +822,6 @@ class QueryScorer:
         self.doc_range = (
             (np.uint64(doc_range[0]), np.uint64(doc_range[1])) if doc_range is not None else None
         )
-        if doc_range is not None and method not in ("wand", "brute"):
-            raise ValueError(f"doc-sharded scoring supports wand/brute, not {method!r}")
-        if filter_ids is not None and method == "wand_daat":
-            raise ValueError("facet filters support wand/brute (the cursor "
-                             "DAAT path reads segments directly)")
         import ray as _ray
 
         if isinstance(filter_ids, _ray.ObjectRef):
@@ -653,24 +836,15 @@ class QueryScorer:
         # df/idf/avgdl/N stay the pre-delete globals until compact_index
         # purges (the standard LSM trade; compaction restores fresh-build
         # statistics). Applied at gather time exactly like filter_ids, so
-        # WAND block maxima stay admissible and all methods stay
+        # WAND block maxima stay admissible and wand == brute stays
         # bit-identical. None (no tombstones dir) costs nothing.
         self.exclude_ids = mf.read_tombstones(out_dir)
-        if self.exclude_ids is not None and method == "wand_daat":
-            raise ValueError("an index with tombstones supports wand/brute "
-                             "(the cursor DAAT path reads segments directly)")
-        if seg_ids is None:
-            from ..pipelines.query import list_segments
-
-            seg_ids = list_segments(out_dir)
-        self.segments = [Segment(out_dir, sid) for sid in seg_ids]
+        self.segments = _open_segments(out_dir, seg_ids)
         self._shared_impacts: dict[str, tuple] = {}
         if shared_ref is not None:
             # zero-copy read-only views over the shared object-store copy
             dl_ids, dl_lens, impacts = _ray.get(shared_ref)
-            self.doclens = DoclenTable.__new__(DoclenTable)
-            self.doclens.doc_ids = dl_ids
-            self.doclens.doclens = dl_lens
+            self.doclens = doclen_view(dl_ids, dl_lens)
             self._shared_impacts = impacts
         else:
             self.doclens = DoclenTable(out_dir, pids=pids if doc_range is not None else None)
@@ -703,24 +877,14 @@ class QueryScorer:
         b1 = min(b1 + 1, len(lasts))
         return doc_ids[i0:i1], contribs_or_tfs[i0:i1], lasts[b0:b1], bmax[b0:b1]
 
-    def _member_mask(self, doc_ids: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
-        """Boolean membership of doc_ids (sorted) in a sorted id set
-        (default: the facet filter set) — vectorized searchsorted,
-        O(n log m)."""
-        table = self.filter_ids if table is None else table
-        pos = np.searchsorted(table, doc_ids)
-        ok = pos < len(table)
-        ok[ok] = table[pos[ok]] == doc_ids[ok]
-        return ok
-
     def _visible_mask(self, doc_ids: np.ndarray) -> np.ndarray | None:
         """Combined eligibility mask (facet include ∧ tombstone exclude),
         or None when neither is active."""
         m = None
         if self.filter_ids is not None:
-            m = self._member_mask(doc_ids)
+            m = _member_mask(doc_ids, self.filter_ids)
         if self.exclude_ids is not None:
-            ex = ~self._member_mask(doc_ids, self.exclude_ids)
+            ex = ~_member_mask(doc_ids, self.exclude_ids)
             m = ex if m is None else (m & ex)
         return m
 
@@ -749,21 +913,14 @@ class QueryScorer:
                 got = self._slice_to_range(*shared) if self.doc_range is not None else shared
                 got = self._apply_filter(got)
             else:
+                # the gather already holds only in-range docs (the range
+                # doclen table only has those); the range slice then trims
+                # the skip blocks
                 doc_ids, tfs = self._gather_postings(term, owners)
-                idf_val = idf(self._global_df(term, owners), self.n_docs)
-                skips_cat = np.concatenate([seg.term_skips(term) for seg in owners])
-                lasts = skips_cat["last_doc_id"].copy()
-                bmax = codecs.tf_upper_bound(skips_cat["max_tf"], idf_val)
-                if len(lasts) > 1 and not np.all(lasts[1:] >= lasts[:-1]):
-                    o = np.argsort(lasts, kind="stable")  # shards out of order
-                    lasts, bmax = lasts[o], bmax[o]
+                got = term_impacts(term, owners, doc_ids, tfs, self.doclens,
+                                   self.n_docs, self.avgdl)
                 if self.doc_range is not None:
-                    # slice BEFORE the doclen lookup: the range table only
-                    # holds in-range docs (searchsorted on others misindexes)
-                    doc_ids, tfs, lasts, bmax = self._slice_to_range(doc_ids, tfs, lasts, bmax)
-                dls = self.doclens.lookup(doc_ids)
-                contribs = score_tf(tfs, dls.astype(np.float64), self.avgdl, idf_val)
-                got = (doc_ids, contribs, lasts, bmax)
+                    got = self._slice_to_range(*got)
             self._charge_cache(len(got[0]))
             self._term_cache[term] = got
         return got
@@ -788,16 +945,31 @@ class QueryScorer:
         docID-sorted."""
         return [seg for seg in self.segments if term in seg.dict]
 
+    def _owners_of(self, toks, required: bool = False) -> dict[str, list[Segment]] | None:
+        """The term lookup of every mode: {term: owning shards} for the
+        distinct in-vocabulary terms of ``toks``, in sorted-term order (the
+        frozen accumulation order). Out-of-vocabulary terms drop; with
+        ``required`` one of them makes the result None (the modes where an
+        OOV term empties the query)."""
+        owners = {}
+        for t in sorted(set(toks)):
+            segs = self._owners(t)
+            if segs:
+                owners[t] = segs
+            elif required:
+                return None
+        return owners
+
+    def _entries(self, owners: dict[str, list[Segment]]) -> list[tuple]:
+        """The cached (doc_ids, contribs, lasts, bmax) arrays of each term
+        of ``owners``, in its order."""
+        return [self._term_arrays(t, segs) for t, segs in owners.items()]
+
     def _global_df(self, term: str, owners: list[Segment]) -> int:
         return sum(seg.dict[term][0] for seg in owners)
 
     def _gather_postings(self, term: str, owners: list[Segment]):
-        parts = [seg.term_postings(term) for seg in owners]
-        doc_ids = np.concatenate([p[0] for p in parts])
-        tfs = np.concatenate([p[1] for p in parts])
-        if len(doc_ids) > 1 and not np.all(doc_ids[1:] > doc_ids[:-1]):
-            o = np.argsort(doc_ids, kind="stable")
-            doc_ids, tfs = doc_ids[o], tfs[o]
+        doc_ids, tfs = gather_postings(term, owners)
         if self.doc_range is not None:
             lo, hi = self.doc_range
             i0 = int(np.searchsorted(doc_ids, lo, side="left"))
@@ -807,6 +979,16 @@ class QueryScorer:
         if m is not None:
             doc_ids, tfs = doc_ids[m], tfs[m]
         return doc_ids, tfs
+
+    def _brute(self, owners: dict[str, list[Segment]], **kw) -> tuple[np.ndarray, np.ndarray]:
+        """brute_force_topk over the terms of ``owners`` (the in-test
+        oracle of the wand path; ``kw``: conjunctive / min_match)."""
+        postings = {t: self._gather_postings(t, segs) for t, segs in owners.items()}
+        dfs = {t: self._global_df(t, segs) for t, segs in owners.items()}
+        return brute_force_topk(
+            list(owners), postings, dfs, self.doclens.lookup, self.n_docs,
+            self.avgdl, self.k, **kw,
+        )
 
     def _score_query_conj(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         """Conjunctive (AND) BM25 top-k: only docs containing EVERY query
@@ -819,24 +1001,12 @@ class QueryScorer:
         scoring, accumulated in sorted-term order — conjunctive top-k is
         bit-identical to disjunctive scores filtered to all-terms docs
         (property-tested against brute_force_topk(conjunctive=True))."""
-        toks = set(tokenize(text))
-        if not toks:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        owners = {}
-        for t in toks:
-            segs = self._owners(t)
-            if not segs:
-                return np.empty(0, np.uint64), np.empty(0, np.float64)
-            owners[t] = segs
-        terms = sorted(owners)
+        owners = self._owners_of(tokenize(text), required=True)
+        if not owners:
+            return _no_hits()
         if self.method == "brute":
-            postings = {t: self._gather_postings(t, owners[t]) for t in terms}
-            dfs = {t: self._global_df(t, owners[t]) for t in terms}
-            return brute_force_topk(
-                terms, postings, dfs, self.doclens.lookup, self.n_docs,
-                self.avgdl, self.k, conjunctive=True,
-            )
-        entries = [self._term_arrays(t, owners[t]) for t in terms]
+            return self._brute(owners, conjunctive=True)
+        entries = self._entries(owners)
         # fused intersection + contribution gather: ONE searchsorted per
         # term total (smallest-list-first), keeping each term's contribs
         # aligned to the shrinking candidate set — the old shape re-ran
@@ -851,16 +1021,13 @@ class QueryScorer:
         for i in order_by_len[1:]:
             if len(cand) == 0:
                 break
-            d_ids, contribs = entries[i][0], entries[i][1]
-            pos = np.searchsorted(d_ids, cand)
-            ok = pos < len(d_ids)
-            ok[ok] = d_ids[pos[ok]] == cand[ok]
+            pos, ok = _sorted_lookup(cand, entries[i][0])
             cand = cand[ok]
             for j in kept:
                 kept[j] = kept[j][ok]
-            kept[i] = contribs[pos[ok]]
+            kept[i] = entries[i][1][pos[ok]]
         if len(cand) == 0:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
+            return _no_hits()
         scores = np.zeros(len(cand), dtype=np.float64)
         for i in range(len(entries)):  # sorted-term order
             scores += kept[i]
@@ -883,43 +1050,15 @@ class QueryScorer:
         Cost is the same postings union a disjunctive query reads; at
         cluster scale the doc-sharded scorer path applies unchanged
         (counts are per-doc facts, computed wholly inside one range)."""
-        toks = set(tokenize(text))
         m = self.min_should_match
-        owners = {}
-        for t in toks:
-            segs = self._owners(t)
-            if segs:
-                owners[t] = segs
-        terms = sorted(owners)
-        if not terms or len(terms) < m:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
+        owners = self._owners_of(tokenize(text))
+        if not owners or len(owners) < m:
+            return _no_hits()
         if self.method == "brute":
-            postings = {t: self._gather_postings(t, owners[t]) for t in terms}
-            dfs = {t: self._global_df(t, owners[t]) for t in terms}
-            return brute_force_topk(
-                terms, postings, dfs, self.doclens.lookup, self.n_docs,
-                self.avgdl, self.k, min_match=m,
-            )
-        entries = [self._term_arrays(t, owners[t]) for t in terms]
-        # fused: one unique(return_inverse) + one bincount replaces the
-        # per-term full-list searchsorted scoring round (the conj-fusion
-        # sibling). bincount's C loop adds weights in FLAT input order =
-        # concatenation in sorted-term order, so each doc's float
-        # accumulation order — the brute bit-identity invariant — is the
-        # per-term loop's exactly (property-tested m=1 ≡ or, m=n ≡ and).
-        cand, inv, counts = np.unique(
-            np.concatenate([e[0] for e in entries]),
-            return_inverse=True,
-            return_counts=True,
-        )
-        scores_all = np.bincount(
-            inv, weights=np.concatenate([e[1] for e in entries]), minlength=len(cand)
-        )
+            return self._brute(owners, min_match=m)
+        cand, scores, counts = self._counted_union(owners)
         keep = counts >= m
-        cand, scores = cand[keep], scores_all[keep]
-        if len(cand) == 0:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        return topk_select(cand, scores, self.k)
+        return topk_select(cand[keep], scores[keep], self.k)
 
     def _score_query_terms_set(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         """terms_set query (ES `terms_set` with minimum_should_match_field):
@@ -934,47 +1073,29 @@ class QueryScorer:
         (the knob gates eligibility, never statistics). The doclen gather
         is the scorer's existing doclen table — per-doc facts resolve
         wholly inside one doc range at cluster scale."""
-        toks = set(tokenize(text))
-        owners = {}
-        for t in toks:
-            segs = self._owners(t)
-            if segs:
-                owners[t] = segs
-        terms = sorted(owners)
-        if not terms:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        entries = [self._term_arrays(t, owners[t]) for t in terms]
-        # same fused unique+bincount shape as msm (see there for the
-        # accumulation-order argument); only the gate differs (per-doc)
+        owners = self._owners_of(tokenize(text))
+        if not owners:
+            return _no_hits()
+        cand, scores, counts = self._counted_union(owners)
+        keep = counts >= 1 + self.doclens.lookup(cand) % self.terms_set_mod
+        return topk_select(cand[keep], scores[keep], self.k)
+
+    def _counted_union(self, owners) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(docs, BM25 sums, matched-term counts) over the postings union
+        of ``owners`` — one unique(return_inverse) + one bincount. The
+        bincount's C loop adds weights in FLAT input order = concatenation
+        in sorted-term order, so each doc's float accumulation order — the
+        brute bit-identity invariant — is the per-term loop's exactly."""
+        entries = self._entries(owners)
         cand, inv, counts = np.unique(
             np.concatenate([e[0] for e in entries]),
             return_inverse=True,
             return_counts=True,
         )
-        scores_all = np.bincount(
+        scores = np.bincount(
             inv, weights=np.concatenate([e[1] for e in entries]), minlength=len(cand)
         )
-        required = 1 + self.doclens.lookup(cand) % self.terms_set_mod
-        keep = counts >= required
-        cand, scores = cand[keep], scores_all[keep]
-        if len(cand) == 0:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        return topk_select(cand, scores, self.k)
-
-    def _conj_candidates(self, terms: list[str], entries: list[tuple]) -> np.ndarray:
-        """Posting-list intersection, smallest-list-first (vectorized
-        searchsorted membership — shared by the AND and phrase modes)."""
-        order_by_len = sorted(range(len(entries)), key=lambda i: len(entries[i][0]))
-        cand = entries[order_by_len[0]][0]
-        for i in order_by_len[1:]:
-            if len(cand) == 0:
-                break
-            d_ids = entries[i][0]
-            pos = np.searchsorted(d_ids, cand)
-            ok = pos < len(d_ids)
-            ok[ok] = d_ids[pos[ok]] == cand[ok]
-            cand = cand[ok]
-        return cand
+        return cand, scores, counts
 
     def _texts_of(self, doc_ids: np.ndarray) -> list[str]:
         """Fetch candidate texts from the docs/ checkpoint, partition-pruned
@@ -1003,14 +1124,13 @@ class QueryScorer:
 
     def _positions_of_docs(self, term: str, owners_of_term, cand: np.ndarray):
         """Absolute within-doc positions of ``term`` for each candidate doc
-        (aligned list; cand sorted). Each candidate lives in exactly one
-        docID-disjoint shard; positions decode from that shard's sidecar."""
-        out: list[np.ndarray | None] = [None] * len(cand)
+        (aligned list, empty where absent; cand sorted). Each candidate
+        lives in exactly one docID-disjoint shard; positions decode from
+        that shard's sidecar."""
+        out: list[np.ndarray] = [_NO_POS] * len(cand)
         for seg in owners_of_term:
             d_ids, _ = seg.term_postings(term)
-            idx = np.searchsorted(d_ids, cand)
-            ok = idx < len(d_ids)
-            ok[ok] = d_ids[idx[ok]] == cand[ok]
+            idx, ok = _sorted_lookup(cand, d_ids)
             if not ok.any():
                 continue
             vals, bounds = seg.term_positions(term)
@@ -1020,114 +1140,69 @@ class QueryScorer:
                 out[ci] = np.cumsum(sub)  # deltas → absolute, ascending
         return out
 
-    def _verify_near_positions(
-        self, terms: list[str], owners, cand: np.ndarray, window: int
-    ) -> np.ndarray:
-        """Proximity check over the positional sidecar: candidate ci
-        survives iff some choice of one occurrence per term spans < window
-        tokens (min cover span ≤ window−1; classic k-sorted-lists sliding
-        window). No checkpoint text is touched."""
-        pos_by_term = {t: self._positions_of_docs(t, owners[t], cand) for t in terms}
-        keep = np.zeros(len(cand), dtype=bool)
-        for ci in range(len(cand)):
-            lists = [pos_by_term[t][ci] for t in terms]
-            if any(p is None or len(p) == 0 for p in lists):
-                continue
-            keep[ci] = _min_cover_span(lists) <= window - 1
-        return keep
+    def _candidate_positions(self, cand: np.ndarray, owners) -> dict[str, list[np.ndarray]]:
+        """The one position source of the positional modes: {term: the
+        term's ascending within-doc positions in each candidate} for the
+        terms of ``owners`` (an empty array where a candidate lacks the
+        term). Positions decode from pos.bin when every owning shard
+        carries the sidecar; otherwise the candidates' stored texts are
+        re-tokenized from the docs/ checkpoint (partition-pruned fetch)
+        and a term's positions are its token indices — the fallback
+        engines ship when the index carries no positions, O(candidates ×
+        doclen), right for selective queries. The two sources are equal
+        (tests/test_positions.py pins the round trip and every positional
+        mode's answers on both builds)."""
+        if all(seg.pos_dict is not None for segs in owners.values() for seg in segs):
+            return {t: self._positions_of_docs(t, segs, cand) for t, segs in owners.items()}
+        toks = [np.asarray(tokenize(x), dtype=object) for x in self._texts_of(cand)]
+        return {t: [np.flatnonzero(a == t) for a in toks] for t in owners}
 
-    def _verify_span_positions(
-        self, seq: list[str], owners, cand: np.ndarray, slop: int
-    ) -> np.ndarray:
-        """Ordered-proximity check over the positional sidecar: candidate
-        ci survives iff some strictly-increasing pick of one occurrence per
-        SEQUENCE position spans ≤ len(seq)−1+slop tokens (Lucene
-        span_near in_order=true). slop=0 degenerates to exact phrase."""
-        pos_by_term = {t: self._positions_of_docs(t, owners[t], cand) for t in set(seq)}
-        limit = len(seq) - 1 + slop
-        keep = np.zeros(len(cand), dtype=bool)
-        for ci in range(len(cand)):
-            lists = [pos_by_term[t][ci] for t in seq]
-            if any(p is None or len(p) == 0 for p in lists):
-                continue
-            keep[ci] = _min_ordered_span(lists) <= limit
-        return keep
-
-    def _verify_phrase_positions(self, seq: list[str], owners, cand: np.ndarray) -> np.ndarray:
-        """Index-native adjacency check: consecutive positional
-        intersection (pos(t_{i+1}) ∩ (survivors+1)) — the classic phrase
-        algorithm over a positional index; no checkpoint text is touched."""
-        pos_by_term = {t: self._positions_of_docs(t, owners[t], cand) for t in set(seq)}
-        keep = np.zeros(len(cand), dtype=bool)
-        for ci in range(len(cand)):
-            cur = pos_by_term[seq[0]][ci]
-            for t in seq[1:]:
-                if cur is None or len(cur) == 0:
-                    break
-                cur = np.intersect1d(cur + 1, pos_by_term[t][ci], assume_unique=True)
-            keep[ci] = cur is not None and len(cur) > 0
-        return keep
-
-    def _verify_phrase(self, seq: list[str], owners, cand: np.ndarray) -> np.ndarray:
-        """Adjacency filter over conjunctive candidates: positional
-        sidecar when every owning shard carries one, else re-tokenize
-        candidate texts from the docs/ checkpoint (the two-engine shape
-        shared by phrase mode and query_string phrase clauses)."""
-        if len(cand) == 0 or len(seq) <= 1:
+    def _positions_match(self, cand: np.ndarray, owners, pred) -> np.ndarray:
+        """``cand`` narrowed to the candidates whose term positions
+        satisfy ``pred`` ({term: positions} → bool), the positions of the
+        terms of ``owners`` coming from ``_candidate_positions``. Every
+        positional predicate here is False when a list it needs is empty."""
+        if len(cand) == 0:
             return cand
-        if all(seg.pos_dict is not None for t in owners for seg in owners[t]):
-            # positional index: verify adjacency from pos.bin (no
-            # checkpoint fetch, no re-tokenization)
-            return cand[self._verify_phrase_positions(seq, owners, cand)]
-        texts = self._texts_of(cand)
-        keep = np.zeros(len(cand), dtype=bool)
-        L = len(seq)
-        for i, doc_text in enumerate(texts):
-            toks = tokenize(doc_text)
-            if len(toks) < L:
-                continue
-            arr = np.asarray(toks, dtype=object)
-            idx = np.flatnonzero(arr[: len(arr) - L + 1] == seq[0])
-            for off in range(1, L):
-                if len(idx) == 0:
-                    break
-                idx = idx[arr[idx + off] == seq[off]]
-            keep[i] = len(idx) > 0
+        pos = self._candidate_positions(cand, owners)
+        keep = np.fromiter(
+            (pred({t: p[i] for t, p in pos.items()}) for i in range(len(cand))),
+            dtype=bool, count=len(cand),
+        )
         return cand[keep]
 
-    def _score_query_phrase(self, text: str) -> tuple[np.ndarray, np.ndarray]:
-        """Exact phrase retrieval WITHOUT a positional index: candidates are
-        the conjunctive posting-list intersection of the phrase's terms;
-        adjacency is verified by re-tokenizing each candidate's stored text
-        from the docs/ checkpoint (partition-pruned fetch); survivors rank
-        by the ordinary BM25 sum of the phrase's DISTINCT terms, frozen
-        order (score DESC, doc_id ASC).
+    def _verify_phrase(self, seq: list[str], owners, cand: np.ndarray) -> np.ndarray:
+        """Adjacency filter over conjunctive candidates (phrase mode,
+        phrase_prefix completions and query_string phrase clauses): the
+        classic consecutive positional intersection
+        pos(t_{i+1}) ∩ (survivors + 1)."""
+        if len(seq) <= 1:
+            return cand
 
-        Scale posture (SCALE.md): verification cost is O(candidates ×
-        doclen) — right for selective phrases (any phrase with one rare
-        term). A stopword-only phrase at 10^12 docs wants the positional
-        posting sidecar (pos.bin per segment, delta-varint positions);
-        this verify-from-checkpoint form is the standard fallback engines
-        ship when the index carries no positions."""
+        def adjacent(P) -> bool:
+            cur = P[seq[0]]
+            for t in seq[1:]:
+                if len(cur) == 0:
+                    return False
+                cur = np.intersect1d(cur + 1, P[t], assume_unique=True)
+            return len(cur) > 0
+
+        return self._positions_match(cand, {t: owners[t] for t in set(seq)}, adjacent)
+
+    def _score_query_phrase(self, text: str) -> tuple[np.ndarray, np.ndarray]:
+        """Exact phrase retrieval: candidates are the conjunctive
+        posting-list intersection of the phrase's terms; adjacency is
+        verified over the positions of ``_candidate_positions``; survivors
+        rank by the ordinary BM25 sum of the phrase's DISTINCT terms,
+        frozen order (score DESC, doc_id ASC). An OOV term empties the
+        result."""
         seq = tokenize(text)
-        if not seq:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        owners = {}
-        for t in set(seq):
-            segs = self._owners(t)
-            if not segs:
-                return np.empty(0, np.uint64), np.empty(0, np.float64)
-            owners[t] = segs
-        terms = sorted(owners)
-        entries = [self._term_arrays(t, owners[t]) for t in terms]
-        cand = self._conj_candidates(terms, entries)
-        cand = self._verify_phrase(seq, owners, cand)
-        if len(cand) == 0:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        scores = np.zeros(len(cand), dtype=np.float64)
-        for doc_ids, contribs, _, _ in entries:  # sorted-term order
-            scores += contribs[np.searchsorted(doc_ids, cand)]
-        return topk_select(cand, scores, self.k)
+        owners = self._owners_of(seq, required=True)
+        if not owners:
+            return _no_hits()
+        entries = self._entries(owners)
+        cand = self._verify_phrase(seq, owners, _intersect([e[0] for e in entries]))
+        return topk_select(cand, _present_sum(cand, entries), self.k)
 
     def _score_query_span(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         """Ordered proximity (span_near, in_order=true): a doc qualifies
@@ -1136,45 +1211,28 @@ class QueryScorer:
         len(seq)−1+span_slop consecutive tokens. slop=0 ≡ phrase; unlike
         mode="near", "query the" and "the query" are different queries.
         Candidates are the conjunctive intersection of the DISTINCT terms
-        (a necessary condition); the ordered-span predicate verifies from
-        the positional sidecar when every owning shard carries one, else by
-        re-tokenizing candidate texts from the docs/ checkpoint (the same
-        two-engine shape as phrase/near, pinned equal by test). An OOV term
-        empties the result; a single-token query degenerates to AND
-        (span 0 ≤ slop). Survivors rank by the BM25 sum of the distinct
-        terms, frozen (score DESC, doc_id ASC) order."""
+        (a necessary condition), verified by the ordered-span predicate
+        over ``_candidate_positions``. An OOV term empties the result; a
+        single-token query degenerates to AND (span 0 ≤ slop). Survivors
+        rank by the BM25 sum of the distinct terms, frozen (score DESC,
+        doc_id ASC) order."""
         seq = tokenize(text)
-        if not seq:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        owners = {}
-        for t in set(seq):
-            segs = self._owners(t)
-            if not segs:
-                return np.empty(0, np.uint64), np.empty(0, np.float64)
-            owners[t] = segs
-        terms = sorted(owners)
-        entries = [self._term_arrays(t, owners[t]) for t in terms]
-        cand = self._conj_candidates(terms, entries)
-        if len(cand) and len(seq) > 1:
-            if all(seg.pos_dict is not None for t in owners for seg in owners[t]):
-                cand = cand[self._verify_span_positions(seq, owners, cand, self.span_slop)]
-            else:
-                texts = self._texts_of(cand)
-                limit = len(seq) - 1 + self.span_slop
-                keep = np.zeros(len(cand), dtype=bool)
-                for i, doc_text in enumerate(texts):
-                    arr = np.asarray(tokenize(doc_text), dtype=object)
-                    lists = [np.flatnonzero(arr == t) for t in seq]
-                    if any(len(p) == 0 for p in lists):
-                        continue
-                    keep[i] = _min_ordered_span(lists) <= limit
-                cand = cand[keep]
-        if len(cand) == 0:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        scores = np.zeros(len(cand), dtype=np.float64)
-        for doc_ids, contribs, _, _ in entries:  # sorted-term order
-            scores += contribs[np.searchsorted(doc_ids, cand)]
-        return topk_select(cand, scores, self.k)
+        owners = self._owners_of(seq, required=True)
+        if not owners:
+            return _no_hits()
+        entries = self._entries(owners)
+        cand = _intersect([e[0] for e in entries])
+        if len(seq) > 1:
+            cand = self._verify_ordered(seq, owners, cand, self.span_slop)
+        return topk_select(cand, _present_sum(cand, entries), self.k)
+
+    def _verify_ordered(self, seq: list[str], owners, cand: np.ndarray, slop: int) -> np.ndarray:
+        """The span_near predicate: some strictly-increasing pick of one
+        occurrence per SEQUENCE position spans ≤ len(seq)−1+slop tokens."""
+        limit = len(seq) - 1 + slop
+        return self._positions_match(
+            cand, owners, lambda P: _min_ordered_span([P[t] for t in seq]) <= limit
+        )
 
     def _score_query_span_not(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         """Lucene ``span_not`` (pre=post=0): query text is
@@ -1188,79 +1246,29 @@ class QueryScorer:
         ``t ! t`` is provably empty (every window contains its own pick).
         Survivors rank by the BM25 sum of the DISTINCT INCLUDE terms
         (Lucene scores SpanNot by the include span), frozen
-        (score DESC, doc_id ASC). Verification reads the positional
-        sidecar when every owning shard (include AND exclude) carries one,
-        else re-tokenizes candidate texts from the docs/ checkpoint — the
-        two-engine shape shared by phrase/near/span_near."""
+        (score DESC, doc_id ASC)."""
         if "!" not in text:
             raise ValueError("span_not query must be 'include_seq ! exclude_terms'")
         inc_part, exc_part = text.split("!", 1)
         seq = tokenize(inc_part)
-        excl_terms = sorted(set(tokenize(exc_part)))
-        if not seq:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        owners = {}
-        for t in set(seq):
-            segs = self._owners(t)
-            if not segs:
-                return np.empty(0, np.uint64), np.empty(0, np.float64)
-            owners[t] = segs
-        # exclude terms gate nothing; absent/OOV ones simply have no
-        # positions to veto with
-        excl_owners = {t: self._owners(t) for t in excl_terms}
-        excl_owners = {t: s for t, s in excl_owners.items() if s}
-        terms = sorted(owners)
-        entries = [self._term_arrays(t, owners[t]) for t in terms]
-        cand = self._conj_candidates(terms, entries)
-        if len(cand):
-            limit = len(seq) - 1 + self.span_slop
-            all_segs = list(owners.values()) + list(excl_owners.values())
-            if all(seg.pos_dict is not None for segs in all_segs for seg in segs):
-                pos_by_term = {
-                    t: self._positions_of_docs(t, owners[t], cand) for t in set(seq)
-                }
-                excl_by_term = {
-                    t: self._positions_of_docs(t, excl_owners[t], cand)
-                    for t in excl_owners
-                }
-                keep = np.zeros(len(cand), dtype=bool)
-                for ci in range(len(cand)):
-                    lists = [pos_by_term[t][ci] for t in seq]
-                    if any(p is None or len(p) == 0 for p in lists):
-                        continue
-                    ex = [
-                        p
-                        for p in (excl_by_term[t][ci] for t in excl_owners)
-                        if p is not None and len(p)
-                    ]
-                    excl = (
-                        np.sort(np.concatenate(ex))
-                        if ex
-                        else np.empty(0, np.int64)
-                    )
-                    keep[ci] = _clean_span_exists(lists, excl, limit)
-                cand = cand[keep]
-            else:
-                texts = self._texts_of(cand)
-                keep = np.zeros(len(cand), dtype=bool)
-                for i, doc_text in enumerate(texts):
-                    arr = np.asarray(tokenize(doc_text), dtype=object)
-                    lists = [np.flatnonzero(arr == t) for t in seq]
-                    if any(len(p) == 0 for p in lists):
-                        continue
-                    excl = np.sort(
-                        np.concatenate(
-                            [np.flatnonzero(arr == t) for t in excl_terms]
-                        )
-                    ) if excl_terms else np.empty(0, np.int64)
-                    keep[i] = _clean_span_exists(lists, excl, limit)
-                cand = cand[keep]
-        if len(cand) == 0:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        scores = np.zeros(len(cand), dtype=np.float64)
-        for doc_ids, contribs, _, _ in entries:  # sorted-term order
-            scores += contribs[np.searchsorted(doc_ids, cand)]
-        return topk_select(cand, scores, self.k)
+        owners = self._owners_of(seq, required=True)
+        if not owners:
+            return _no_hits()
+        # exclude terms gate nothing; OOV ones simply have no positions
+        # to veto with
+        excl_owners = self._owners_of(tokenize(exc_part))
+        entries = self._entries(owners)
+        cand = _intersect([e[0] for e in entries])
+        limit = len(seq) - 1 + self.span_slop
+        cand = self._positions_match(
+            cand, {**owners, **excl_owners},
+            lambda P: _clean_span_exists(
+                [P[t] for t in seq],
+                np.sort(np.concatenate([_NO_POS] + [P[t] for t in excl_owners])),
+                limit,
+            ),
+        )
+        return topk_select(cand, _present_sum(cand, entries), self.k)
 
     def _score_query_span_containing(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         """Lucene ``span_containing``: query text is ``big_seq @
@@ -1273,78 +1281,27 @@ class QueryScorer:
         opposite degeneracy, pinned by test), while ``t @ t`` degenerates
         to span_near on t (every single-pick window contains its own
         pick). Survivors rank by the BM25 sum of the DISTINCT BIG terms
-        (Lucene scores the big span). Verification reads pos.bin when
-        every owning shard carries one, else re-tokenizes candidate texts
-        — the span family's two-engine shape."""
+        (Lucene scores the big span)."""
         if "@" not in text:
             raise ValueError("span_containing query must be 'big_seq @ little_terms'")
         big_part, little_part = text.split("@", 1)
         seq = tokenize(big_part)
-        little_terms = sorted(set(tokenize(little_part)))
-        if not seq or not little_terms:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        owners = {}
-        for t in set(seq):
-            segs = self._owners(t)
-            if not segs:
-                return np.empty(0, np.uint64), np.empty(0, np.float64)
-            owners[t] = segs
-        little_owners = {t: self._owners(t) for t in little_terms}
-        little_owners = {t: s for t, s in little_owners.items() if s}
-        if not little_owners:  # no little occurrence anywhere: no containment
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        terms = sorted(owners)
-        entries = [self._term_arrays(t, owners[t]) for t in terms]
-        cand = self._conj_candidates(terms, entries)
-        if len(cand):
-            limit = len(seq) - 1 + self.span_slop
-            all_segs = list(owners.values()) + list(little_owners.values())
-            if all(seg.pos_dict is not None for segs in all_segs for seg in segs):
-                pos_by_term = {
-                    t: self._positions_of_docs(t, owners[t], cand) for t in set(seq)
-                }
-                little_by_term = {
-                    t: self._positions_of_docs(t, little_owners[t], cand)
-                    for t in little_owners
-                }
-                keep = np.zeros(len(cand), dtype=bool)
-                for ci in range(len(cand)):
-                    lists = [pos_by_term[t][ci] for t in seq]
-                    if any(p is None or len(p) == 0 for p in lists):
-                        continue
-                    inn = [
-                        p
-                        for p in (little_by_term[t][ci] for t in little_owners)
-                        if p is not None and len(p)
-                    ]
-                    inner = (
-                        np.sort(np.concatenate(inn))
-                        if inn
-                        else np.empty(0, np.int64)
-                    )
-                    keep[ci] = _containing_span_exists(lists, inner, limit)
-                cand = cand[keep]
-            else:
-                texts = self._texts_of(cand)
-                keep = np.zeros(len(cand), dtype=bool)
-                for i, doc_text in enumerate(texts):
-                    arr = np.asarray(tokenize(doc_text), dtype=object)
-                    lists = [np.flatnonzero(arr == t) for t in seq]
-                    if any(len(p) == 0 for p in lists):
-                        continue
-                    inner = np.sort(
-                        np.concatenate(
-                            [np.flatnonzero(arr == t) for t in little_terms]
-                        )
-                    )
-                    keep[i] = _containing_span_exists(lists, inner, limit)
-                cand = cand[keep]
-        if len(cand) == 0:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        scores = np.zeros(len(cand), dtype=np.float64)
-        for doc_ids, contribs, _, _ in entries:  # sorted-term order
-            scores += contribs[np.searchsorted(doc_ids, cand)]
-        return topk_select(cand, scores, self.k)
+        owners = self._owners_of(seq, required=True)
+        little_owners = self._owners_of(tokenize(little_part))
+        if not owners or not little_owners:  # no little occurrence: no containment
+            return _no_hits()
+        entries = self._entries(owners)
+        cand = _intersect([e[0] for e in entries])
+        limit = len(seq) - 1 + self.span_slop
+        cand = self._positions_match(
+            cand, {**owners, **little_owners},
+            lambda P: _containing_span_exists(
+                [P[t] for t in seq],
+                np.sort(np.concatenate([P[t] for t in little_owners])),
+                limit,
+            ),
+        )
+        return topk_select(cand, _present_sum(cand, entries), self.k)
 
     def _score_query_span_or(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         """Lucene ``span_or`` over whole sequences: query text is
@@ -1358,67 +1315,26 @@ class QueryScorer:
         span_near(t) (pinned by test). Survivors rank by the BM25 sum of
         the DISTINCT terms across ALL alternatives (absent terms
         contribute 0 — the intervals-family scoring rule), frozen
-        (score DESC, doc_id ASC). Verification per alternative reads the
-        positional sidecar when every owning shard carries one, else
-        re-tokenizes candidate texts — the span family's two-engine
-        shape."""
+        (score DESC, doc_id ASC)."""
         alts = [seq for part in text.split("|") if (seq := tokenize(part))]
-        if not alts:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        matched: np.ndarray | None = None
         # scoring vocabulary: every in-vocab term of EVERY alternative —
         # a dead alternative (one OOV member) contributes no MATCHES, but
         # its live terms still score (doc-level BM25 over the union
         # vocabulary; the SQL oracle's qd has the same rows)
-        vocab_owners: dict[str, list] = {}
+        vocab_owners = self._owners_of([t for seq in alts for t in seq])
+        matched: np.ndarray | None = None
         for seq in alts:
-            for t in set(seq):
-                if t not in vocab_owners:
-                    segs = self._owners(t)
-                    if segs:
-                        vocab_owners[t] = segs
-        for seq in alts:
-            owners = {}
-            live = True
-            for t in set(seq):
-                segs = vocab_owners.get(t)
-                if not segs:
-                    live = False
-                    break
-                owners[t] = segs
-            if not live:
+            if any(t not in vocab_owners for t in seq):
                 continue  # dead alternative: contributes no matches
-            terms = sorted(owners)
-            entries = [self._term_arrays(t, owners[t]) for t in terms]
-            cand = self._conj_candidates(terms, entries)
-            if len(cand) and len(seq) > 1:
-                if all(seg.pos_dict is not None for t in owners for seg in owners[t]):
-                    cand = cand[
-                        self._verify_span_positions(seq, owners, cand, self.span_slop)
-                    ]
-                else:
-                    texts = self._texts_of(cand)
-                    limit = len(seq) - 1 + self.span_slop
-                    keep = np.zeros(len(cand), dtype=bool)
-                    for i, doc_text in enumerate(texts):
-                        arr = np.asarray(tokenize(doc_text), dtype=object)
-                        lists = [np.flatnonzero(arr == t) for t in seq]
-                        if any(len(p) == 0 for p in lists):
-                            continue
-                        keep[i] = _min_ordered_span(lists) <= limit
-                    cand = cand[keep]
+            owners = {t: vocab_owners[t] for t in set(seq)}
+            cand = _intersect([e[0] for e in self._entries(owners)])
+            if len(seq) > 1:
+                cand = self._verify_ordered(seq, owners, cand, self.span_slop)
             if len(cand):
                 matched = cand if matched is None else np.union1d(matched, cand)
-        if matched is None or len(matched) == 0:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        scores = np.zeros(len(matched), dtype=np.float64)
-        for t in sorted(vocab_owners):  # sorted-term accumulation (frozen)
-            doc_ids, contribs, _, _ = self._term_arrays(t, vocab_owners[t])
-            idx = np.searchsorted(doc_ids, matched)
-            ok = idx < len(doc_ids)
-            ok[ok] = doc_ids[idx[ok]] == matched[ok]
-            scores[ok] += contribs[idx[ok]]
-        return topk_select(matched, scores, self.k)
+        if matched is None:
+            return _no_hits()
+        return topk_select(matched, _present_sum(matched, self._entries(vocab_owners)), self.k)
 
     def _score_query_span_within(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         """Lucene ``span_within``: query text is ``little_seq < big_seq``
@@ -1432,64 +1348,31 @@ class QueryScorer:
         empty (both spans need positions); ``t < t`` ≡ span_near(t)
         (every single-position little sits inside its own big window —
         pinned by test). Candidates are the conjunctive intersection of
-        little ∪ big terms; enclosure is verified from the positional
-        sidecar when every owning shard carries one, else by
-        re-tokenizing candidate texts (_within_span_exists — exact by
-        the widest-achievable-window + greedy-inside-window arguments)."""
+        little ∪ big terms; enclosure is verified by _within_span_exists
+        (exact by the widest-achievable-window + greedy-inside-window
+        arguments)."""
         if "<" not in text:
             raise ValueError("span_within query must be 'little_seq < big_seq'")
         little_part, big_part = text.split("<", 1)
         little = tokenize(little_part)
         big = tokenize(big_part)
         if not little or not big:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        owners = {}
-        for t in set(little) | set(big):
-            segs = self._owners(t)
-            if not segs:
-                return np.empty(0, np.uint64), np.empty(0, np.float64)
-            owners[t] = segs
-        terms = sorted(owners)
-        entries = {t: self._term_arrays(t, owners[t]) for t in terms}
-        cand = self._conj_candidates(terms, [entries[t] for t in terms])
-        if len(cand):
-            big_limit = len(big) - 1 + self.span_slop
-            little_limit = len(little) - 1 + self.span_slop
-            keep = np.zeros(len(cand), dtype=bool)
-            if all(seg.pos_dict is not None for t in owners for seg in owners[t]):
-                pos_by_term = {
-                    t: self._positions_of_docs(t, owners[t], cand)
-                    for t in set(little) | set(big)
-                }
-                for ci in range(len(cand)):
-                    big_lists = [pos_by_term[t][ci] for t in big]
-                    little_lists = [pos_by_term[t][ci] for t in little]
-                    if any(
-                        p is None or len(p) == 0 for p in big_lists + little_lists
-                    ):
-                        continue
-                    keep[ci] = _within_span_exists(
-                        big_lists, little_lists, big_limit, little_limit
-                    )
-            else:
-                texts = self._texts_of(cand)
-                for ci, doc_text in enumerate(texts):
-                    arr = np.asarray(tokenize(doc_text), dtype=object)
-                    big_lists = [np.flatnonzero(arr == t) for t in big]
-                    little_lists = [np.flatnonzero(arr == t) for t in little]
-                    if any(len(p) == 0 for p in big_lists + little_lists):
-                        continue
-                    keep[ci] = _within_span_exists(
-                        big_lists, little_lists, big_limit, little_limit
-                    )
-            cand = cand[keep]
-        if len(cand) == 0:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        scores = np.zeros(len(cand), dtype=np.float64)
-        for t in sorted(set(little)):  # little terms only (frozen scoring)
-            doc_ids, contribs, _, _ = entries[t]
-            scores += contribs[np.searchsorted(doc_ids, cand)]
-        return topk_select(cand, scores, self.k)
+            return _no_hits()
+        owners = self._owners_of(little + big, required=True)
+        if owners is None:
+            return _no_hits()
+        entries = dict(zip(owners, self._entries(owners)))
+        cand = _intersect([e[0] for e in entries.values()])
+        big_limit = len(big) - 1 + self.span_slop
+        little_limit = len(little) - 1 + self.span_slop
+        cand = self._positions_match(
+            cand, owners,
+            lambda P: _within_span_exists(
+                [P[t] for t in big], [P[t] for t in little], big_limit, little_limit
+            ),
+        )
+        # little terms only (frozen scoring)
+        return topk_select(cand, _present_sum(cand, [entries[t] for t in sorted(set(little))]), self.k)
 
     def _score_query_intervals(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         """ES ``intervals`` query, ``all_of(ordered=true, max_gaps)`` over
@@ -1504,8 +1387,7 @@ class QueryScorer:
         the intersection over slots of the UNION of alternative postings —
         an OOV alternative just leaves its slot, a fully-OOV slot empties
         the result. Verification merges each slot's alternative position
-        lists (sorted union from the positional sidecar, else checkpoint
-        re-tokenize) and runs the same greedy ordered-span chain as
+        lists (sorted union) and runs the same greedy ordered-span chain as
         span_near. Survivors rank by the BM25 sum of the DISTINCT
         alternatives the doc CONTAINS (absent alternatives contribute 0),
         frozen (score DESC, doc_id ASC)."""
@@ -1530,74 +1412,28 @@ class QueryScorer:
         positions, within n_slots−1+gaps consecutive tokens; BM25 sum of
         the DISTINCT alternatives the doc contains."""
         if not slots or any(not s for s in slots):
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        owners, entries = {}, {}
-        for t in sorted({t for s in slots for t in s}):
-            segs = self._owners(t)
-            if segs:
-                owners[t] = segs
-                entries[t] = self._term_arrays(t, owners[t])
+            return _no_hits()
+        owners = self._owners_of([t for s in slots for t in s])
         live_slots = [[t for t in s if t in owners] for s in slots]
         if any(not s for s in live_slots):
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
+            return _no_hits()
+        entries = dict(zip(owners, self._entries(owners)))
         slot_docs = []
         for s in live_slots:
             docs = entries[s[0]][0]
             for t in s[1:]:
                 docs = np.union1d(docs, entries[t][0])
             slot_docs.append(docs)
-        order_by_len = sorted(range(len(slot_docs)), key=lambda i: len(slot_docs[i]))
-        cand = slot_docs[order_by_len[0]]
-        for i in order_by_len[1:]:
-            if len(cand) == 0:
-                break
-            d_ids = slot_docs[i]
-            pos = np.searchsorted(d_ids, cand)
-            ok = pos < len(d_ids)
-            ok[ok] = d_ids[pos[ok]] == cand[ok]
-            cand = cand[ok]
-        if len(cand) and len(slots) > 1:
+        cand = _intersect(slot_docs)
+        if len(slots) > 1:
             limit = len(slots) - 1 + gaps
-            keep = np.zeros(len(cand), dtype=bool)
-            if all(seg.pos_dict is not None for t in owners for seg in owners[t]):
-                pos_by_term = {
-                    t: self._positions_of_docs(t, owners[t], cand) for t in owners
-                }
-                for ci in range(len(cand)):
-                    lists, ok2 = [], True
-                    for s in live_slots:
-                        parts = [
-                            p for t in s
-                            if (p := pos_by_term[t][ci]) is not None and len(p)
-                        ]
-                        if not parts:
-                            ok2 = False
-                            break
-                        lists.append(
-                            parts[0] if len(parts) == 1
-                            else np.unique(np.concatenate(parts))
-                        )
-                    if ok2:
-                        keep[ci] = _min_ordered_span(lists) <= limit
-            else:
-                texts = self._texts_of(cand)
-                for ci, doc_text in enumerate(texts):
-                    arr = np.asarray(tokenize(doc_text), dtype=object)
-                    lists = [np.flatnonzero(np.isin(arr, s)) for s in live_slots]
-                    if any(len(p) == 0 for p in lists):
-                        continue
-                    keep[ci] = _min_ordered_span(lists) <= limit
-            cand = cand[keep]
-        if len(cand) == 0:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        scores = np.zeros(len(cand), dtype=np.float64)
-        for t in sorted(owners):  # sorted-term accumulation order (frozen)
-            doc_ids, contribs, _, _ = entries[t]
-            idx = np.searchsorted(doc_ids, cand)
-            ok = idx < len(doc_ids)
-            ok[ok] = doc_ids[idx[ok]] == cand[ok]
-            scores[ok] += contribs[idx[ok]]
-        return topk_select(cand, scores, self.k)
+            cand = self._positions_match(
+                cand, owners,
+                lambda P: _min_ordered_span(
+                    [np.unique(np.concatenate([P[t] for t in s])) for s in live_slots]
+                ) <= limit,
+            )
+        return topk_select(cand, _present_sum(cand, list(entries.values())), self.k)
 
     def _score_query_span_multi(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         """Lucene ``SpanMultiTermQueryWrapper`` inside ``span_near``
@@ -1672,44 +1508,22 @@ class QueryScorer:
         DISTINCT terms occur within ``near_window`` consecutive tokens
         (min cover span ≤ window−1; unordered — "query near(8) plan"
         matches "...plan the query..."). Candidates are the conjunctive
-        intersection; proximity is verified from the positional sidecar
-        when every owning shard carries one, else by re-tokenizing
-        candidate texts from the docs/ checkpoint (same two-engine shape
-        as mode="phrase", bit-identical by construction and test). An OOV
-        term empties the result; a single-term query degenerates to AND.
-        Survivors rank by the BM25 sum of the distinct terms, frozen
-        (score DESC, doc_id ASC) order."""
-        toks = set(tokenize(text))
-        if not toks:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        owners = {}
-        for t in toks:
-            segs = self._owners(t)
-            if not segs:
-                return np.empty(0, np.uint64), np.empty(0, np.float64)
-            owners[t] = segs
-        terms = sorted(owners)
-        entries = [self._term_arrays(t, owners[t]) for t in terms]
-        cand = self._conj_candidates(terms, entries)
-        if len(cand) and len(terms) > 1:
-            if all(seg.pos_dict is not None for t in owners for seg in owners[t]):
-                cand = cand[self._verify_near_positions(terms, owners, cand, self.near_window)]
-            else:
-                texts = self._texts_of(cand)
-                keep = np.zeros(len(cand), dtype=bool)
-                for i, doc_text in enumerate(texts):
-                    arr = np.asarray(tokenize(doc_text), dtype=object)
-                    lists = [np.flatnonzero(arr == t) for t in terms]
-                    if any(len(p) == 0 for p in lists):
-                        continue
-                    keep[i] = _min_cover_span(lists) <= self.near_window - 1
-                cand = cand[keep]
-        if len(cand) == 0:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        scores = np.zeros(len(cand), dtype=np.float64)
-        for doc_ids, contribs, _, _ in entries:  # sorted-term order
-            scores += contribs[np.searchsorted(doc_ids, cand)]
-        return topk_select(cand, scores, self.k)
+        intersection, verified by the k-sorted-lists minimal covering
+        window over ``_candidate_positions``. An OOV term empties the
+        result; a single-term query degenerates to AND. Survivors rank by
+        the BM25 sum of the distinct terms, frozen (score DESC, doc_id
+        ASC) order."""
+        owners = self._owners_of(tokenize(text), required=True)
+        if not owners:
+            return _no_hits()
+        entries = self._entries(owners)
+        cand = _intersect([e[0] for e in entries])
+        if len(owners) > 1:
+            span = self.near_window - 1
+            cand = self._positions_match(
+                cand, owners, lambda P: _min_cover_span(list(P.values())) <= span
+            )
+        return topk_select(cand, _present_sum(cand, entries), self.k)
 
     def _expand_prefix(self, prefix: str) -> set[str]:
         """Dictionary RANGE SCAN: all index terms starting with ``prefix``.
@@ -1758,69 +1572,44 @@ class QueryScorer:
         the LAST token is a prefix stem expanded against the sharded
         dictionary (_expand_prefix range scan — the same O(1)-shard
         routing as prefix mode); a doc matches iff SOME completed phrase
-        ``fixed + [e]`` occurs adjacently (verified per expansion by the
-        shared _verify_phrase two-engine path: positional sidecar when
-        present, checkpoint re-tokenization otherwise); a matching doc
-        scores as its BEST completion — the BM25 sum of the DISTINCT
-        fixed terms plus the max matching expansion's contribution.
-        Best-completion (dis_max over completions) is the frozen scoring
-        rule because an exact SQL oracle replays MAX; Lucene's
-        MultiPhraseQuery position-blended idf would not hash-replay. A
-        single-token query degenerates to best-completion prefix search;
-        an OOV fixed term or an empty expansion empties the result. An
-        expansion may coincide with a fixed term ("slow s…" → 'slow'):
-        its contribution then counts in both the fixed sum and the max,
-        the same double the SQL computes. Verification cost is
-        O(|expansions| × candidates-per-completion) — at web scale the
-        stem's dictionary range bounds the fan-out exactly like prefix
-        mode, and each completion prunes through the conjunctive
-        intersection before any positions/text are touched."""
+        ``fixed + [e]`` occurs adjacently (each completion verified by
+        _verify_phrase); a matching doc scores as its BEST completion —
+        the BM25 sum of the DISTINCT fixed terms plus the max matching
+        expansion's contribution. Best-completion (dis_max over
+        completions) is the frozen scoring rule because an exact SQL
+        oracle replays MAX; Lucene's MultiPhraseQuery position-blended
+        idf would not hash-replay. A single-token query degenerates to
+        best-completion prefix search; an OOV fixed term or an empty
+        expansion empties the result. An expansion may coincide with a
+        fixed term ("slow s…" → 'slow'): its contribution then counts in
+        both the fixed sum and the max, the same double the SQL computes.
+        Verification cost is O(|expansions| × candidates-per-completion)
+        — at web scale the stem's dictionary range bounds the fan-out
+        exactly like prefix mode, and each completion prunes through the
+        conjunctive intersection before any positions are read."""
         seq = tokenize(text)
         if not seq:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
+            return _no_hits()
         fixed, stem = seq[:-1], seq[-1]
-        expansions = sorted(self._expand_prefix(stem))
-        if not expansions:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        owners = {}
-        for t in set(fixed):
-            segs = self._owners(t)
-            if not segs:
-                return np.empty(0, np.uint64), np.empty(0, np.float64)
-            owners[t] = segs
-        fixed_terms = sorted(owners)
-        fixed_entries = [self._term_arrays(t, owners[t]) for t in fixed_terms]
+        owners = self._owners_of(fixed, required=True)
+        if owners is None:
+            return _no_hits()
+        fixed_entries = self._entries(owners)
         matched: list[tuple[np.ndarray, np.ndarray]] = []
-        for e in expansions:
-            esegs = self._owners(e)
-            if not esegs:
-                continue
-            e_entry = self._term_arrays(e, esegs)
-            if e in owners:
-                terms_all, entries_all = fixed_terms, fixed_entries
-            else:
-                terms_all = sorted(fixed_terms + [e])
-                by_term = dict(zip(fixed_terms, fixed_entries))
-                by_term[e] = e_entry
-                entries_all = [by_term[t] for t in terms_all]
-            cand = self._conj_candidates(terms_all, entries_all)
-            all_owners = dict(owners)
-            all_owners[e] = esegs
-            cand = self._verify_phrase(fixed + [e], all_owners, cand)
-            if len(cand) == 0:
-                continue
-            matched.append((cand, e_entry[1][np.searchsorted(e_entry[0], cand)]))
+        for e, esegs in self._owners_of(self._expand_prefix(stem)).items():
+            e_ids, e_contribs = self._term_arrays(e, esegs)[:2]
+            cand = _intersect([x[0] for x in fixed_entries] + [e_ids])
+            cand = self._verify_phrase(fixed + [e], {**owners, e: esegs}, cand)
+            if len(cand):
+                matched.append((cand, e_contribs[np.searchsorted(e_ids, cand)]))
         if not matched:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
+            return _no_hits()
         docs = np.unique(np.concatenate([c for c, _ in matched]))
         best = np.full(len(docs), -np.inf)
         for cand, contrib in matched:
             np.maximum.at(best, np.searchsorted(docs, cand), contrib)
-        scores = np.zeros(len(docs), dtype=np.float64)
-        for doc_ids, contribs, _, _ in fixed_entries:  # sorted-term order
-            scores += contribs[np.searchsorted(doc_ids, docs)]
-        scores += best  # fixed-sum first, max last — the SQL's addition order
-        return topk_select(docs, scores, self.k)
+        # fixed-sum first, max last — the SQL's addition order
+        return topk_select(docs, _present_sum(docs, fixed_entries) + best, self.k)
 
     def _expand_wildcard(self, pattern: str) -> set[str]:
         """GENERAL wildcard expansion (Lucene WildcardQuery, ``*`` only,
@@ -1967,25 +1756,16 @@ class QueryScorer:
                 raise ValueError(f"negative boost in query term {raw!r}")
             for t in tokenize(stem):
                 weights[t] = weights.get(t, 0.0) + w
-        owners = {}
-        for t in weights:
-            segs = self._owners(t)
-            if segs:
-                owners[t] = segs
-        terms = sorted(owners)
-        if not terms:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
+        owners = self._owners_of(weights)
+        if not owners:
+            return _no_hits()
         entries = []
-        for t in terms:
-            doc_ids, contribs, lasts, bmax = self._term_arrays(t, owners[t])
+        for t, segs in owners.items():
+            doc_ids, contribs, lasts, bmax = self._term_arrays(t, segs)
             w = weights[t]
             entries.append((t, doc_ids, contribs * w, lasts, bmax * w))
         if self.method == "brute":
-            all_ids = np.unique(np.concatenate([e[1] for e in entries]))
-            scores = np.zeros(len(all_ids), dtype=np.float64)
-            for _, doc_ids, contribs, _, _ in entries:  # sorted-term order
-                scores[np.searchsorted(all_ids, doc_ids)] += contribs
-            return topk_select(all_ids, scores, self.k)
+            return topk_select(*_scored_union([e[1:] for e in entries]), self.k)
         return block_max_topk(entries, self.avgdl, self.k)
 
     def _score_query_boolean(self, text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -2009,53 +1789,9 @@ class QueryScorer:
                 must_not.update(tokenize(raw[1:]))
             else:
                 should.update(tokenize(raw))
-        should -= must  # a term that is MUST does not double-count
         if not must and not should:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-
-        def entry_of(t):
-            segs = self._owners(t)
-            return self._term_arrays(t, segs) if segs else None
-
-        # eligibility base
-        if must:
-            m_entries = []
-            for t in sorted(must):
-                e = entry_of(t)
-                if e is None:
-                    return np.empty(0, np.uint64), np.empty(0, np.float64)
-                m_entries.append(e)
-            cand = self._conj_candidates(sorted(must), m_entries)
-        else:
-            lists = [e[0] for t in sorted(should) if (e := entry_of(t)) is not None]
-            if not lists:
-                return np.empty(0, np.uint64), np.empty(0, np.float64)
-            cand = np.unique(np.concatenate(lists))
-        # exclusions
-        for t in sorted(must_not):
-            if len(cand) == 0:
-                break
-            e = entry_of(t)
-            if e is None:
-                continue
-            pos = np.searchsorted(e[0], cand)
-            hit = pos < len(e[0])
-            hit[hit] = e[0][pos[hit]] == cand[hit]
-            cand = cand[~hit]
-        if len(cand) == 0:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        # score MUST ∪ SHOULD contributions where present (sorted-term order)
-        scores = np.zeros(len(cand), dtype=np.float64)
-        for t in sorted(must | should):
-            e = entry_of(t)
-            if e is None:
-                continue
-            doc_ids, contribs = e[0], e[1]
-            pos = np.searchsorted(doc_ids, cand)
-            ok = pos < len(doc_ids)
-            ok[ok] = doc_ids[pos[ok]] == cand[ok]
-            scores[ok] += contribs[pos[ok]]
-        return topk_select(cand, scores, self.k)
+            return _no_hits()
+        return self._score_clauses(must, [], dict.fromkeys(must | should, 1.0), must_not)
 
     def _score_query_qs(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         """The ``query_string`` mini language (parse_query_string) — the
@@ -2088,56 +1824,33 @@ class QueryScorer:
             for t in terms:
                 weights[t] = weights.get(t, 0.0) + w
         if not weights:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
+            return _no_hits()
+        required = set(must).union(*phrase_seqs)
+        return self._score_clauses(required, phrase_seqs, weights, must_not)
 
-        def entry_of(t):
-            segs = self._owners(t)
-            return self._term_arrays(t, segs) if segs else None
-
-        required = set(must)
-        for seq in phrase_seqs:
-            required |= set(seq)
+    def _score_clauses(self, required, phrase_seqs, weights, must_not) -> tuple[np.ndarray, np.ndarray]:
+        """Occur-clause retrieval shared by boolean and query_string:
+        eligible docs hold every ``required`` term (an OOV one empties the
+        query) and every phrase of ``phrase_seqs`` adjacently — or, with
+        nothing required, at least one term of ``weights``; a doc holding
+        a ``must_not`` term drops. A doc's score is Σ weight(t)·contrib(t,
+        d) over the ``weights`` terms it holds, in sorted-term order."""
         if required:
-            req = sorted(required)
-            entries = []
-            for t in req:
-                e = entry_of(t)
-                if e is None:
-                    return np.empty(0, np.uint64), np.empty(0, np.float64)
-                entries.append(e)
-            cand = self._conj_candidates(req, entries)
-            owners = {t: self._owners(t) for t in req}
+            owners = self._owners_of(required, required=True)
+            if owners is None:
+                return _no_hits()
+            cand = _intersect([e[0] for e in self._entries(owners)])
             for seq in phrase_seqs:
-                if len(cand) == 0:
-                    break
                 cand = self._verify_phrase(seq, owners, cand)
         else:
-            lists = [e[0] for t in sorted(weights) if (e := entry_of(t)) is not None]
-            if not lists:
-                return np.empty(0, np.uint64), np.empty(0, np.float64)
-            cand = np.unique(np.concatenate(lists))
-        for t in sorted(set(must_not)):
-            if len(cand) == 0:
-                break
-            e = entry_of(t)
-            if e is None:
-                continue
-            pos = np.searchsorted(e[0], cand)
-            hit = pos < len(e[0])
-            hit[hit] = e[0][pos[hit]] == cand[hit]
-            cand = cand[~hit]
-        if len(cand) == 0:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        scores = np.zeros(len(cand), dtype=np.float64)
-        for t in sorted(weights):
-            e = entry_of(t)
-            if e is None:
-                continue
-            doc_ids, contribs = e[0], e[1]
-            pos = np.searchsorted(doc_ids, cand)
-            ok = pos < len(doc_ids)
-            ok[ok] = doc_ids[pos[ok]] == cand[ok]
-            scores[ok] += weights[t] * contribs[pos[ok]]
+            ids = [e[0] for e in self._entries(self._owners_of(weights))]
+            if not ids:
+                return _no_hits()
+            cand = np.unique(np.concatenate(ids))
+        for doc_ids, *_ in self._entries(self._owners_of(must_not)):
+            cand = cand[~_member_mask(cand, doc_ids)]
+        owners = self._owners_of(weights)
+        scores = _present_sum(cand, self._entries(owners), [weights[t] for t in owners])
         return topk_select(cand, scores, self.k)
 
     def _score_query(self, text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -2188,39 +1901,20 @@ class QueryScorer:
     def _score_terms(self, toks: set[str]) -> tuple[np.ndarray, np.ndarray]:
         """Disjunctive BM25 top-k over a concrete term set (the or-mode
         engine; prefix mode feeds it the expanded set). OOV terms drop."""
-        owners = {}
-        for t in toks:
-            segs = self._owners(t)
-            if segs:
-                owners[t] = segs
-        terms = sorted(owners)
-        if not terms:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
+        owners = self._owners_of(toks)
+        if not owners:
+            return _no_hits()
         if self.method == "brute":
-            postings = {t: self._gather_postings(t, owners[t]) for t in terms}
-            dfs = {t: self._global_df(t, owners[t]) for t in terms}
-            return brute_force_topk(
-                terms, postings, dfs, self.doclens.lookup, self.n_docs, self.avgdl, self.k
-            )
-        if self.method == "wand_daat":  # reference doc-at-a-time cursor WAND
-            # one cursor per (term, shard): shards are docID-disjoint, so a
-            # pivot doc matches at most one cursor per term — WAND treats
-            # them like independent terms with the shared global idf
-            cursors = []
-            for t in terms:
-                gdf = self._global_df(t, owners[t])
-                for seg in owners[t]:
-                    cursors.append(seg.cursor(t, idf(gdf, self.n_docs)))
-            return wand_topk(cursors, self.doclens.lookup_one, self.avgdl, self.k)
-        # default "wand": vectorized Block-Max WAND over cached full arrays,
+            return self._brute(owners)
+        # "wand": vectorized Block-Max WAND over cached full arrays,
         # or — when the query's terms cover a large fraction of the corpus
         # (flat block maxes, pruning can't bite) — exact term-at-a-time
         # dense accumulation over precomputed global positions, which skips
         # the union-sort work WAND would spend scoring nearly everything
         tbs = []
         total_postings = 0
-        for t in terms:
-            doc_ids, contribs, lasts, bmax = self._term_arrays(t, owners[t])
+        for t, segs in owners.items():
+            doc_ids, contribs, lasts, bmax = self._term_arrays(t, segs)
             tbs.append((t, doc_ids, contribs, lasts, bmax))
             total_postings += len(doc_ids)
         # dense-path trigger compares against the LOCAL doc space (== n_docs
@@ -2243,25 +1937,31 @@ class QueryScorer:
         return block_max_topk(tbs, self.avgdl, self.k)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids_out, ranks_out, docs_out, scores_out = [], [], [], []
-        qids = batch["query_id"].to_pylist()
-        texts = batch["text"].to_pylist()
-        for qid, text in zip(qids, texts):
+        hits = []
+        for qid, text in zip(batch["query_id"].to_pylist(), batch["text"].to_pylist()):
             d, s = self._score_query(text)
-            qids_out.extend([qid] * len(d))
-            ranks_out.extend(range(1, len(d) + 1))
-            docs_out.append(d)
-            scores_out.append(s)
-        docs = np.concatenate(docs_out) if docs_out else np.empty(0, np.uint64)
-        scores = np.concatenate(scores_out) if scores_out else np.empty(0, np.float64)
-        return pa.table(
-            {
-                "query_id": pa.array(qids_out, pa.int64()),
-                "rank": pa.array(np.asarray(ranks_out, dtype=np.int32), pa.int32()),
-                "doc_id": pa.array(docs, pa.uint64()),
-                "score": pa.array(scores, pa.float64()),
-            }
-        )
+            hits.append((qid, {"doc_id": d, "score": s}))
+        return _ranked_table(hits, _SCORED_HITS)
+
+
+def cursor_wand_topk(scorer: QueryScorer, toks) -> tuple[np.ndarray, np.ndarray]:
+    """The reference document-at-a-time cursor Block-Max WAND for an
+    or-mode query: ``wand.wand_topk`` over one ``Segment.cursor`` per
+    (term, shard) of ``scorer``'s index. Shards are docID-disjoint, so a
+    pivot doc matches at most one cursor per term, and WAND treats the
+    cursors as independent terms sharing the global idf. A test oracle of
+    ``QueryScorer._score_terms`` (bit-identical to it), not a serving
+    path: cursors read the segments directly, so a scorer with a filter
+    or tombstones is refused."""
+    if scorer.filter_ids is not None or scorer.exclude_ids is not None or scorer.doc_range is not None:
+        raise ValueError("cursor WAND reads segments directly: no filter, tombstones or doc range")
+    cursors = []
+    for t, segs in scorer._owners_of(toks).items():
+        idf_val = idf(scorer._global_df(t, segs), scorer.n_docs)
+        cursors.extend(seg.cursor(t, idf_val) for seg in segs)
+    if not cursors:
+        return _no_hits()
+    return wand_topk(cursors, scorer.doclens.lookup_one, scorer.avgdl, scorer.k)
 
 
 class FacetCounter:
@@ -2280,22 +1980,9 @@ class FacetCounter:
     plan as DoclenTable (SCALE.md §3)."""
 
     def __init__(self, out_dir: str, seg_ids: list[int] | None = None, facet: str = "lang"):
-        import pyarrow.compute as pc
-
-        if seg_ids is None:
-            from ..pipelines.query import list_segments
-
-            seg_ids = list_segments(out_dir)
-        self.segments = [Segment(out_dir, sid) for sid in seg_ids]
+        self.segments = _open_segments(out_dir, seg_ids)
         self.facet = facet
-        files = sorted(glob.glob(os.path.join(out_dir, "docs", "pid=*.parquet")))
-        tbl = pa.concat_tables(pq.read_table(f, columns=["doc_id", facet]) for f in files)
-        # per-pid files are doc_id-ascending and visited in pid order, so
-        # the concat is globally sorted (doc_id = (pid<<40)|row)
-        self.doc_ids = tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        enc = pc.dictionary_encode(tbl[facet].combine_chunks())
-        self.codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        self.values = enc.dictionary.to_pylist()
+        self.doc_ids, self.codes, self.values = _facet_codes(out_dir, facet)
         self.exclude_ids = mf.read_tombstones(out_dir)
 
     def _match_set(self, text: str) -> np.ndarray:
@@ -2309,10 +1996,7 @@ class FacetCounter:
             return np.empty(0, np.uint64)
         docs = np.unique(np.concatenate(lists))
         if self.exclude_ids is not None:
-            pos = np.searchsorted(self.exclude_ids, docs)
-            ok = pos < len(self.exclude_ids)
-            ok[ok] = self.exclude_ids[pos[ok]] == docs[ok]
-            docs = docs[~ok]
+            docs = docs[~_member_mask(docs, self.exclude_ids)]
         return docs
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -2381,62 +2065,34 @@ class FacetTopK:
     def __init__(
         self, out_dir: str, seg_ids: list[int] | None = None, facet: str = "lang", k: int = 5
     ):
-        import pyarrow.compute as pc
-
         self.scorer = QueryScorer(out_dir, seg_ids, k=k, method="brute")
         self.k = k
         self.facet = facet
-        files = sorted(glob.glob(os.path.join(out_dir, "docs", "pid=*.parquet")))
-        tbl = pa.concat_tables(pq.read_table(f, columns=["doc_id", facet]) for f in files)
-        self.doc_ids = tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        enc = pc.dictionary_encode(tbl[facet].combine_chunks())
-        self.codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        self.values = enc.dictionary.to_pylist()
+        self.doc_ids, self.codes, self.values = _facet_codes(out_dir, facet)
         self._value_order = sorted(range(len(self.values)), key=self.values.__getitem__)
 
+    def _scored_groups(self, text: str):
+        """(match set, BM25 sums, facet code per doc) of one query; the
+        match set is empty when no query term is in the vocabulary."""
+        sc = self.scorer
+        ids, scores = _scored_union(sc._entries(sc._owners_of(tokenize(text))))
+        return ids, scores, self.codes[np.searchsorted(self.doc_ids, ids)]
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids_out: list[int] = []
-        vals_out: list[str] = []
-        ranks_out: list[int] = []
-        docs_out: list[np.ndarray] = []
-        scores_out: list[np.ndarray] = []
+        hits = []
         for qid, text in zip(batch["query_id"].to_pylist(), batch["text"].to_pylist()):
-            owners = {}
-            for t in set(tokenize(text)):
-                segs = self.scorer._owners(t)
-                if segs:
-                    owners[t] = segs
-            terms = sorted(owners)
-            if not terms:
-                continue
-            entries = [self.scorer._term_arrays(t, owners[t]) for t in terms]
-            all_ids = np.unique(np.concatenate([e[0] for e in entries]))
-            scores = np.zeros(len(all_ids), dtype=np.float64)
-            for doc_ids, contribs, _, _ in entries:  # sorted-term order
-                pos = np.searchsorted(all_ids, doc_ids)
-                scores[pos] += contribs
-            codes = self.codes[np.searchsorted(self.doc_ids, all_ids)]
+            all_ids, scores, codes = self._scored_groups(text)
             for vi in self._value_order:
                 m = codes == vi
                 if not m.any():
                     continue
                 d, s = topk_select(all_ids[m], scores[m], self.k)
-                qids_out.extend([qid] * len(d))
-                vals_out.extend([self.values[vi]] * len(d))
-                ranks_out.extend(range(1, len(d) + 1))
-                docs_out.append(d)
-                scores_out.append(s)
-        docs = np.concatenate(docs_out) if docs_out else np.empty(0, np.uint64)
-        scrs = np.concatenate(scores_out) if scores_out else np.empty(0, np.float64)
-        return pa.table(
-            {
-                "query_id": pa.array(qids_out, pa.int64()),
-                self.facet: pa.array(vals_out, pa.string()),
-                "rank": pa.array(np.asarray(ranks_out, dtype=np.int32), pa.int32()),
-                "doc_id": pa.array(docs, pa.uint64()),
-                "score": pa.array(scrs, pa.float64()),
-            }
-        )
+                hits.append((qid, {self.facet: [self.values[vi]] * len(d),
+                                   "doc_id": d, "score": s}))
+        return _ranked_table(hits, pa.schema(
+            [("query_id", pa.int64()), (self.facet, pa.string()), ("rank", pa.int32()),
+             ("doc_id", pa.uint64()), ("score", pa.float64())]
+        ))
 
 
 class FunctionScoreTopK:
@@ -2463,10 +2119,7 @@ class FunctionScoreTopK:
         self.field = field
         self.origin_us = int(origin_us)
         self.scale_us = int(scale_us)
-        files = sorted(glob.glob(os.path.join(out_dir, "docs", "pid=*.parquet")))
-        tbl = pa.concat_tables(pq.read_table(f, columns=["doc_id", field]) for f in files)
-        self.doc_ids = tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        self.vals = tbl[field].cast(pa.int64()).to_numpy(zero_copy_only=False)
+        self.doc_ids, self.vals = _docvalues(out_dir, field)
 
     def _factor(self, vals: np.ndarray) -> np.ndarray:
         """Per-doc multiplier from the gathered docvalues. Base class:
@@ -2482,42 +2135,13 @@ class FunctionScoreTopK:
         return scores * self._factor(vals)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids_out: list[int] = []
-        ranks_out: list[int] = []
-        docs_out: list[np.ndarray] = []
-        scores_out: list[np.ndarray] = []
+        sc = self.scorer
+        hits = []
         for qid, text in zip(batch["query_id"].to_pylist(), batch["text"].to_pylist()):
-            owners = {}
-            for t in set(tokenize(text)):
-                segs = self.scorer._owners(t)
-                if segs:
-                    owners[t] = segs
-            terms = sorted(owners)
-            if not terms:
-                continue
-            entries = [self.scorer._term_arrays(t, owners[t]) for t in terms]
-            all_ids = np.unique(np.concatenate([e[0] for e in entries]))
-            scores = np.zeros(len(all_ids), dtype=np.float64)
-            for doc_ids, contribs, _, _ in entries:  # sorted-term order
-                pos = np.searchsorted(all_ids, doc_ids)
-                scores[pos] += contribs
-            ts = self.vals[np.searchsorted(self.doc_ids, all_ids)]
-            scores = self._apply(scores, ts)
-            d, s = topk_select(all_ids, scores, self.k)
-            qids_out.extend([qid] * len(d))
-            ranks_out.extend(range(1, len(d) + 1))
-            docs_out.append(d)
-            scores_out.append(s)
-        docs = np.concatenate(docs_out) if docs_out else np.empty(0, np.uint64)
-        scrs = np.concatenate(scores_out) if scores_out else np.empty(0, np.float64)
-        return pa.table(
-            {
-                "query_id": pa.array(qids_out, pa.int64()),
-                "rank": pa.array(np.asarray(ranks_out, dtype=np.int32), pa.int32()),
-                "doc_id": pa.array(docs, pa.uint64()),
-                "score": pa.array(scrs, pa.float64()),
-            }
-        )
+            all_ids, scores = _scored_union(sc._entries(sc._owners_of(tokenize(text))))
+            scores = self._apply(scores, self.vals[np.searchsorted(self.doc_ids, all_ids)])
+            hits.append((qid, dict(zip(("doc_id", "score"), topk_select(all_ids, scores, self.k)))))
+        return _ranked_table(hits, _SCORED_HITS)
 
 
 class FieldValueFactorTopK(FunctionScoreTopK):
@@ -2640,14 +2264,7 @@ class CombinedFieldsTopK:
         self.w_title = int(w_title)
         self.sb = QueryScorer(body_dir, seg_ids, k=k, method="brute")
         self.st = QueryScorer(title_dir, k=k, method="brute")
-
-        def _sidecar(d: str) -> pa.Table:
-            files = sorted(glob.glob(os.path.join(d, "docs", "pid=*.parquet")))
-            return pa.concat_tables(
-                pq.read_table(f, columns=["doc_id", "url", "doclen"]) for f in files
-            )
-
-        b, t = _sidecar(body_dir), _sidecar(title_dir)
+        b, t = (_docs_columns(d, ["doc_id", "url", "doclen"]) for d in (body_dir, title_dir))
         bo = pc.sort_indices(b["url"])
         to = pc.sort_indices(t["url"])
         b_urls = b["url"].take(bo).to_pylist()
@@ -2671,16 +2288,11 @@ class CombinedFieldsTopK:
         self.avgdl_c = float(int(dlc.sum())) / float(self.n_docs)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids_out: list[int] = []
-        ranks_out: list[int] = []
-        docs_out: list[np.ndarray] = []
-        scores_out: list[np.ndarray] = []
+        hits = []
         for qid, text in zip(batch["query_id"].to_pylist(), batch["text"].to_pylist()):
             entries = []
-            for t in sorted(set(tokenize(text))):
-                segs_b = self.sb._owners(t)
-                if not segs_b:
-                    continue  # title ⊆ body: no body postings ⇒ no match
+            # title ⊆ body: a term without body postings matches nothing
+            for t, segs_b in self.sb._owners_of(tokenize(text)).items():
                 ids_b, tf_b = self.sb._gather_postings(t, segs_b)
                 tfc = tf_b.astype(np.int64)
                 segs_t = self.st._owners(t)
@@ -2689,8 +2301,8 @@ class CombinedFieldsTopK:
                     mapped = self.t_val_b[np.searchsorted(self.t_key, ids_t)]
                     o = np.argsort(mapped)
                     mapped = mapped[o]
-                    pos = np.searchsorted(ids_b, mapped)
-                    if not (pos < len(ids_b)).all() or not (ids_b[pos] == mapped).all():
+                    pos, ok = _sorted_lookup(mapped, ids_b)
+                    if not ok.all():
                         raise AssertionError(
                             f"combined_fields: title postings for {t!r} not a "
                             "subset of body postings"
@@ -2709,21 +2321,8 @@ class CombinedFieldsTopK:
                 scores[pos] += score_tf(
                     tfc.astype(np.float64), dls[pos], self.avgdl_c, idf_val
                 )
-            d, s = topk_select(all_ids, scores, self.k)
-            qids_out.extend([qid] * len(d))
-            ranks_out.extend(range(1, len(d) + 1))
-            docs_out.append(d)
-            scores_out.append(s)
-        docs = np.concatenate(docs_out) if docs_out else np.empty(0, np.uint64)
-        scrs = np.concatenate(scores_out) if scores_out else np.empty(0, np.float64)
-        return pa.table(
-            {
-                "query_id": pa.array(qids_out, pa.int64()),
-                "rank": pa.array(np.asarray(ranks_out, dtype=np.int32), pa.int32()),
-                "doc_id": pa.array(docs, pa.uint64()),
-                "score": pa.array(scrs, pa.float64()),
-            }
-        )
+            hits.append((qid, dict(zip(("doc_id", "score"), topk_select(all_ids, scores, self.k)))))
+        return _ranked_table(hits, _SCORED_HITS)
 
 
 class BoostingTopK:
@@ -2748,59 +2347,21 @@ class BoostingTopK:
         self.k = k
         self.neg_boost = float(negative_boost)
 
-    def _match_ids(self, text: str) -> np.ndarray | None:
-        parts = []
-        for t in set(tokenize(text or "")):
-            segs = self.scorer._owners(t)
-            if segs:
-                parts.append(self.scorer._term_arrays(t, segs)[0])
-        if not parts:
-            return None
-        return np.unique(np.concatenate(parts))
-
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids_out: list[int] = []
-        ranks_out: list[int] = []
-        docs_out: list[np.ndarray] = []
-        scores_out: list[np.ndarray] = []
+        sc = self.scorer
+        hits = []
         for qid, text, neg in zip(
             batch["query_id"].to_pylist(),
             batch["text"].to_pylist(),
             batch["neg"].to_pylist(),
         ):
-            owners = {}
-            for t in set(tokenize(text)):
-                segs = self.scorer._owners(t)
-                if segs:
-                    owners[t] = segs
-            terms = sorted(owners)
-            if not terms:
-                continue
-            entries = [self.scorer._term_arrays(t, owners[t]) for t in terms]
-            all_ids = np.unique(np.concatenate([e[0] for e in entries]))
-            scores = np.zeros(len(all_ids), dtype=np.float64)
-            for doc_ids, contribs, _, _ in entries:  # sorted-term order
-                pos = np.searchsorted(all_ids, doc_ids)
-                scores[pos] += contribs
-            negset = self._match_ids(neg)
-            if negset is not None:
-                hit = np.isin(all_ids, negset, assume_unique=True)
+            all_ids, scores = _scored_union(sc._entries(sc._owners_of(tokenize(text))))
+            neg_ids = [e[0] for e in sc._entries(sc._owners_of(tokenize(neg or "")))]
+            if neg_ids:
+                hit = np.isin(all_ids, np.unique(np.concatenate(neg_ids)), assume_unique=True)
                 scores = np.where(hit, scores * self.neg_boost, scores)
-            d, s = topk_select(all_ids, scores, self.k)
-            qids_out.extend([qid] * len(d))
-            ranks_out.extend(range(1, len(d) + 1))
-            docs_out.append(d)
-            scores_out.append(s)
-        docs = np.concatenate(docs_out) if docs_out else np.empty(0, np.uint64)
-        scrs = np.concatenate(scores_out) if scores_out else np.empty(0, np.float64)
-        return pa.table(
-            {
-                "query_id": pa.array(qids_out, pa.int64()),
-                "rank": pa.array(np.asarray(ranks_out, dtype=np.int32), pa.int32()),
-                "doc_id": pa.array(docs, pa.uint64()),
-                "score": pa.array(scrs, pa.float64()),
-            }
-        )
+            hits.append((qid, dict(zip(("doc_id", "score"), topk_select(all_ids, scores, self.k)))))
+        return _ranked_table(hits, _SCORED_HITS)
 
 
 class SynonymTopK:
@@ -2831,52 +2392,31 @@ class SynonymTopK:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         sc = self.scorer
-        qids_out: list[int] = []
-        ranks_out: list[int] = []
-        docs_out: list[np.ndarray] = []
-        scores_out: list[np.ndarray] = []
+        hits = []
         for qid, text in zip(batch["query_id"].to_pylist(), batch["text"].to_pylist()):
-            groups: list[tuple[str, list[str]]] = []
-            for base in sorted(set(tokenize(text))):
-                members = []
-                for t in sorted({base, *self.synonyms.get(base, ())}):
-                    if sc._owners(t):
-                        members.append(t)
-                if members:
-                    groups.append((base, members))
-            if not groups:
-                continue
             merged: list[tuple[np.ndarray, np.ndarray, float]] = []
-            for _, members in groups:
-                parts = [sc._gather_postings(t, sc._owners(t)) for t in members]
+            for base in sorted(set(tokenize(text))):
+                members = sc._owners_of({base, *self.synonyms.get(base, ())})
+                if not members:
+                    continue
+                parts = [sc._gather_postings(t, segs) for t, segs in members.items()]
                 ids = np.concatenate([p[0] for p in parts])
                 tfs = np.concatenate([p[1] for p in parts]).astype(np.float64)
                 uids, inv = np.unique(ids, return_inverse=True)
                 mtf = np.zeros(len(uids), dtype=np.float64)
                 np.add.at(mtf, inv, tfs)
-                dfm = max(sc._global_df(t, sc._owners(t)) for t in members)
+                dfm = max(sc._global_df(t, segs) for t, segs in members.items())
                 merged.append((uids, mtf, idf(dfm, sc.n_docs)))
+            if not merged:
+                continue
             cand = np.unique(np.concatenate([m[0] for m in merged]))
             dls = sc.doclens.lookup(cand).astype(np.float64)
             scores = np.zeros(len(cand), dtype=np.float64)
             for uids, mtf, idf_val in merged:  # sorted-base-term order
                 pos = np.searchsorted(cand, uids)
                 scores[pos] += score_tf(mtf, dls[pos], sc.avgdl, idf_val)
-            d, s = topk_select(cand, scores, self.k)
-            qids_out.extend([qid] * len(d))
-            ranks_out.extend(range(1, len(d) + 1))
-            docs_out.append(d)
-            scores_out.append(s)
-        docs = np.concatenate(docs_out) if docs_out else np.empty(0, np.uint64)
-        scrs = np.concatenate(scores_out) if scores_out else np.empty(0, np.float64)
-        return pa.table(
-            {
-                "query_id": pa.array(qids_out, pa.int64()),
-                "rank": pa.array(np.asarray(ranks_out, dtype=np.int32), pa.int32()),
-                "doc_id": pa.array(docs, pa.uint64()),
-                "score": pa.array(scrs, pa.float64()),
-            }
-        )
+            hits.append((qid, dict(zip(("doc_id", "score"), topk_select(cand, scores, self.k)))))
+        return _ranked_table(hits, _SCORED_HITS)
 
 
 class RescoreTopK:
@@ -2903,39 +2443,20 @@ class RescoreTopK:
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids_out: list[int] = []
-        ranks_out: list[int] = []
-        docs_out: list[np.ndarray] = []
-        scores_out: list[np.ndarray] = []
+        hits = []
         for qid, text in zip(batch["query_id"].to_pylist(), batch["text"].to_pylist()):
             d_win, s_win = self.primary._score_query(text)
             if len(d_win) == 0:
                 continue
             d_ph, s_ph = self.phrase._score_query_phrase(text)
+            order = np.argsort(d_ph)
+            d_ph, s_ph = d_ph[order], s_ph[order]
+            pos, ok = _sorted_lookup(d_win, d_ph)
             bonus = np.zeros(len(d_win), dtype=np.float64)
-            if len(d_ph):
-                order = np.argsort(d_ph)
-                d_ph, s_ph = d_ph[order], s_ph[order]
-                pos = np.searchsorted(d_ph, d_win)
-                ok = pos < len(d_ph)
-                ok[ok] = d_ph[pos[ok]] == d_win[ok]
-                bonus[ok] = s_ph[pos[ok]]
+            bonus[ok] = s_ph[pos[ok]]
             final = s_win + self.weight * bonus
-            d, s = topk_select(d_win, final, self.k)
-            qids_out.extend([qid] * len(d))
-            ranks_out.extend(range(1, len(d) + 1))
-            docs_out.append(d)
-            scores_out.append(s)
-        docs = np.concatenate(docs_out) if docs_out else np.empty(0, np.uint64)
-        scrs = np.concatenate(scores_out) if scores_out else np.empty(0, np.float64)
-        return pa.table(
-            {
-                "query_id": pa.array(qids_out, pa.int64()),
-                "rank": pa.array(np.asarray(ranks_out, dtype=np.int32), pa.int32()),
-                "doc_id": pa.array(docs, pa.uint64()),
-                "score": pa.array(scrs, pa.float64()),
-            }
-        )
+            hits.append((qid, dict(zip(("doc_id", "score"), topk_select(d_win, final, self.k)))))
+        return _ranked_table(hits, _SCORED_HITS)
 
 
 class DocvalueTopK:
@@ -2951,18 +2472,9 @@ class DocvalueTopK:
 
     def __init__(self, out_dir: str, seg_ids: list[int] | None = None,
                  field: str = "warc_ts", k: int = 10):
-        if seg_ids is None:
-            from ..pipelines.query import list_segments
-
-            seg_ids = list_segments(out_dir)
-        self.segments = [Segment(out_dir, sid) for sid in seg_ids]
+        self.segments = _open_segments(out_dir, seg_ids)
         self.field = field
-        files = sorted(glob.glob(os.path.join(out_dir, "docs", "pid=*.parquet")))
-        tbl = pa.concat_tables(pq.read_table(f, columns=["doc_id", field]) for f in files)
-        # per-pid files are doc_id-ascending and visited in pid order, so
-        # the concat is globally sorted (doc_id = (pid<<40)|row)
-        self.doc_ids = tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        self.vals = tbl[field].cast(pa.int64()).to_numpy(zero_copy_only=False)
+        self.doc_ids, self.vals = _docvalues(out_dir, field)
         self.exclude_ids = mf.read_tombstones(out_dir)
         self.k = k
 
@@ -2970,42 +2482,35 @@ class DocvalueTopK:
     # semantics to faceting, so borrow the implementation wholesale
     _match_set = FacetCounter._match_set
 
+    def _value_topk(self, docs: np.ndarray, vals: np.ndarray) -> dict:
+        """The top-k of ``docs`` (ascending) by (value DESC, doc_id ASC):
+        docs is ascending, so a stable sort on -vals yields exactly that
+        order; past k, partition finds the kth value cheaply and the
+        stable sort runs over only the >= kth candidates (ties at the
+        boundary included)."""
+        k = min(self.k, len(docs))
+        if len(docs) > k:
+            kth = -np.partition(-vals, k - 1)[k - 1]
+            cand = np.flatnonzero(vals >= kth)
+            sel = cand[np.argsort(-vals[cand], kind="stable")][:k]
+        else:
+            sel = np.argsort(-vals, kind="stable")[:k]
+        return {"doc_id": docs[sel], self.field: vals[sel]}
+
+    def _hits_table(self, hits) -> pa.Table:
+        return _ranked_table(hits, pa.schema(
+            [("query_id", pa.int64()), ("rank", pa.int32()),
+             ("doc_id", pa.uint64()), (self.field, pa.int64())]
+        ))
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids_out: list[int] = []
-        ranks_out: list[int] = []
-        docs_out: list[np.ndarray] = []
-        vals_out: list[np.ndarray] = []
+        hits = []
         for qid, text in zip(batch["query_id"].to_pylist(), batch["text"].to_pylist()):
             docs = self._match_set(text)
-            if len(docs) == 0:
-                continue
-            vals = self.vals[np.searchsorted(self.doc_ids, docs)]
-            k = min(self.k, len(docs))
-            # top-k by (value DESC, doc_id ASC): docs is ascending, so a
-            # stable sort on -vals yields exactly that order
-            if len(docs) > k:
-                # partition finds the kth value cheaply; the deterministic
-                # (value DESC, doc_id ASC) order is then a stable sort over
-                # only the >= kth candidates (ties at the boundary included)
-                kth = -np.partition(-vals, k - 1)[k - 1]
-                cand = np.flatnonzero(vals >= kth)
-                sel = cand[np.argsort(-vals[cand], kind="stable")][:k]
-            else:
-                sel = np.argsort(-vals, kind="stable")[:k]
-            qids_out.extend([qid] * len(sel))
-            ranks_out.extend(range(1, len(sel) + 1))
-            docs_out.append(docs[sel])
-            vals_out.append(vals[sel])
-        docs = np.concatenate(docs_out) if docs_out else np.empty(0, np.uint64)
-        vals = np.concatenate(vals_out) if vals_out else np.empty(0, np.int64)
-        return pa.table(
-            {
-                "query_id": pa.array(qids_out, pa.int64()),
-                "rank": pa.array(np.asarray(ranks_out, dtype=np.int32), pa.int32()),
-                "doc_id": pa.array(docs, pa.uint64()),
-                self.field: pa.array(vals, pa.int64()),
-            }
-        )
+            if len(docs):
+                vals = self.vals[np.searchsorted(self.doc_ids, docs)]
+                hits.append((qid, self._value_topk(docs, vals)))
+        return self._hits_table(hits)
 
 
 class DocvalueSearchAfter(DocvalueTopK):
@@ -3021,45 +2526,17 @@ class DocvalueSearchAfter(DocvalueTopK):
     same top-k selection as DocvalueTopK."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids_out: list[int] = []
-        ranks_out: list[int] = []
-        docs_out: list[np.ndarray] = []
-        vals_out: list[np.ndarray] = []
-        after_vals = batch["after_val"].to_pylist()
-        after_docs = batch["after_doc"].to_pylist()
+        hits = []
         for qid, text, a_val, a_doc in zip(
             batch["query_id"].to_pylist(), batch["text"].to_pylist(),
-            after_vals, after_docs,
+            batch["after_val"].to_pylist(), batch["after_doc"].to_pylist(),
         ):
             docs = self._match_set(text)
-            if len(docs) == 0:
-                continue
             vals = self.vals[np.searchsorted(self.doc_ids, docs)]
             m = (vals < a_val) | ((vals == a_val) & (docs > np.uint64(a_doc)))
-            docs, vals = docs[m], vals[m]
-            if len(docs) == 0:
-                continue
-            k = min(self.k, len(docs))
-            if len(docs) > k:
-                kth = -np.partition(-vals, k - 1)[k - 1]
-                cand = np.flatnonzero(vals >= kth)
-                sel = cand[np.argsort(-vals[cand], kind="stable")][:k]
-            else:
-                sel = np.argsort(-vals, kind="stable")[:k]
-            qids_out.extend([qid] * len(sel))
-            ranks_out.extend(range(1, len(sel) + 1))
-            docs_out.append(docs[sel])
-            vals_out.append(vals[sel])
-        docs = np.concatenate(docs_out) if docs_out else np.empty(0, np.uint64)
-        vals = np.concatenate(vals_out) if vals_out else np.empty(0, np.int64)
-        return pa.table(
-            {
-                "query_id": pa.array(qids_out, pa.int64()),
-                "rank": pa.array(np.asarray(ranks_out, dtype=np.int32), pa.int32()),
-                "doc_id": pa.array(docs, pa.uint64()),
-                self.field: pa.array(vals, pa.int64()),
-            }
-        )
+            if m.any():
+                hits.append((qid, self._value_topk(docs[m], vals[m])))
+        return self._hits_table(hits)
 
 
 class Percolator:
@@ -3143,10 +2620,7 @@ class TermStats:
         dfs: list[int] = []
         ttfs: list[int] = []
         for term in batch["term"].to_pylist():
-            for t in sorted(set(tokenize(term))):
-                segs = sc._owners(t)
-                if not segs:
-                    continue
+            for t, segs in sc._owners_of(tokenize(term)).items():
                 doc_ids, tfs = sc._gather_postings(t, segs)
                 if len(doc_ids) == 0:
                     continue
@@ -3180,51 +2654,32 @@ class Explainer:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         sc = self.scorer
-        qids_out: list[int] = []
-        ranks_out: list[int] = []
-        docs_out: list[np.ndarray] = []
-        terms_out: list[str] = []
-        tfs_out: list[int] = []
-        dfs_out: list[int] = []
-        dls_out: list[int] = []
+        hits = []
         for qid, text in zip(batch["query_id"].to_pylist(), batch["text"].to_pylist()):
             d, _ = sc._score_query(text)
             if len(d) == 0:
                 continue
             per_hit: list[list[tuple[str, int, int]]] = [[] for _ in range(len(d))]
-            for t in sorted(set(tokenize(text))):
-                owners = sc._owners(t)
-                if not owners:
-                    continue
+            for t, owners in sc._owners_of(tokenize(text)).items():
                 doc_ids, tfs = sc._gather_postings(t, owners)
-                idx = np.searchsorted(doc_ids, d)
-                ok = idx < len(doc_ids)
-                ok[ok] = doc_ids[idx[ok]] == d[ok]
+                idx, ok = _sorted_lookup(d, doc_ids)
                 gdf = int(sc._global_df(t, owners))
                 for i in np.flatnonzero(ok):
                     per_hit[i].append((t, int(tfs[idx[i]]), gdf))
             dls = sc.doclens.lookup(d)
-            for i in range(len(d)):
-                for t, tf, gdf in per_hit[i]:
-                    qids_out.append(qid)
-                    ranks_out.append(i + 1)
-                    terms_out.append(t)
-                    tfs_out.append(tf)
-                    dfs_out.append(gdf)
-                    dls_out.append(int(dls[i]))
-                docs_out.append(np.full(len(per_hit[i]), d[i], dtype=np.uint64))
-        docs = np.concatenate(docs_out) if docs_out else np.empty(0, np.uint64)
-        return pa.table(
-            {
-                "query_id": pa.array(qids_out, pa.int64()),
-                "rank": pa.array(np.asarray(ranks_out, np.int32), pa.int32()),
-                "doc_id": pa.array(docs, pa.uint64()),
-                "term": pa.array(terms_out, pa.string()),
-                "tf": pa.array(tfs_out, pa.int64()),
-                "df": pa.array(dfs_out, pa.int64()),
-                "dl": pa.array(dls_out, pa.int64()),
-            }
-        )
+            rows = [(i, row) for i in range(len(d)) for row in per_hit[i]]
+            hits.append((qid, {
+                "rank": [i + 1 for i, _ in rows],
+                "doc_id": d[[i for i, _ in rows]],
+                "term": [t for _, (t, _, _) in rows],
+                "tf": [tf for _, (_, tf, _) in rows],
+                "df": [gdf for _, (_, _, gdf) in rows],
+                "dl": [int(dls[i]) for i, _ in rows],
+            }))
+        return _ranked_table(hits, pa.schema(
+            [("query_id", pa.int64()), ("rank", pa.int32()), ("doc_id", pa.uint64()),
+             ("term", pa.string()), ("tf", pa.int64()), ("df", pa.int64()), ("dl", pa.int64())]
+        ))
 
 
 class CompletionSuggester:
@@ -3241,11 +2696,7 @@ class CompletionSuggester:
     corpus-bounded."""
 
     def __init__(self, out_dir: str, seg_ids: list[int] | None = None, size: int = 5):
-        if seg_ids is None:
-            from ..pipelines.query import list_segments
-
-            seg_ids = list_segments(out_dir)
-        self.segments = [Segment(out_dir, sid) for sid in seg_ids]
+        self.segments = _open_segments(out_dir, seg_ids)
         self.size = size
 
     def _suggest(self, prefix: str) -> list[tuple[str, int]]:
@@ -3266,21 +2717,14 @@ class CompletionSuggester:
         return ranked[: self.size]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids, ranks, terms, dfs = [], [], [], []
+        hits = []
         for qid, text in zip(batch["query_id"].to_pylist(), batch["text"].to_pylist()):
-            for r, (t, d) in enumerate(self._suggest(text), 1):
-                qids.append(qid)
-                ranks.append(r)
-                terms.append(t)
-                dfs.append(d)
-        return pa.table(
-            {
-                "query_id": pa.array(qids, pa.int64()),
-                "rank": pa.array(np.asarray(ranks, np.int32), pa.int32()),
-                "term": pa.array(terms, pa.string()),
-                "df": pa.array(dfs, pa.int64()),
-            }
-        )
+            ranked = self._suggest(text)
+            hits.append((qid, {"term": [t for t, _ in ranked], "df": [d for _, d in ranked]}))
+        return _ranked_table(hits, pa.schema(
+            [("query_id", pa.int64()), ("rank", pa.int32()),
+             ("term", pa.string()), ("df", pa.int64())]
+        ))
 
 
 class RankEval:
@@ -3302,19 +2746,15 @@ class RankEval:
         qids, n_rels, n_at_ks, firsts = [], [], [], []
         for qid, text in zip(batch["query_id"].to_pylist(), batch["text"].to_pylist()):
             hits, _ = sc._score_query(text)
-            toks = sorted(set(tokenize(text)))
-            owners = {t: sc._owners(t) for t in toks}
-            if toks and all(owners[t] for t in toks):
-                entries = [sc._term_arrays(t, owners[t]) for t in toks]
-                rel = sc._conj_candidates(toks, entries)
+            owners = sc._owners_of(tokenize(text), required=True)
+            if owners:
+                rel = _intersect([e[0] for e in sc._entries(owners)])
             else:
                 rel = np.empty(0, np.uint64)
             n_rel = len(rel)
             n_at_k, first = 0, 0
             if n_rel and len(hits):
-                idx = np.searchsorted(rel, hits)
-                ok = idx < n_rel
-                ok[ok] = rel[idx[ok]] == hits[ok]
+                ok = _member_mask(hits, rel)
                 n_at_k = int(ok.sum())
                 where = np.flatnonzero(ok)
                 first = int(where[0]) + 1 if len(where) else 0
@@ -3340,11 +2780,7 @@ class MatchCounter:
     emit no row (the SQL-join semantics the oracle replays)."""
 
     def __init__(self, out_dir: str, seg_ids: list[int] | None = None):
-        if seg_ids is None:
-            from ..pipelines.query import list_segments
-
-            seg_ids = list_segments(out_dir)
-        self.segments = [Segment(out_dir, sid) for sid in seg_ids]
+        self.segments = _open_segments(out_dir, seg_ids)
         self.exclude_ids = mf.read_tombstones(out_dir)
 
     _match_set = FacetCounter._match_set
@@ -3412,10 +2848,7 @@ class RareTerms(MatchCounter):
             if len(docs) == 0:
                 continue
             for t, ids in self.rare:
-                pos = np.searchsorted(docs, ids)
-                ok = pos < len(docs)
-                ok[ok] = docs[pos[ok]] == ids[ok]
-                n = int(ok.sum())
+                n = int(_member_mask(ids, docs).sum())
                 if n:
                     qids_out.append(qid)
                     terms_out.append(t)
@@ -3463,13 +2896,7 @@ class AdjacencyMatrix(MatchCounter):
             a = self._cached_set(ta)
             b = self._cached_set(tb)
             # both sets are sorted unique doc_ids: vectorized membership
-            if len(a) and len(b):
-                idx = np.searchsorted(a, b)
-                ok = idx < len(a)
-                ok[ok] = a[idx[ok]] == b[ok]
-                n_ab = int(ok.sum())
-            else:
-                n_ab = 0
+            n_ab = int(_member_mask(b, a).sum())
             pids.append(pid)
             nas.append(len(a))
             nbs.append(len(b))
@@ -3523,18 +2950,9 @@ class MatchExporter(MatchCounter):
             per_term.append(np.unique(np.concatenate(lists)))
         if not per_term:
             return np.empty(0, np.uint64)
-        per_term.sort(key=len)  # smallest-first: the rare term pays
-        docs = per_term[0]
-        for ids in per_term[1:]:
-            pos = np.searchsorted(ids, docs)
-            ok = pos < len(ids)
-            ok[ok] = ids[pos[ok]] == docs[ok]
-            docs = docs[ok]
+        docs = _intersect(per_term)  # smallest-first: the rare term pays
         if self.exclude_ids is not None:
-            pos = np.searchsorted(self.exclude_ids, docs)
-            ok = pos < len(self.exclude_ids)
-            ok[ok] = self.exclude_ids[pos[ok]] == docs[ok]
-            docs = docs[~ok]
+            docs = docs[~_member_mask(docs, self.exclude_ids)]
         return docs
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -3668,16 +3086,11 @@ class TopMetrics(DocvalueTopK):
                  size: int = 3):
         super().__init__(out_dir, seg_ids, field, k=size)
         self.metric = metric
-        files = sorted(glob.glob(os.path.join(out_dir, "docs", "pid=*.parquet")))
-        tbl = pa.concat_tables(pq.read_table(f, columns=["doc_id", metric]) for f in files)
-        self.metric_vals = tbl[metric].cast(pa.int64()).to_numpy(zero_copy_only=False)
+        self.metric_vals = _docvalues(out_dir, metric)[1]
         self.size = int(size)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids_out: list[int] = []
-        ranks_out: list[int] = []
-        sort_out: list[int] = []
-        metric_out: list[int] = []
+        hits = []
         for qid, text in zip(batch["query_id"].to_pylist(), batch["text"].to_pylist()):
             docs = self._match_set(text)
             if len(docs) == 0:
@@ -3685,20 +3098,12 @@ class TopMetrics(DocvalueTopK):
             pos = np.searchsorted(self.doc_ids, docs)
             svals = self.vals[pos]
             order = np.lexsort((docs, -svals))[: self.size]
-            mvals = self.metric_vals[pos[order]]
-            for r, (sv, mv) in enumerate(zip(svals[order], mvals), start=1):
-                qids_out.append(qid)
-                ranks_out.append(r)
-                sort_out.append(int(sv))
-                metric_out.append(int(mv))
-        return pa.table(
-            {
-                "query_id": pa.array(qids_out, pa.int64()),
-                "rank": pa.array(np.asarray(ranks_out, dtype=np.int32), pa.int32()),
-                "sort_val": pa.array(sort_out, pa.int64()),
-                "metric_val": pa.array(metric_out, pa.int64()),
-            }
-        )
+            hits.append((qid, {"sort_val": svals[order],
+                               "metric_val": self.metric_vals[pos[order]]}))
+        return _ranked_table(hits, pa.schema(
+            [("query_id", pa.int64()), ("rank", pa.int32()),
+             ("sort_val", pa.int64()), ("metric_val", pa.int64())]
+        ))
 
 
 class AutoDateHistogram(DocvalueTopK):
@@ -4202,9 +3607,7 @@ class MultiTerms(FacetCounter):
                  facet: str = "lang", field: str = "doclen",
                  bucket_width: int = 64, k: int = 5):
         super().__init__(out_dir, seg_ids, facet)
-        files = sorted(glob.glob(os.path.join(out_dir, "docs", "pid=*.parquet")))
-        tbl = pa.concat_tables(pq.read_table(f, columns=["doc_id", field]) for f in files)
-        self.field_vals = tbl[field].cast(pa.int64()).to_numpy(zero_copy_only=False)
+        self.field_vals = _docvalues(out_dir, field)[1]
         self.bucket_width = int(bucket_width)
         self.k = int(k)
 
@@ -4260,19 +3663,13 @@ class TermsEnum:
     stay enumerable until segment merge rewrites the dictionary)."""
 
     def __init__(self, out_dir: str, seg_ids: list[int] | None = None, size: int = 10):
-        if seg_ids is None:
-            from ..pipelines.query import list_segments
-
-            seg_ids = list_segments(out_dir)
-        self.segments = [Segment(out_dir, sid) for sid in seg_ids]
+        self.segments = _open_segments(out_dir, seg_ids)
         self.size = int(size)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import bisect
 
-        qids_out: list[int] = []
-        ranks_out: list[int] = []
-        terms_out: list[str] = []
+        hits = []
         for qid, prefix in zip(
             batch["prefix_id"].to_pylist(), batch["prefix"].to_pylist()
         ):
@@ -4283,17 +3680,10 @@ class TermsEnum:
                 lo = bisect.bisect_left(ts, prefix)
                 hi = bisect.bisect_right(ts, hi_key, lo=lo)
                 found.update(ts[lo:hi])
-            for rank, term in enumerate(sorted(found)[: self.size], 1):
-                qids_out.append(qid)
-                ranks_out.append(rank)
-                terms_out.append(term)
-        return pa.table(
-            {
-                "prefix_id": pa.array(qids_out, pa.int64()),
-                "rank": pa.array(np.asarray(ranks_out, dtype=np.int32), pa.int32()),
-                "term": pa.array(terms_out, pa.string()),
-            }
-        )
+            hits.append((qid, {"term": sorted(found)[: self.size]}))
+        return _ranked_table(hits, pa.schema(
+            [("prefix_id", pa.int64()), ("rank", pa.int32()), ("term", pa.string())]
+        ))
 
 
 class MatrixStats:
@@ -4313,15 +3703,8 @@ class MatrixStats:
     def __init__(self, out_dir: str, seg_ids: list[int] | None = None,
                  field_a: str = "doclen", field_b: str = "warc_ts",
                  b_off: int = 0, b_div: int = 1):
-        if seg_ids is None:
-            from ..pipelines.query import list_segments
-
-            seg_ids = list_segments(out_dir)
-        self.segments = [Segment(out_dir, sid) for sid in seg_ids]
-        files = sorted(glob.glob(os.path.join(out_dir, "docs", "pid=*.parquet")))
-        tbl = pa.concat_tables(
-            pq.read_table(f, columns=["doc_id", field_a, field_b]) for f in files
-        )
+        self.segments = _open_segments(out_dir, seg_ids)
+        tbl = _docs_columns(out_dir, ["doc_id", field_a, field_b])
         self.doc_ids = tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
         self.a = tbl[field_a].cast(pa.int64()).to_numpy(zero_copy_only=False)
         self.b = (
@@ -4372,9 +3755,7 @@ class CompositeAgg(FacetCounter):
                  facet: str = "lang", field: str = "warc_ts",
                  bucket_us: int = 250_000_000, size: int = 12):
         super().__init__(out_dir, seg_ids, facet)
-        files = sorted(glob.glob(os.path.join(out_dir, "docs", "pid=*.parquet")))
-        tbl = pa.concat_tables(pq.read_table(f, columns=[field]) for f in files)
-        self.vals = tbl[field].cast(pa.int64()).to_numpy(zero_copy_only=False)
+        self.vals = _docvalues(out_dir, field)[1]
         self.bucket_us = int(bucket_us)
         self.size = int(size)
         # composite order is by facet VALUE, not dictionary code: rank
@@ -4439,28 +3820,11 @@ class CollapseTopK(FacetTopK):
     associatively (max by the frozen order / sum)."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids_out: list[int] = []
-        vals_out: list[str] = []
-        ranks_out: list[int] = []
-        ngroup_out: list[int] = []
-        docs_out: list[np.ndarray] = []
-        scores_out: list[np.ndarray] = []
+        hits = []
         for qid, text in zip(batch["query_id"].to_pylist(), batch["text"].to_pylist()):
-            owners = {}
-            for t in set(tokenize(text)):
-                segs = self.scorer._owners(t)
-                if segs:
-                    owners[t] = segs
-            terms = sorted(owners)
-            if not terms:
+            all_ids, scores, codes = self._scored_groups(text)
+            if len(all_ids) == 0:
                 continue
-            entries = [self.scorer._term_arrays(t, owners[t]) for t in terms]
-            all_ids = np.unique(np.concatenate([e[0] for e in entries]))
-            scores = np.zeros(len(all_ids), dtype=np.float64)
-            for doc_ids, contribs, _, _ in entries:  # sorted-term order
-                pos = np.searchsorted(all_ids, doc_ids)
-                scores[pos] += contribs
-            codes = self.codes[np.searchsorted(self.doc_ids, all_ids)]
             win_d: list[int] = []
             win_s: list[float] = []
             win_v: list[str] = []
@@ -4477,24 +3841,12 @@ class CollapseTopK(FacetTopK):
             wd = np.asarray(win_d, dtype=np.uint64)
             ws = np.asarray(win_s, dtype=np.float64)
             order = np.lexsort((wd, -ws))[: self.k]
-            qids_out.extend([qid] * len(order))
-            ranks_out.extend(range(1, len(order) + 1))
-            vals_out.extend(win_v[i] for i in order)
-            ngroup_out.extend(win_n[i] for i in order)
-            docs_out.append(wd[order])
-            scores_out.append(ws[order])
-        docs = np.concatenate(docs_out) if docs_out else np.empty(0, np.uint64)
-        scrs = np.concatenate(scores_out) if scores_out else np.empty(0, np.float64)
-        return pa.table(
-            {
-                "query_id": pa.array(qids_out, pa.int64()),
-                "rank": pa.array(np.asarray(ranks_out, dtype=np.int32), pa.int32()),
-                "doc_id": pa.array(docs, pa.uint64()),
-                self.facet: pa.array(vals_out, pa.string()),
-                "n_group": pa.array(ngroup_out, pa.int64()),
-                "score": pa.array(scrs, pa.float64()),
-            }
-        )
+            hits.append((qid, {"doc_id": wd[order], self.facet: [win_v[i] for i in order],
+                               "n_group": [win_n[i] for i in order], "score": ws[order]}))
+        return _ranked_table(hits, pa.schema(
+            [("query_id", pa.int64()), ("rank", pa.int32()), ("doc_id", pa.uint64()),
+             (self.facet, pa.string()), ("n_group", pa.int64()), ("score", pa.float64())]
+        ))
 
 
 class DiversifiedSampler(FacetTopK):
@@ -4525,21 +3877,7 @@ class DiversifiedSampler(FacetTopK):
         vals_out: list[str] = []
         n_out: list[int] = []
         for qid, text in zip(batch["query_id"].to_pylist(), batch["text"].to_pylist()):
-            owners = {}
-            for t in set(tokenize(text)):
-                segs = self.scorer._owners(t)
-                if segs:
-                    owners[t] = segs
-            terms = sorted(owners)
-            if not terms:
-                continue
-            entries = [self.scorer._term_arrays(t, owners[t]) for t in terms]
-            all_ids = np.unique(np.concatenate([e[0] for e in entries]))
-            scores = np.zeros(len(all_ids), dtype=np.float64)
-            for doc_ids, contribs, _, _ in entries:  # sorted-term order
-                pos = np.searchsorted(all_ids, doc_ids)
-                scores[pos] += contribs
-            codes = self.codes[np.searchsorted(self.doc_ids, all_ids)]
+            all_ids, scores, codes = self._scored_groups(text)
             order = np.lexsort((all_ids, -scores))
             ocodes = codes[order]
             # per-facet occurrence rank along the relevance walk
@@ -4648,9 +3986,7 @@ class UrlResolver:
             at = np.flatnonzero(pids == pid)
             ids, us = self._load(int(pid))
             want = doc_ids[at]
-            pos = np.searchsorted(ids, want)
-            found = pos < len(ids)
-            found[found] = ids[pos[found]] == want[found]
+            pos, found = _sorted_lookup(want, ids)
             if not found.all():
                 raise ValueError(
                     f"doc_id {int(want[~found][0])} is not in "
@@ -4722,9 +4058,7 @@ class FiltersAgg(FacetCounter):
 
     def __init__(self, out_dir: str, seg_ids: list[int] | None = None):
         super().__init__(out_dir, seg_ids, "lang")
-        files = sorted(glob.glob(os.path.join(out_dir, "docs", "pid=*.parquet")))
-        tbl = pa.concat_tables(pq.read_table(f, columns=["doc_id", "doclen"]) for f in files)
-        self.doclen = tbl["doclen"].cast(pa.int64()).to_numpy(zero_copy_only=False)
+        self.doclen = _docvalues(out_dir, "doclen")[1]
         try:
             self.en_code = self.values.index("en")
         except ValueError:
@@ -4775,11 +4109,7 @@ class BucketScriptAgg(FacetCounter):
     def __init__(self, out_dir: str, seg_ids: list[int] | None = None,
                  share_denom: int = 8):
         super().__init__(out_dir, seg_ids, "lang")
-        files = sorted(glob.glob(os.path.join(out_dir, "docs", "pid=*.parquet")))
-        tbl = pa.concat_tables(
-            pq.read_table(f, columns=["doc_id", "doclen"]) for f in files
-        )
-        self.doclen = tbl["doclen"].cast(pa.int64()).to_numpy(zero_copy_only=False)
+        self.doclen = _docvalues(out_dir, "doclen")[1]
         self.share_denom = int(share_denom)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -4838,16 +4168,9 @@ class TTestAgg(FacetCounter):
 
     def __init__(self, out_dir: str, seg_ids: list[int] | None = None):
         super().__init__(out_dir, seg_ids, "lang")
-        files = sorted(glob.glob(os.path.join(out_dir, "docs", "pid=*.parquet")))
-        tbl = pa.concat_tables(
-            pq.read_table(f, columns=["doc_id", "doclen"]) for f in files
-        )
-        dl = tbl["doclen"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        if self.exclude_ids is not None and len(self.exclude_ids):
-            pos = np.searchsorted(self.exclude_ids, self.doc_ids)
-            ok = pos < len(self.exclude_ids)
-            ok[ok] = self.exclude_ids[pos[ok]] == self.doc_ids[ok]
-            live = ~ok
+        dl = _docvalues(out_dir, "doclen")[1]
+        if self.exclude_ids is not None:
+            live = ~_member_mask(self.doc_ids, self.exclude_ids)
         else:
             live = np.ones(len(dl), dtype=bool)
         self.doclen = dl

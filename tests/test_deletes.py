@@ -69,8 +69,8 @@ def test_delete_visibility_and_stale_scores(del_base, tmp_path):
 
 def test_delete_by_doc_ids_and_generations(del_base, tmp_path):
     """doc_ids path + a second tombstone generation union; brute == wand
-    on the tombstoned index; wand_daat refuses (cursor path reads
-    segments directly)."""
+    on the tombstoned index; method="wand_daat" (cursor WAND is a test
+    oracle, not a serving method) raises ValueError."""
     idx = _copy(del_base, tmp_path)
     ids = np.sort(del_base["docs"]["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64))
     delete_documents(idx, doc_ids=ids[:20].tolist())
@@ -85,7 +85,7 @@ def test_delete_by_doc_ids_and_generations(del_base, tmp_path):
     assert (a["doc_id"].to_numpy() == b["doc_id"].to_numpy()).all()
     assert (a["score"].to_numpy() == b["score"].to_numpy()).all()
     assert not set(a["doc_id"].astype("uint64")) & set(ts.tolist())
-    with pytest.raises(ValueError, match="tombstones"):
+    with pytest.raises(ValueError, match="method must be 'wand' or 'brute'"):
         query_index(idx, q, k=10, method="wand_daat").to_pandas()
 
 

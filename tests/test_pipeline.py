@@ -100,20 +100,40 @@ def test_wand_equals_brute_on_real_index(golden_index):
 
 
 def test_wand_daat_cursor_equals_brute_on_sharded_index(golden_index):
-    """The reference doc-at-a-time cursor WAND must also be exact on the
-    real index, including heavy terms salted across multiple shards (one
-    cursor per (term, shard))."""
+    """The reference doc-at-a-time cursor WAND (wand.wand_topk over
+    Segment.cursor, run in-process as a test oracle) must also be exact on
+    the real index, including heavy terms salted across multiple shards
+    (one cursor per (term, shard))."""
+    from aarhus_ray.stages.query_stage import QueryScorer, cursor_wand_topk
+    from aarhus_ray.textnorm import tokenize
+
     q = fixtures.gen_queries(12, seed=3)
-    daat = (
-        query_index(golden_index["index"], q, k=10, method="wand_daat", resolve_urls=False)
-        .to_pandas().sort_values(["query_id", "rank"]).reset_index(drop=True)
-    )
+    scorer = QueryScorer(golden_index["index"], k=10, method="brute")
+    hits = [
+        cursor_wand_topk(scorer, tokenize(text))
+        for _, text in sorted(zip(q["query_id"].to_pylist(), q["text"].to_pylist()))
+    ]
+    daat = {"doc_id": np.concatenate([d for d, _ in hits]),
+            "score": np.concatenate([s for _, s in hits])}
     brute = (
         query_index(golden_index["index"], q, k=10, method="brute", resolve_urls=False)
         .to_pandas().sort_values(["query_id", "rank"]).reset_index(drop=True)
     )
-    assert (daat["doc_id"].to_numpy() == brute["doc_id"].to_numpy()).all()
-    assert (daat["score"].to_numpy() == brute["score"].to_numpy()).all()
+    assert len(daat["doc_id"]) == len(brute)
+    assert (daat["doc_id"] == brute["doc_id"].to_numpy()).all()
+    assert (daat["score"] == brute["score"].to_numpy()).all()
+
+
+def test_query_scorer_rejects_unknown_method(golden_index):
+    """``method`` is "wand" or "brute"; any other value (a typo, or the
+    former cursor method) raises instead of silently scoring with wand."""
+    from aarhus_ray.stages.query_stage import QueryScorer
+
+    for method in ("wnad", "wand_daat", ""):
+        with pytest.raises(ValueError, match="method must be 'wand' or 'brute'"):
+            QueryScorer(golden_index["index"], k=10, method=method)
+    for method in ("wand", "brute"):
+        assert QueryScorer(golden_index["index"], k=10, method=method).method == method
 
 
 def test_dedup_and_doc_id_invariants(golden_index):

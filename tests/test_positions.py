@@ -784,3 +784,76 @@ def test_span_multi_wildcard_equals_enumerated_intervals(pos_pair):
                 b = b.sort_values("rank").reset_index(drop=True)
                 assert (a["doc_id"].to_numpy() == b["doc_id"].to_numpy()).all()
                 assert (a["score"].to_numpy() == b["score"].to_numpy()).all()
+
+
+def _pos_vs_text(pos_pair, queries, **kw) -> int:
+    """Run ``queries`` on the positional and the default index with the
+    same query_index options; assert identical (doc_id, score) rankings
+    and return the row count."""
+    q = pa.table(
+        {
+            "query_id": pa.array(range(len(queries)), pa.int64()),
+            "text": pa.array(queries, pa.string()),
+        }
+    )
+    a, b = (
+        query_index(pos_pair[idx], q, k=10, resolve_urls=False, **kw)
+        .to_pandas().sort_values(["query_id", "rank"]).reset_index(drop=True)
+        for idx in ("pos", "nopos")
+    )
+    assert len(a) == len(b)
+    assert (a["query_id"].to_numpy() == b["query_id"].to_numpy()).all()
+    assert (a["doc_id"].to_numpy() == b["doc_id"].to_numpy()).all()
+    assert (a["score"].to_numpy() == b["score"].to_numpy()).all()
+    return len(a)
+
+
+def _doc_windows(pos_pair, n: int, width: int, seed: int) -> list[list[str]]:
+    """``n`` seeded runs of ``width`` consecutive tokens of stored docs."""
+    texts = list(_texts(pos_pair["pos"]).values())
+    rng = random.Random(seed)
+    out: list[list[str]] = []
+    while len(out) < n:
+        toks = tokenize(texts[rng.randrange(len(texts))])
+        if len(toks) > width:
+            i = rng.randrange(len(toks) - width)
+            out.append(toks[i : i + width])
+    return out
+
+
+def test_near_positional_equals_text_verify(pos_pair):
+    """mode='near' over the positional index is bit-identical to the
+    checkpoint-re-tokenize fallback: seeded in-doc term sets (pairs and
+    triples spread over a few tokens), windows 2 and 8, plus a
+    single-term query and an OOV query."""
+    wins = _doc_windows(pos_pair, 30, 6, seed=21)
+    queries = [f"{w[0]} {w[-1]}" for w in wins[:15]]
+    queries += [f"{w[0]} {w[2]} {w[5]}" for w in wins[15:]]
+    queries += [wins[0][0], "zzznotinvocab " + wins[0][0]]
+    for window in (2, 8):
+        n = _pos_vs_text(pos_pair, queries, mode="near", near_window=window)
+        assert n > 0
+
+
+def test_phrase_prefix_positional_equals_text_verify(pos_pair):
+    """mode='phrase_prefix' (last token a prefix stem) over the
+    positional index is bit-identical to the re-tokenize fallback: real
+    in-doc phrases cut to a 1- or 2-char stem, a single-stem query, a
+    dead stem and an OOV fixed term."""
+    wins = _doc_windows(pos_pair, 30, 3, seed=22)
+    queries = [f"{w[0]} {w[1][:2]}" for w in wins[:15]]
+    queries += [f"{w[0]} {w[1]} {w[2][:1]}" for w in wins[15:]]
+    queries += [wins[0][0][:2], f"{wins[0][0]} zzzq", f"zzznotinvocab {wins[0][0][:1]}"]
+    assert _pos_vs_text(pos_pair, queries, mode="phrase_prefix") > 0
+
+
+def test_query_string_phrase_positional_equals_text_verify(pos_pair):
+    """mode='query_string' with quoted phrase clauses over the positional
+    index is bit-identical to the re-tokenize fallback, alone and mixed
+    with MUST, MUST_NOT, boosted SHOULD and prefix items."""
+    wins = _doc_windows(pos_pair, 30, 4, seed=23)
+    queries = [f'"{w[0]} {w[1]}"' for w in wins[:10]]
+    queries += [f'"{w[0]} {w[1]} {w[2]}" {w[3]}^2' for w in wins[10:20]]
+    queries += [f'"{w[1]} {w[2]}" +{w[0]} -{w[3]} {w[3][:2]}*' for w in wins[20:]]
+    queries += ['"zzznotinvocab table"']
+    assert _pos_vs_text(pos_pair, queries, mode="query_string") > 0
