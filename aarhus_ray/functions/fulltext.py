@@ -5479,8 +5479,7 @@ def bm25_topk_serving(sf_dir: str, k: int = 10) -> pd.DataFrame:
     index = _ensure_index(sf_dir, fresh=False)
     before = set(_SERVE_POOLS)
     try:
-        res = serve_queries(index, _query_table(FT_QUERIES), k=k,
-                            n_actors=4, batch_size=8)
+        res = serve_queries(index, _query_table(FT_QUERIES), k=k, n_actors=4)
     finally:
         for key in set(_SERVE_POOLS) - before:
             _kill_pool(key)

@@ -317,7 +317,9 @@ def query_index(
     (query_id, rank, doc_id[, url], score).
 
     ``method="wand"`` serves; ``method="brute"`` is its bit-identical
-    exhaustive oracle. Any other value raises ``ValueError``.
+    exhaustive oracle. Any other value, an unknown ``mode``, or a
+    positional mode with ``method="brute"`` raises ``ValueError`` at this
+    call, before any Ray work.
 
     ``mode="and"`` switches to conjunctive retrieval: only documents
     containing EVERY query term are eligible (an out-of-vocabulary term
@@ -349,7 +351,7 @@ def query_index(
     ``filter_ids`` (sorted uint64 doc_ids, e.g. from ``facet_doc_ids``)
     restricts results to that doc set; BM25 statistics stay global (see
     QueryScorer). Composes with every mode."""
-    qs.check_method(method)  # at the driver, not wrapped by a Ray worker
+    qs.check_scorer_args(method, mode)  # in this process, not wrapped by a Ray worker
     segs = _require_segments(out_dir)
     shared_ref = _shared_scorer_state(out_dir, segs)
     filter_ref = ray.put(np.ascontiguousarray(filter_ids, dtype=np.uint64)) if filter_ids is not None else None
@@ -1076,7 +1078,7 @@ def _merge_range_partials(out, k: int, qids: np.ndarray | None = None):
     if qids is None:
         return out
     out["query_id"] = qids[out["query_id"].to_numpy()]
-    if _in_qid_rank_order(out):
+    if _in_qid_rank_order(out["query_id"].to_numpy(), out["rank"].to_numpy()):
         return out
     return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
 
@@ -1099,12 +1101,10 @@ def _empty_topk_frame():
     return _topk_frame([()] * len(_TOPK_COLUMNS))
 
 
-def _in_qid_rank_order(out) -> bool:
-    """True when rows are strictly ascending by (query_id, rank) — the
-    order each scorer slice already emits; only shuffled or duplicate
-    query ids (or a range merge over them) break it."""
-    q = out["query_id"].to_numpy()
-    r = out["rank"].to_numpy()
+def _in_qid_rank_order(q: np.ndarray, r: np.ndarray) -> bool:
+    """True when the (query_id ``q``, rank ``r``) rows are strictly
+    ascending — the order each scorer slice already emits; only shuffled
+    or duplicate query ids (or a range merge over them) break it."""
     return bool(np.all((q[1:] > q[:-1]) | ((q[1:] == q[:-1]) & (r[1:] > r[:-1]))))
 
 
@@ -1144,23 +1144,28 @@ def start_serving(out_dir: str, k: int = 10, method: str = "wand",
     rebuilt index (new version) evicts the stale pool.
 
     A warm lookup costs one ``os.stat`` (the stats.json version) and a
-    dict hit. Only a miss checks the segments, resolves the actor count
+    dict hit. Only a miss checks ``method`` and ``mode`` (``ValueError``
+    before any actor spawns) and the segments, resolves the actor count
     (``n_actors`` or the cluster's CPUs), evicts older-version pools of
     the index and spawns the pool, primed with one query so the first
-    served batch pays no scorer construction.
+    served request pays no scorer construction. serve_queries gives every
+    actor of a sub-pool one contiguous slice of each request, so a
+    request of at least as many queries as actors keeps all of them busy.
 
     ``n_ranges``: the CLUSTER-shape pool — the doc space splits into
     contiguous pid ranges (the query_index_doc_sharded bound: each range
     actor loads ONLY its partitions' doclens, memory ∝ range size) and
-    every range gets its own actor sub-pool; serve_queries fans each
-    query batch to one actor per range and merges the k-sized partials
-    under the frozen order. None = one full-state range (single-node
-    shape). Returns a list of range sub-pools (flat case: one)."""
+    every range gets its own actor sub-pool; serve_queries slices each
+    request the same way inside every range sub-pool and merges the
+    k-sized partials under the frozen order. None = one full-state range
+    (single-node shape). Returns a list of range sub-pools (flat case:
+    one)."""
     version = index_version(out_dir)
     key = (out_dir, version, k, method, n_actors, n_ranges, mode)
     pool = _SERVE_POOLS.get(key)
     if pool is not None:
         return pool
+    qs.check_scorer_args(method, mode)
     segs = _require_segments(out_dir)
     n = n_actors or max(1, _cpus())
     for stale in [k_ for k_ in _SERVE_POOLS if k_[0] == out_dir and k_[1] < version]:
@@ -1193,15 +1198,26 @@ def stop_serving(out_dir: str | None = None) -> None:
         _kill_pool(key)
 
 
+def _slice_bounds(n: int, n_actors: int) -> list[tuple[int, int]]:
+    """[lo, hi) bounds of the contiguous slices a request of ``n`` queries
+    is cut into for a sub-pool of ``n_actors``: one slice per actor, at
+    most ``n`` slices, sizes differing by at most one, none empty."""
+    n_slices = min(n_actors, n)
+    return [(n * j // n_slices, n * (j + 1) // n_slices) for j in range(n_slices)]
+
+
 def serve_queries(out_dir: str, queries, k: int = 10, method: str = "wand",
-                  n_actors: int | None = None, batch_size: int = 256,
-                  n_ranges: int | None = None, mode: str = "or"):
+                  n_actors: int | None = None, n_ranges: int | None = None,
+                  mode: str = "or"):
     """Answer a query table (query_id, text) — or a parquet path to one —
-    from the standing pool (start_serving): the table is cut into
-    ``batch_size`` slices, each sent round-robin as an int64 query-id
-    array plus a list of texts, one actor round-trip per slice (per range
-    with ``n_ranges``), all in flight at once; the returned result arrays
-    concatenate column by column into the frame. Bit-identical to
+    from the standing pool (start_serving): the table is cut into one
+    contiguous slice per actor of each range sub-pool (fewer when the
+    request has fewer queries than actors), actor j scoring slice j, each
+    sent as an int64 query-id array plus a list of texts, all in flight
+    at once; the returned result arrays concatenate column by column, in
+    slice order, into the frame. More slices than actors only add
+    dispatch: on a 2-actor pool a 64-query request took 10.7–12.9 ms in 2
+    slices and 12.9–16.7 ms in 4 (BENCH/BASELINE.md). Bit-identical to
     ``query_index(..., resolve_urls=False)`` (same scorer fn, same frozen
     order; pinned by test) — only the dispatch differs. With ``n_ranges``
     the k-sized per-range partials merge under (score DESC, doc_id ASC) —
@@ -1223,14 +1239,15 @@ def serve_queries(out_dir: str, queries, k: int = 10, method: str = "wand",
     # a range pool scores row positions, merged and mapped back to qids
     sent = qids if len(pool) == 1 else np.arange(n, dtype=np.int64)
     futs = [
-        sub[i % len(sub)].score.remote(sent[off:off + batch_size], texts[off:off + batch_size])
-        for i, off in enumerate(range(0, n, batch_size))
+        sub[j].score.remote(sent[lo:hi], texts[lo:hi])
         for sub in pool
+        for j, (lo, hi) in enumerate(_slice_bounds(n, len(sub)))
     ]
-    out = _topk_frame([np.concatenate(col) for col in zip(*ray.get(futs))])
+    cols = [np.concatenate(col) for col in zip(*ray.get(futs))]
+    out = _topk_frame(cols)
     if len(pool) > 1:
         return _merge_range_partials(out, k, qids)
-    if _in_qid_rank_order(out):
+    if _in_qid_rank_order(cols[0], cols[1]):
         return out
     return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
 

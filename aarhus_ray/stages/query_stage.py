@@ -722,11 +722,24 @@ def term_impacts(term: str, owners: list[Segment], doc_ids: np.ndarray, tfs: np.
     return doc_ids, contribs, lasts, bmax
 
 
-def check_method(method: str) -> None:
-    """The scoring methods: "wand" serves, "brute" is its exhaustive
-    oracle (cursor WAND, ``cursor_wand_topk``, is a test oracle only)."""
+def check_scorer_args(method: str, mode: str = "or") -> None:
+    """Raise ``ValueError`` unless QueryScorer accepts (method, mode). The
+    scoring methods: "wand" serves, "brute" is its exhaustive oracle
+    (cursor WAND, ``cursor_wand_topk``, is a test oracle only). Callers
+    run it in the calling process, before any Ray work, so a bad argument
+    raises there and not wrapped by a worker."""
     if method not in ("wand", "brute"):
         raise ValueError(f"method must be 'wand' or 'brute', not {method!r}")
+    modes = ("or", "and", "phrase", "near", "span_near", "span_not", "span_containing",
+             "span_or", "span_within", "span_multi", "prefix", "fuzzy", "fuzzy2", "boost",
+             "boolean", "msm", "terms_set", "wildcard", "regexp", "query_string",
+             "phrase_prefix", "intervals")
+    if mode not in modes:
+        raise ValueError(f"mode must be one of {', '.join(map(repr, modes))}, not {mode!r}")
+    # the positional modes verify term positions, which only wand scores
+    if mode in ("phrase", "near", "span_near", "span_not", "span_containing", "span_or",
+                "span_within", "span_multi", "phrase_prefix", "intervals") and method != "wand":
+        raise ValueError(f"{mode} scoring supports method='wand', not {method!r}")
 
 
 class QueryScorer:
@@ -789,24 +802,7 @@ class QueryScorer:
         WAND's unfiltered block maxima remain admissible upper bounds and
         pruning stays exact (a filtered block's true max can only be
         lower)."""
-        check_method(method)
-        if mode not in ("or", "and", "phrase", "near", "span_near", "span_not",
-                        "span_containing", "span_or", "span_within",
-                        "span_multi", "prefix",
-                        "fuzzy", "fuzzy2", "boost",
-                        "boolean", "msm", "terms_set", "wildcard", "regexp",
-                        "query_string", "phrase_prefix", "intervals"):
-            raise ValueError(
-                f"mode must be 'or', 'and', 'phrase', 'near', 'span_near', "
-                f"'span_not', 'span_containing', 'span_or', 'span_within', "
-                f"'span_multi', 'prefix', 'fuzzy', 'fuzzy2', "
-                f"'boost', 'boolean', 'msm', 'terms_set', 'wildcard', 'regexp', "
-                f"'query_string', 'phrase_prefix' or 'intervals', not {mode!r}"
-            )
-        if mode in ("phrase", "near", "span_near", "span_not", "span_containing",
-                    "span_or", "span_within", "span_multi",
-                    "phrase_prefix", "intervals") and method != "wand":
-            raise ValueError(f"{mode} scoring supports method='wand', not {method!r}")
+        check_scorer_args(method, mode)
         stats = mf.read_stats(out_dir)
         self.out_dir = out_dir
         self.n_docs = int(stats["n_docs"])

@@ -136,6 +136,39 @@ def test_query_scorer_rejects_unknown_method(golden_index):
         assert QueryScorer(golden_index["index"], k=10, method=method).method == method
 
 
+def test_bad_scorer_args_raise_at_the_call(golden_index, monkeypatch):
+    """An unknown ``mode``, or a positional mode with method="brute",
+    raises ``ValueError`` at the query_index / start_serving call, before
+    any Ray work: query_index builds no Dataset and start_serving spawns
+    no actor."""
+    from aarhus_ray.pipelines import query as qmod
+    from aarhus_ray.stages.query_stage import QueryScorer
+
+    idx = golden_index["index"]
+    q = fixtures.gen_queries(4, seed=3)
+    spawned = []
+
+    class NoSpawn:
+        @staticmethod
+        def remote(*a):
+            spawned.append(a)
+            raise AssertionError("start_serving spawned an actor")
+
+    monkeypatch.setattr(qmod, "_ServeScorer", NoSpawn)
+    pools = dict(qmod._SERVE_POOLS)
+    for method, mode, match in (("wand", "bogus", "not 'bogus'"),
+                                ("brute", "phrase", "phrase scoring supports method='wand'")):
+        with pytest.raises(ValueError, match=match):
+            QueryScorer(idx, k=5, method=method, mode=mode)
+        with pytest.raises(ValueError, match=match):
+            qmod.query_index(idx, q, k=5, method=method, mode=mode)
+        with pytest.raises(ValueError, match=match):
+            qmod.start_serving(idx, k=5, method=method, n_actors=2, mode=mode)
+        with pytest.raises(ValueError, match=match):
+            qmod.serve_queries(idx, q, k=5, method=method, n_actors=2, mode=mode)
+    assert spawned == [] and qmod._SERVE_POOLS == pools
+
+
 def test_dedup_and_doc_id_invariants(golden_index):
     docs = _docs_table(golden_index["index"], ["doc_id", "url", "doclen"])
     urls = docs["url"].to_pylist()
@@ -1851,13 +1884,13 @@ def test_serving_pool_matches_pipeline(golden_index):
         .sort_values(["query_id", "rank"])
         .reset_index(drop=True)
     )
-    got = serve_queries(idx, q, k=5, n_actors=2, batch_size=8)
+    got = serve_queries(idx, q, k=5, n_actors=2)
     assert got[["query_id", "rank", "doc_id", "score"]].equals(
         ref[["query_id", "rank", "doc_id", "score"]]
     )
     # the CLUSTER-shape pool: one actor sub-pool per doc range, k-sized
     # partials merged under the frozen order — still bit-identical
-    sharded = serve_queries(idx, q, k=5, n_actors=2, batch_size=8, n_ranges=2)
+    sharded = serve_queries(idx, q, k=5, n_actors=2, n_ranges=2)
     assert sharded[["query_id", "rank", "doc_id", "score"]].equals(
         ref[["query_id", "rank", "doc_id", "score"]]
     )
@@ -1868,7 +1901,7 @@ def test_serving_pool_matches_pipeline(golden_index):
         .sort_values(["query_id", "rank"])
         .reset_index(drop=True)
     )
-    got_and = serve_queries(idx, q, k=5, n_actors=2, batch_size=8, mode="and")
+    got_and = serve_queries(idx, q, k=5, n_actors=2, mode="and")
     assert got_and[["query_id", "rank", "doc_id", "score"]].equals(
         ref_and[["query_id", "rank", "doc_id", "score"]]
     )
@@ -1880,7 +1913,7 @@ def test_serving_pool_matches_pipeline(golden_index):
 
     old_keys = [k_ for k_ in _SERVE_POOLS if k_[0] == idx]
     os.utime(os.path.join(idx, "stats.json"))
-    fresh = serve_queries(idx, q, k=5, n_actors=2, batch_size=8)
+    fresh = serve_queries(idx, q, k=5, n_actors=2)
     assert fresh[["query_id", "rank", "doc_id", "score"]].equals(
         ref[["query_id", "rank", "doc_id", "score"]]
     )
@@ -1897,13 +1930,70 @@ def test_serving_pool_matches_pipeline(golden_index):
     assert not [k_ for k_ in _SERVE_POOLS if k_[0] == idx]
 
 
+def test_serve_slice_bounds():
+    """A request of n queries on a sub-pool of a actors is cut into
+    min(a, n) contiguous slices covering [0, n), none empty, sizes
+    differing by at most one."""
+    from aarhus_ray.pipelines.query import _slice_bounds
+
+    for n in range(1, 41):
+        for a in range(1, 9):
+            b = _slice_bounds(n, a)
+            assert len(b) == min(a, n)
+            assert b[0][0] == 0 and b[-1][1] == n
+            assert all(hi == lo for (_, hi), (lo, _) in zip(b, b[1:]))
+            sizes = [hi - lo for lo, hi in b]
+            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+
+
+def test_serving_request_spans_every_actor(golden_index):
+    """A request of at least as many queries as actors sends actor j of
+    each range sub-pool exactly slice j, so every actor scores; a smaller
+    request uses one actor per query."""
+    from types import SimpleNamespace
+
+    from aarhus_ray.pipelines.query import serve_queries, start_serving, stop_serving
+
+    idx = golden_index["index"]
+    sent = []
+
+    def spy(actor, name):
+        def remote(qids, texts):
+            sent.append((name, len(qids)))
+            return actor.score.remote(qids, texts)
+        return SimpleNamespace(score=SimpleNamespace(remote=remote))
+
+    # (range, actor) → slice size: 2 actors in one range, or 1 in each of 2
+    want = {None: {40: [((0, 0), 20), ((0, 1), 20)], 3: [((0, 0), 1), ((0, 1), 2)],
+                   1: [((0, 0), 1)]},
+            2: {n: [((0, 0), n), ((1, 0), n)] for n in (40, 3, 1)}}
+    try:
+        for n_ranges, per_n in want.items():
+            pool = start_serving(idx, k=5, n_actors=2, n_ranges=n_ranges)
+            real = [list(sub) for sub in pool]
+            for r, sub in enumerate(pool):
+                sub[:] = [spy(a, (r, j)) for j, a in enumerate(sub)]
+            try:
+                for n, slices in per_n.items():
+                    sent.clear()
+                    serve_queries(idx, fixtures.gen_queries(n, seed=3), k=5, n_actors=2,
+                                  n_ranges=n_ranges)
+                    assert sent == slices
+            finally:
+                for sub, actors in zip(pool, real):
+                    sub[:] = actors
+    finally:
+        stop_serving(idx)
+
+
 def test_serving_request_shapes_match_pipeline(golden_index, monkeypatch):
     """Every request shape the pool answers equals the sorted
     query_index(..., resolve_urls=False) frame, columns and dtypes both:
     shuffled query ids, adjacent duplicate ids (rows that arrive out of
-    (query_id, rank) order and must be sorted), an all-OOV request, an
-    empty table, and the doc-range (n_ranges=2) pool. A warm request
-    re-checks neither the segments nor the cluster's CPUs."""
+    (query_id, rank) order and must be sorted), an all-OOV request, a
+    one-query request on the 2-actor pool, an empty table, and the
+    doc-range (n_ranges=2) pool. A warm request re-checks neither the
+    segments nor the cluster's CPUs."""
     import pandas as pd
     import ray
 
@@ -1930,19 +2020,21 @@ def test_serving_request_shapes_match_pipeline(golden_index, monkeypatch):
     dup_ids = [i // 2 for i in range(len(texts))]  # 0,0,1,1,… adjacent pairs
     duplicated = table(dup_ids, texts)
     oov = table([3, 1, 2], ["zzqxv qqzzyy", "xxqqzz", "vvqqxxzz jjqqzz"])
+    single = table([11], texts[:1])
     empty = table([], [])
     dtypes = {"query_id": "int64", "rank": "int32", "doc_id": "uint64", "score": "float64"}
     try:
-        for tbl in (shuffled, duplicated, oov):
-            got = serve_queries(idx, tbl, k=5, n_actors=2, batch_size=5)
+        for tbl in (shuffled, duplicated, oov, single):
+            got = serve_queries(idx, tbl, k=5, n_actors=2)
             pd.testing.assert_frame_equal(got, ref(tbl))
             assert got.dtypes.astype(str).to_dict() == dtypes
             if tbl is duplicated:  # both queries of an id answered: ranks repeat
                 assert got.duplicated(["query_id", "rank"]).any()
-        sharded = serve_queries(idx, shuffled, k=5, n_actors=2, batch_size=5, n_ranges=2)
-        pd.testing.assert_frame_equal(sharded, ref(shuffled))
+        for tbl in (shuffled, single):
+            sharded = serve_queries(idx, tbl, k=5, n_actors=2, n_ranges=2)
+            pd.testing.assert_frame_equal(sharded, ref(tbl))
         # two queries sharing an id stay two answers through a range merge
-        for got in (serve_queries(idx, duplicated, k=5, n_actors=2, batch_size=5, n_ranges=2),
+        for got in (serve_queries(idx, duplicated, k=5, n_actors=2, n_ranges=2),
                     query_index_doc_sharded(idx, duplicated, n_ranges=2, k=5)):
             pd.testing.assert_frame_equal(got, ref(duplicated))
         # an empty request: the same columns and dtypes as a non-empty one
@@ -1965,7 +2057,7 @@ def test_serving_request_shapes_match_pipeline(golden_index, monkeypatch):
         want = ref(shuffled)
         for name in calls:
             monkeypatch.setattr(qmod, name, counting(name))
-        warm = serve_queries(idx, shuffled, k=5, n_actors=2, batch_size=5)
+        warm = serve_queries(idx, shuffled, k=5, n_actors=2)
         assert calls == {"_require_segments": 0, "_cpus": 0}
         pd.testing.assert_frame_equal(warm, want)
     finally:
