@@ -67,15 +67,6 @@ def _after_phase2() -> None:
     tests monkeypatch it to inject a crash and exercise resume."""
 
 
-def _phase_log(msg: str) -> None:
-    """Phase timing to stderr when AARHUS_BUILD_TIMING=1 (debug/bench aid)."""
-    if os.environ.get("AARHUS_BUILD_TIMING"):
-        import sys
-        import time
-
-        print(f"[build {time.strftime('%H:%M:%S')}] {msg}", file=sys.stderr, flush=True)
-
-
 def _cpus() -> int:
     try:
         return max(2, int(ray.cluster_resources().get("CPU", 8)))
@@ -315,9 +306,6 @@ def build_index(
         else:
             os.remove(junk)
 
-    import time as _time
-
-    _t0 = _time.perf_counter()
     pids = range(pid_offset, pid_offset + num_partitions)
     done_pids = (
         mf.completed_units(
@@ -337,8 +325,6 @@ def build_index(
     boundaries, heavy = _load_or_make_plan(
         out_dir, input_path, num_segments, sample_docs, heavy_df_frac
     )
-    _phase_log(f"plan (from input sample) {_time.perf_counter() - _t0:.1f}s")
-    _t0 = _time.perf_counter()
     if len(done_pids) < num_partitions:
         encoder = PostingsEncoder(
             boundaries, heavy, num_partitions, n_salts, pid_offset, positions=positions
@@ -356,15 +342,11 @@ def build_index(
             functools.partial(dedup_assign_write, out_dir=out_dir, encoder=encoder),
             batch_format="pyarrow",
         ).count()
-    _phase_log(f"phase 1 (extract+dedup+encode+map-out) {_time.perf_counter() - _t0:.1f}s")
     if not glob.glob(os.path.join(out_dir, "docs", "pid=*.parquet")):
         raise ValueError(f"no documents survived the build from {input_path}")
     _after_phase1()  # test seam (monkeypatched fault injection)
-    _t0 = _time.perf_counter()
     n_segs = assemble_buckets(out_dir, (len(boundaries) + 1) * max(1, n_salts))
-    _phase_log(f"phase 2 (assemble) {_time.perf_counter() - _t0:.1f}s")
     _after_phase2()  # test seam (monkeypatched fault injection)
-    _t0 = _time.perf_counter()
 
     # ---- global stats: fold the pid manifest rows (partial aggregation
     # at the source — no extra Ray job). manifest.jsonl is append-only, so
@@ -399,5 +381,4 @@ def build_index(
     with open(os.path.join(out_dir, INDEX_MARKER), "w") as f:
         f.write(f"segments={n_segs}\n")
     shutil.rmtree(partials_dir, ignore_errors=True)
-    _phase_log(f"stats+finalize {_time.perf_counter() - _t0:.1f}s")
     return stats

@@ -154,7 +154,7 @@ def add_documents(
     shutil.rmtree(delta_dir, ignore_errors=True)
 
     # ---- fold global stats; the stats.json rewrite bumps index_version,
-    # invalidating every cached scorer/shared-state for this path ----
+    # invalidating every cached scorer and serving pool of this path ----
     n_docs = int(stats["n_docs"]) + int(delta_stats["n_docs"])
     total_len = int(stats["total_len"]) + int(delta_stats["total_len"])
     folded = dict(

@@ -19,8 +19,8 @@ Every per-call index op (query_index and the 44 retrieval/aggregation ops
 below) is one op class in stages.query_stage plus one ``run_index_op``
 call: scorers ride Ray's long-lived default workers via ``CachedOp``
 (state cached per process and index version — the amortization of an
-actor pool without per-run actor spawn); heavy-term impact arrays and
-doclens come from ONE shared object-store copy (ray.put, zero-copy reads).
+actor pool without per-run actor spawn). Each scorer loads its own
+doclens and fills its own term-impact cache on first use of a term.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..partition import DOC_ID_PARTITION_SHIFT
 from ..stages import query_stage as qs
 from ..state import manifest as mf
 from .build import _cpus
@@ -55,94 +54,12 @@ def list_segments(out_dir: str) -> list[int]:
     return segs
 
 
-_SHARED_STATE_CACHE: dict[tuple[str, int], object] = {}
-
-
-@ray.remote
-def _impacts_for_terms(out_dir: str, seg_ids: tuple[int, ...], terms: tuple[str, ...], dl_pair, n_docs: int, avgdl: float):
-    """One shard of the head-term impact build: decode + score the given
-    terms' postings (gathering salted shards). ``dl_pair`` arrives as an
-    ObjectRef argument, which Ray resolves to zero-copy plasma-backed
-    numpy views — one shared copy serves every task."""
-    doclens = qs.doclen_view(*dl_pair)
-    segs = [qs.Segment(out_dir, sid) for sid in seg_ids]
-    out: dict[str, tuple] = {}
-    for term in terms:
-        owners = [s for s in segs if term in s.dict]
-        doc_ids, tfs = qs.gather_postings(term, owners)
-        out[term] = qs.term_impacts(term, owners, doc_ids, tfs, doclens, n_docs, avgdl)
-    return out
-
-
-def _shared_scorer_state(out_dir: str, segs: list[int]):
-    """Build the scorer state ONCE per driver process and ray.put it:
-    doclen arrays + precomputed impact arrays (doc_ids, per-posting BM25
-    contribution, skips) for the Zipf-head terms (df >= n_docs/200). Every
-    scorer ray.get()s the same object — numpy arrays come back as
-    zero-copy read-only views over shared object-store memory, so N workers
-    pay ZERO per-worker decode/score warmup for the terms that dominate
-    query cost. (Cluster analogue: the object is replicated once per node,
-    not per worker.)
-
-    Round 3: the decode+score of head terms is DISTRIBUTED over Ray tasks
-    (one per term chunk, doclens passed by ref and read zero-copy) — the
-    driver only scans the shard dictionaries for global dfs and merges the
-    returned per-term dicts. Cached per (index dir, version) for the
-    driver process lifetime."""
-    import ray as _ray
-
-    from ..stages.query_stage import DoclenTable, Segment
-    from ..state import manifest as mf
-
-    # key includes stats.json mtime: rebuilding an index at the same path in
-    # one driver process must invalidate the cached doclens/impacts
-    key = (os.path.abspath(out_dir), index_version(out_dir))
-    if key in _SHARED_STATE_CACHE:
-        return _SHARED_STATE_CACHE[key]
-    # a new version unpins the older copies of the same index (the CachedOp
-    # eviction rule); other indexes keep theirs
-    for old in [k_ for k_ in _SHARED_STATE_CACHE if k_[0] == key[0] and k_[1] < key[1]]:
-        del _SHARED_STATE_CACHE[old]
-    stats = mf.read_stats(out_dir)
-    n_docs, avgdl = int(stats["n_docs"]), float(stats["avgdl"])
-    dl = DoclenTable(out_dir)
-    dl_ref = _ray.put((dl.doc_ids, dl.doclens))
-    df_floor = max(256, n_docs // 200)
-    # global df per term from the shard dicts alone (no postings decode)
-    gdf: dict[str, int] = {}
-    for sid in segs:
-        seg = Segment(out_dir, sid)
-        for term, entry in seg.dict.items():
-            gdf[term] = gdf.get(term, 0) + entry[0]
-    head = sorted(t for t, c in gdf.items() if c >= df_floor)
-    impacts: dict[str, tuple] = {}
-    if head:
-        n_chunks = min(len(head), max(1, _cpus() * 2))
-        chunks = [tuple(head[i::n_chunks]) for i in range(n_chunks)]
-        refs = [
-            _impacts_for_terms.remote(out_dir, tuple(segs), ch, dl_ref, n_docs, avgdl)
-            for ch in chunks
-        ]
-        for d in _ray.get(refs):
-            impacts.update(d)
-    ref = _ray.put((dl.doc_ids, dl.doclens, impacts))
-    _SHARED_STATE_CACHE[key] = ref
-    return ref
-
-
 def index_version(out_dir: str) -> int:
     """Cache-invalidation token: stats.json mtime (rewritten on rebuild)."""
     try:
         return os.stat(os.path.join(out_dir, "stats.json")).st_mtime_ns
     except OSError:
         return 0
-
-
-def warm_index(out_dir: str) -> None:
-    """Build + cache the shared scorer state (doclens + Zipf-head impact
-    arrays) in the object store ahead of serving, so the first query batch
-    doesn't pay the load. Idempotent per driver process."""
-    _shared_scorer_state(out_dir, list_segments(out_dir))
 
 
 def _require_segments(out_dir: str) -> list[int]:
@@ -352,13 +269,11 @@ def query_index(
     restricts results to that doc set; BM25 statistics stay global (see
     QueryScorer). Composes with every mode."""
     qs.check_scorer_args(method, mode)  # in this process, not wrapped by a Ray worker
-    segs = _require_segments(out_dir)
-    shared_ref = _shared_scorer_state(out_dir, segs)
+    _require_segments(out_dir)
     filter_ref = ray.put(np.ascontiguousarray(filter_ids, dtype=np.uint64)) if filter_ids is not None else None
     merged = run_index_op(
-        out_dir, queries, qs.QueryScorer, k, method, shared_ref, None, None,
-        mode, filter_ref, near_window, min_should_match, span_slop,
-        terms_set_mod, max_gaps,
+        out_dir, queries, qs.QueryScorer, k, method, None, mode, filter_ref,
+        near_window, min_should_match, span_slop, terms_set_mod, max_gaps,
     )
     return attach_urls(merged, out_dir) if resolve_urls else merged
 
@@ -1051,17 +966,13 @@ def mget(out_dir: str, urls) -> pa.Table:
     )
 
 
-def _doc_ranges(out_dir: str, n_ranges: int) -> list[tuple[tuple[int, int], tuple[int, ...]]]:
-    """Split the docs/ pids into at most ``n_ranges`` contiguous groups:
-    ((lo, hi) doc_id range, pids) each — the docID scheme (pid<<40 | row)
-    makes a pid group one contiguous doc_id range."""
+def _pid_groups(out_dir: str, n_ranges: int) -> list[tuple[int, ...]]:
+    """Split the docs/ pids into at most ``n_ranges`` contiguous groups —
+    the docID scheme (pid<<40 | row) makes a pid group one contiguous
+    doc_id range, which a ``QueryScorer(pids=...)`` derives itself."""
     pids = doc_pids(out_dir)
-    groups = [g for g in np.array_split(np.array(pids), min(n_ranges, len(pids))) if len(g)]
-    return [
-        ((int(g[0]) << DOC_ID_PARTITION_SHIFT, (int(g[-1]) + 1) << DOC_ID_PARTITION_SHIFT),
-         tuple(int(p) for p in g))
-        for g in groups
-    ]
+    groups = np.array_split(np.array(pids), min(n_ranges, len(pids)))
+    return [tuple(int(p) for p in g) for g in groups if len(g)]
 
 
 def _merge_range_partials(out, k: int, qids: np.ndarray | None = None):
@@ -1170,14 +1081,10 @@ def start_serving(out_dir: str, k: int = 10, method: str = "wand",
     n = n_actors or max(1, _cpus())
     for stale in [k_ for k_ in _SERVE_POOLS if k_[0] == out_dir and k_[1] < version]:
         _kill_pool(stale)
-    if n_ranges is None:
-        arg_sets = [(_shared_scorer_state(out_dir, segs), None, None)]
-    else:
-        # shared_ref None: the range bound on state IS the point
-        arg_sets = [(None, rng, pids) for rng, pids in _doc_ranges(out_dir, n_ranges)]
+    groups = [None] if n_ranges is None else _pid_groups(out_dir, n_ranges)
     fns = [qs.CachedOp(out_dir, version, qs.QueryScorer,
-                       (out_dir, tuple(segs), k, method, *a, mode))
-           for a in arg_sets]
+                       (out_dir, tuple(segs), k, method, pids, mode))
+           for pids in groups]
     per = max(1, n // len(fns))
     pool = [[_ServeScorer.remote(fn) for _ in range(per)] for fn in fns]
     prime = np.zeros(1, np.int64)
@@ -1295,11 +1202,8 @@ def query_index_doc_sharded(
             queries.schema.get_field_index("query_id"), "query_id",
             pa.array(np.arange(len(qids), dtype=np.int64)))
     qds = _query_blocks(queries)
-    # shared_ref deliberately None: the point of this path is that a
-    # scorer's state is bounded by its doc range, not a full-corpus
-    # shared copy
-    range_ds = [run_index_op(out_dir, qds, qs.QueryScorer, k, method, None, rng, pids)
-                for rng, pids in _doc_ranges(out_dir, n_ranges)]
+    range_ds = [run_index_op(out_dir, qds, qs.QueryScorer, k, method, pids)
+                for pids in _pid_groups(out_dir, n_ranges)]
     # ONE pipeline over the union: every range's scorer tasks run
     # concurrently (round 4; the old per-range .to_pandas() loop executed
     # ranges serially, hiding the latency win the sharding exists for)

@@ -682,14 +682,6 @@ def _open_segments(out_dir: str, seg_ids: list[int] | None) -> list[Segment]:
     return [Segment(out_dir, sid) for sid in seg_ids]
 
 
-def doclen_view(doc_ids: np.ndarray, doclens: np.ndarray) -> DoclenTable:
-    """A DoclenTable over given sorted arrays (e.g. zero-copy views of the
-    shared object-store copy)."""
-    table = DoclenTable.__new__(DoclenTable)
-    table.doc_ids, table.doclens = doc_ids, doclens
-    return table
-
-
 def gather_postings(term: str, owners: list[Segment]) -> tuple[np.ndarray, np.ndarray]:
     """(doc_ids, tfs) of ``term`` over its owning shards, docID-sorted:
     salted shards concatenate in docID order, and a stable sort fixes any
@@ -709,8 +701,7 @@ def term_impacts(term: str, owners: list[Segment], doc_ids: np.ndarray, tfs: np.
     the query-independent BM25 contribution of each gathered posting
     (``doc_ids``, ``tfs``) with the term's global idf, and the skip blocks
     of every owning shard — last doc id and block-max score bound — in
-    doc order. The one builder of the scorer's cold path and of the
-    shared head-term impacts (pipelines.query)."""
+    doc order. The one builder of every scorer's term cache."""
     idf_val = idf(sum(seg.dict[term][0] for seg in owners), n_docs)
     skips = np.concatenate([seg.term_skips(term) for seg in owners])
     lasts = skips["last_doc_id"].copy()
@@ -767,8 +758,6 @@ class QueryScorer:
         seg_ids: list[int] | None = None,
         k: int = 10,
         method: str = "wand",
-        shared_ref=None,
-        doc_range: tuple[int, int] | None = None,
         pids: list[int] | None = None,
         mode: str = "or",
         filter_ids: np.ndarray | None = None,
@@ -783,14 +772,15 @@ class QueryScorer:
         "brute" (exhaustive BM25, the in-test oracle); the two are
         bit-identical.
 
-        ``doc_range=(lo, hi)`` + ``pids`` activate the DOC-SHARDED mode
+        ``pids`` (ascending, contiguous) activates the DOC-SHARDED mode
         (cluster scorer-state path, SCALE.md): this scorer holds only the
-        doclens of its partitions and scores each query over doc_ids in
-        [lo, hi) — memory bounded by the doc range, results merged across
-        ranges by the caller (exact: every doc is scored wholly inside
-        exactly one range, unlike per-term-segment top-k which splits doc
-        scores). idf/df stay GLOBAL (summed over all shards). Default
-        (None): full-corpus scoring, the goldens' exact path.
+        doclens of those partitions and scores each query over their
+        doc_id range [pids[0] << shift, (pids[-1] + 1) << shift) — memory
+        bounded by the doc range, results merged across ranges by the
+        caller (exact: every doc is scored wholly inside exactly one
+        range, unlike per-term-segment top-k which splits doc scores).
+        idf/df stay GLOBAL (summed over all shards). Default (None):
+        full-corpus scoring, the goldens' exact path.
 
         ``filter_ids`` (sorted uint64 array, or an object ref to one)
         restricts RESULTS to the given doc set — the facet-filter path
@@ -815,8 +805,10 @@ class QueryScorer:
         self.span_slop = int(span_slop)
         self.terms_set_mod = int(terms_set_mod)
         self.max_gaps = int(max_gaps)
+        shift = DOC_ID_PARTITION_SHIFT
         self.doc_range = (
-            (np.uint64(doc_range[0]), np.uint64(doc_range[1])) if doc_range is not None else None
+            (np.uint64(pids[0] << shift), np.uint64((pids[-1] + 1) << shift))
+            if pids is not None else None
         )
         import ray as _ray
 
@@ -836,14 +828,7 @@ class QueryScorer:
         # bit-identical. None (no tombstones dir) costs nothing.
         self.exclude_ids = mf.read_tombstones(out_dir)
         self.segments = _open_segments(out_dir, seg_ids)
-        self._shared_impacts: dict[str, tuple] = {}
-        if shared_ref is not None:
-            # zero-copy read-only views over the shared object-store copy
-            dl_ids, dl_lens, impacts = _ray.get(shared_ref)
-            self.doclens = doclen_view(dl_ids, dl_lens)
-            self._shared_impacts = impacts
-        else:
-            self.doclens = DoclenTable(out_dir, pids=pids if doc_range is not None else None)
+        self.doclens = DoclenTable(out_dir, pids=pids)
         # actor-lifetime term cache: term → (doc_ids, contribs, skips) with
         # contribs = the per-posting BM25 contribution score_tf(tf, dl,
         # avgdl, idf) — query-INDEPENDENT, so it is computed once. Zipf-head
@@ -884,39 +869,21 @@ class QueryScorer:
             m = ex if m is None else (m & ex)
         return m
 
-    def _apply_filter(self, got: tuple) -> tuple:
-        """Mask a term's postings to the visible set (facet filter minus
-        tombstones); skip blocks stay as-is (an unfiltered block max is a
-        valid upper bound over the subset)."""
-        doc_ids, vals, lasts, bmax = got
-        m = self._visible_mask(doc_ids)
-        if m is None:
-            return got
-        return doc_ids[m], vals[m], lasts, bmax
-
     def _term_arrays(self, term: str, owners: list["Segment"]):
-        if self.doc_range is None and self.filter_ids is None and self.exclude_ids is None:
-            got = self._shared_impacts.get(term)
-            if got is not None:
-                return got
+        """The (doc_ids, contribs, lasts, bmax) arrays of ``term``: its
+        visible in-range postings and their BM25 contributions, with the
+        skip blocks of every owning shard (unmasked: a block max over all
+        postings bounds the visible subset). Built on first use, then
+        cached."""
         got = self._term_cache.get(term)
         if got is None:
-            shared = self._shared_impacts.get(term)
-            if shared is not None:
-                # doc-sharded mode over shared full-corpus impacts: slice the
-                # zero-copy views to this scorer's range (cluster analogue:
-                # the node's impact replica holds only its range)
-                got = self._slice_to_range(*shared) if self.doc_range is not None else shared
-                got = self._apply_filter(got)
-            else:
-                # the gather already holds only in-range docs (the range
-                # doclen table only has those); the range slice then trims
-                # the skip blocks
-                doc_ids, tfs = self._gather_postings(term, owners)
-                got = term_impacts(term, owners, doc_ids, tfs, self.doclens,
-                                   self.n_docs, self.avgdl)
-                if self.doc_range is not None:
-                    got = self._slice_to_range(*got)
+            # the gather already holds only visible in-range docs; the
+            # range slice then trims the skip blocks
+            doc_ids, tfs = self._gather_postings(term, owners)
+            got = term_impacts(term, owners, doc_ids, tfs, self.doclens,
+                               self.n_docs, self.avgdl)
+            if self.doc_range is not None:
+                got = self._slice_to_range(*got)
             self._charge_cache(len(got[0]))
             self._term_cache[term] = got
         return got
@@ -3693,8 +3660,9 @@ class MatrixStats:
     so squares stay well inside int64; at 10^12-doc match sets the
     per-doc-range partial sums accumulate as arbitrary-precision Python
     ints before the merge (they are additive across disjoint ranges —
-    SCALE.md §3), exactly like MatchsetStats' split-sum. Empty match sets
-    emit no row (SQL-join semantics)."""
+    SCALE.md §3), exactly like MatchsetStats' split-sum. A sum past int64
+    raises ``ValueError`` naming it: ``b_off``/``b_div`` must then scale
+    ``field_b`` down. Empty match sets emit no row (SQL-join semantics)."""
 
     def __init__(self, out_dir: str, seg_ids: list[int] | None = None,
                  field_a: str = "doclen", field_b: str = "warc_ts",
@@ -3703,9 +3671,10 @@ class MatrixStats:
         tbl = _docs_columns(out_dir, ["doc_id", field_a, field_b])
         self.doc_ids = tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
         self.a = tbl[field_a].cast(pa.int64()).to_numpy(zero_copy_only=False)
+        self.b_off, self.b_div = int(b_off), int(b_div)
         self.b = (
-            tbl[field_b].cast(pa.int64()).to_numpy(zero_copy_only=False) - int(b_off)
-        ) // int(b_div)
+            tbl[field_b].cast(pa.int64()).to_numpy(zero_copy_only=False) - self.b_off
+        ) // self.b_div
         self.exclude_ids = mf.read_tombstones(out_dir)
 
     _match_set = FacetCounter._match_set
@@ -3730,6 +3699,12 @@ class MatrixStats:
             out["sum_a2"].append(int((a * a).sum()))
             out["sum_b2"].append(int((b * b).sum()))
             out["sum_ab"].append(int((a * b).sum()))
+        for name, sums in out.items():
+            big = [v for v in sums if not -(1 << 63) <= v < 1 << 63]
+            if big:
+                raise ValueError(
+                    f"MatrixStats {name}={big[0]} exceeds int64: scale the docvalue "
+                    f"down with b_off/b_div (b_off={self.b_off}, b_div={self.b_div})")
         return pa.table({k: pa.array(v, pa.int64()) for k, v in out.items()})
 
 
@@ -3914,11 +3889,11 @@ class CachedOp:
     map_batches fn whose ``OpCls(*args)`` instance is built once per
     WORKER PROCESS and kept in the module global above, keyed by
     ``(out_dir, version, OpCls, args)``. One eviction rule: on a miss,
-    every entry of the same ``out_dir`` with an older version is dropped,
-    whatever its op class — a rebuilt index (``version`` = stats.json
-    mtime) is never served stale, and ops over other live indexes keep
-    their warm state. ``out_dir=None`` scopes an op that reads no index
-    (Percolator).
+    every entry of the same ``out_dir`` with an older version, or whose
+    args hold an object ref, is dropped, whatever its op class — a
+    rebuilt index (``version`` = stats.json mtime) is never served stale,
+    and ops over other live indexes keep their warm state. ``out_dir=None``
+    scopes an op that reads no index (Percolator).
 
     Why tasks and not an actor pool: an actor pool spawns fresh Python
     processes per run (~2s each — far more than the work itself for a few
@@ -3930,10 +3905,11 @@ class CachedOp:
     of a by-reference class resolve the real module (and its global dict)
     in the worker.
 
-    ``args`` must be hashable. Object refs in it (QueryScorer's shared
-    state and filter) key by identity, so a scorer with or without shared
-    state, or with a different filter, is a different entry; the op
-    fetches them itself, once per miss."""
+    ``args`` must be hashable. Object refs in it (QueryScorer's filter)
+    key by identity, and every call ``ray.put``s its own, so a key
+    holding a ref is never hit by a later call: the miss rule keeps at
+    most one such entry per ``out_dir``, which releases the older refs
+    and scorers. The op fetches its refs itself, once per miss."""
 
     __name__ = "CachedOp"
 
@@ -3943,8 +3919,11 @@ class CachedOp:
     def __call__(self, batch: pa.Table) -> pa.Table:
         op = _WORKER_OP_CACHE.get(self.key)
         if op is None:
+            import ray
+
             out_dir, version, OpCls, args = self.key
-            for old in [k for k in _WORKER_OP_CACHE if k[0] == out_dir and k[1] < version]:
+            for old in [k for k in _WORKER_OP_CACHE if k[0] == out_dir and (
+                    k[1] < version or any(isinstance(a, ray.ObjectRef) for a in k[3]))]:
                 del _WORKER_OP_CACHE[old]
             op = _WORKER_OP_CACHE[self.key] = OpCls(*args)
         return op(batch)

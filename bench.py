@@ -101,15 +101,11 @@ def run_once() -> dict:
     n_docs = stats["n_docs"]
 
     queries_tbl = fixtures.gen_queries(N_BENCH_QUERIES, seed=42)
-    # warm: load shared scorer state + spin the actor pool on a small batch,
-    # then measure steady-state serving throughput (the contract metric is
-    # query QPS, not cold-start latency)
-    from aarhus_ray.pipelines.query import warm_index
-
-    warm_index(out_dir)
-    # warm the WHOLE worker pool: a 64-query warm-up is a single block and
-    # touches one worker — the timed run then pays per-worker scorer
-    # construction on every other worker and measures cold-start, not QPS
+    # warm the WHOLE worker pool, then measure steady-state serving
+    # throughput (the contract metric is query QPS, not cold-start
+    # latency): a 64-query warm-up is a single block and touches one
+    # worker — the timed run then pays per-worker scorer construction on
+    # every other worker and measures cold-start, not QPS
     query_index(out_dir, fixtures.gen_queries(64 * num_cpus, seed=7), k=10, resolve_urls=False).count()
     t0 = time.perf_counter()
     res = query_index(out_dir, queries_tbl, k=10, resolve_urls=False)

@@ -41,3 +41,13 @@ def test_summarize_needs_nine_tenths_wins_and_a_gain_past_the_spread():
     assert s["holds"]
     with pytest.raises(ValueError):
         ab_pairs.summarize(parent, parent[:3], "lower")
+
+
+def test_steal_seconds_reads_the_aggregate_cpu_line():
+    stat = ("cpu  2692580 2324556 560195 11719241 12378 0 191263 710438 0 0\n"
+            "cpu0 673145 581139 140048 2929810 3094 0 47815 177609 0 0\n"
+            "intr 123 0 0\n")
+    assert ab_pairs.steal_seconds(stat, 100) == 7104.38
+    assert ab_pairs.steal_seconds(stat, 250) == 710438 / 250
+    with pytest.raises(ValueError):
+        ab_pairs.steal_seconds("cpu0 1 2 3 4 5 6 7 8 9 10\n", 100)

@@ -71,3 +71,24 @@ def test_newer_version_evicts_older_entries_of_same_dir_only(cache):
     # an older version never evicts a newer one
     CachedOp("/a", 1, OpB, ("y",))(BATCH)
     assert ("/a", 2, OpA, ("x",)) in cache
+
+
+def test_object_ref_args_keep_one_entry_per_dir(cache):
+    """A filtered query_index call ray.puts its filter, so a key holding
+    an object ref is never hit by a later call: a miss drops the same
+    dir's ref-holding entries (releasing their refs and ops) and keeps
+    the dir's other entries and other dirs' ones."""
+    import numpy as np
+    import ray
+
+    filt = np.arange(5, dtype=np.uint64)
+    CachedOp("/a", 1, OpA, ("x",))(BATCH)
+    other = ray.put(filt)
+    CachedOp("/b", 1, OpB, ("x", other))(BATCH)
+    refs = [ray.put(filt) for _ in range(3)]
+    for ref in refs:
+        CachedOp("/a", 1, OpA, ("x", ref))(BATCH)
+    assert set(cache) == {("/a", 1, OpA, ("x",)), ("/b", 1, OpB, ("x", other)),
+                          ("/a", 1, OpA, ("x", refs[-1]))}
+    CachedOp("/a", 1, OpA, ("x",))(BATCH)
+    assert len(OpA.built) == 4  # the ref-free entry stayed warm

@@ -89,6 +89,29 @@ def test_delete_by_doc_ids_and_generations(del_base, tmp_path):
         query_index(idx, q, k=10, method="wand_daat").to_pandas()
 
 
+def test_serving_pool_over_tombstoned_index(del_base, tmp_path):
+    """The standing pool, flat and doc-range sharded, answers a
+    tombstoned index exactly as the brute oracle does: each scorer masks
+    the tombstoned postings out of the term arrays it builds."""
+    from aarhus_ray.pipelines.query import serve_queries, stop_serving
+
+    idx = _copy(del_base, tmp_path)
+    q = del_base["queries"]
+    before = query_index(idx, q, k=10, resolve_urls=False).to_pandas()
+    delete_documents(idx, urls=_dead_urls(del_base, stride=3))
+    ts = set(mf.read_tombstones(idx).tolist())
+    assert set(before["doc_id"].astype("uint64")) & ts  # the deletes hit answers
+    want = (query_index(idx, q, k=10, method="brute", resolve_urls=False).to_pandas()
+            .sort_values(["query_id", "rank"]).reset_index(drop=True))
+    assert len(want) > 0 and not set(want["doc_id"].astype("uint64")) & ts
+    try:
+        for n_ranges in (None, 2):
+            got = serve_queries(idx, q, k=10, n_actors=2, n_ranges=n_ranges)
+            assert got.equals(want[list(got.columns)]), n_ranges
+    finally:
+        stop_serving(idx)
+
+
 def test_compaction_purges_and_matches_fresh_build(del_base, tmp_path):
     """Post-compaction: tombstones dir gone, stats recomputed, and the
     (score, url) sets equal a fresh build over the surviving pages."""

@@ -1919,13 +1919,6 @@ def test_serving_pool_matches_pipeline(golden_index):
     )
     for k_ in old_keys:
         assert k_ not in _SERVE_POOLS  # stale-version pools evicted
-    # the shared scorer state (ray.put copies) keeps one, newest, entry
-    # per index
-    from aarhus_ray.pipelines.query import _SHARED_STATE_CACHE
-
-    dirs = [k_[0] for k_ in _SHARED_STATE_CACHE]
-    assert len(dirs) == len(set(dirs))
-    assert dirs.count(os.path.abspath(idx)) == 1
     stop_serving(idx)
     assert not [k_ for k_ in _SERVE_POOLS if k_[0] == idx]
 
@@ -2395,6 +2388,17 @@ def test_matrix_stats_on_real_index(golden_index):
     var_a = got["sum_a2"] / n - (got["sum_a"] / n) ** 2
     var_b = got["sum_b2"] / n - (got["sum_b"] / n) ** 2
     assert np.isclose(cov / np.sqrt(var_a * var_b), np.corrcoef(a, b)[0, 1])
+
+
+def test_matrix_stats_sum_past_int64_raises_value_error(golden_index):
+    """At its default scaling (b_off=0, b_div=1) the raw microsecond ts
+    squares past int64 on the golden index: MatrixStats raises a
+    ValueError naming the sum and the scaling, not an OverflowError."""
+    from aarhus_ray.stages.query_stage import MatrixStats
+
+    qs = pa.table({"query_id": pa.array([0], pa.int64()), "text": pa.array(["the"], pa.string())})
+    with pytest.raises(ValueError, match=r"sum_b2=\d+ exceeds int64.*b_off=0, b_div=1"):
+        MatrixStats(golden_index["index"])(qs)
 
 
 def test_terms_set_mode_on_real_index(golden_index):

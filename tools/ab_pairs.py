@@ -12,6 +12,12 @@ median and quartiles, the change's wins out of the pairs (ties count for
 neither side), and whether the pair rule holds — the change wins at least
 nine tenths of the pairs AND its median is better than the parent's by
 more than the parent's quartile distance. Failed ops are printed per side.
+
+Each run line also carries ``steal=…s``: the CPU time a hypervisor stole
+from the (virtual) machine running the pairs during the run (the ``cpu``
+line of ``/proc/stat``, 8th value, in ``SC_CLK_TCK`` ticks, read before
+and after), and each side gets a total, so pairs that ran in stolen
+minutes can be told apart.
 """
 
 from __future__ import annotations
@@ -48,6 +54,21 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
             "holds": wins >= 0.9 * len(parent) and gain > spread}
 
 
+def steal_seconds(stat_text: str, ticks_per_s: int) -> float:
+    """Host steal time in seconds from ``/proc/stat`` text: the 8th value
+    of its aggregate ``cpu`` line over ``ticks_per_s`` (``SC_CLK_TCK``)."""
+    for line in stat_text.splitlines():
+        fields = line.split()
+        if fields and fields[0] == "cpu":
+            return int(fields[8]) / ticks_per_s
+    raise ValueError("no aggregate 'cpu' line in /proc/stat text")
+
+
+def _steal_now() -> float:
+    with open("/proc/stat") as f:
+        return steal_seconds(f.read(), os.sysconf("SC_CLK_TCK"))
+
+
 def run_once(checkout: str, workload: str, seed: int) -> dict:
     """One benchmark run in ``checkout``; its parsed JSON result."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -76,15 +97,19 @@ def main(argv: list[str]) -> int:
         metrics = [(m["name"], m["better"]) for m in json.load(f)["end_to_end"]]
     sides = {"parent": a.parent, "change": a.change}
     runs: dict = {"parent": [], "change": []}
+    steal = {"parent": 0.0, "change": 0.0}
     for i in range(a.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
+            before = _steal_now()
             res = run_once(sides[side], a.workload, a.seed)
+            stolen = _steal_now() - before
+            steal[side] += stolen
             runs[side].append(res)
             vals = " ".join(f"{n}={res['metrics'][n]['value']:.4g}" for n, _ in metrics
                             if n in res["metrics"])
-            print(f"pair {i} {side}: failed {res['failed']}/{res['attempted']} {vals}",
-                  flush=True)
+            print(f"pair {i} {side}: failed {res['failed']}/{res['attempted']} "
+                  f"steal={stolen:.2f}s {vals}", flush=True)
     print(f"\n{a.workload} seed {a.seed}, {a.pairs} pairs: median [q1, q3]")
     for name, better in metrics:
         if not all(name in r["metrics"] for side in runs.values() for r in side):
@@ -97,7 +122,7 @@ def main(argv: list[str]) -> int:
               f"{s['parent_iqr']:.4g}: pair rule {'holds' if s['holds'] else 'does not hold'}")
     for side, rs in runs.items():
         print(f"failed ops {side}: {sum(r['failed'] for r in rs)} / "
-              f"{sum(r['attempted'] for r in rs)}")
+              f"{sum(r['attempted'] for r in rs)}, steal {steal[side]:.2f}s")
     return 0
 
 
