@@ -45,6 +45,11 @@ surviving corpus (df included; test-pinned). Without tombstones query
 results are unchanged (test-pinned); what compaction buys then is
 shard-count hygiene — k generations mean k× dictionary probes and skip
 arrays per term, and the gather's fixed cost grows with generation count.
+
+Every write (add, delete, delete/update by query, compact) first ends the
+index's serving pools (``stop_serving(out_dir)``): its stats.json rewrite
+bumps ``index_version``, so no request could reach them again, and a live
+pool's compiled actors keep about one core each busy through the write.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ import ray
 
 from ..state import manifest as mf
 from .build import INDEX_MARKER, assemble_buckets, build_index
+from .query import stop_serving
 
 _SEG_RE = re.compile(r"seg=(\d+)$")
 _PID_RE = re.compile(r"pid=(\d+)\.parquet$")
@@ -114,6 +120,7 @@ def add_documents(
     plan_path = os.path.join(out_dir, "plan.json")
     if not os.path.exists(plan_path):
         raise ValueError(f"{out_dir} has no plan.json — cannot align a delta generation")
+    stop_serving(out_dir)
     pid_offset = _max_pid(out_dir) + 1
 
     delta_dir = os.path.join(out_dir, ".delta.tmp")
@@ -154,7 +161,7 @@ def add_documents(
     shutil.rmtree(delta_dir, ignore_errors=True)
 
     # ---- fold global stats; the stats.json rewrite bumps index_version,
-    # invalidating every cached scorer and serving pool of this path ----
+    # invalidating every cached scorer of this path ----
     n_docs = int(stats["n_docs"]) + int(delta_stats["n_docs"])
     total_len = int(stats["total_len"]) + int(delta_stats["total_len"])
     folded = dict(
@@ -206,6 +213,7 @@ def delete_documents(
         raise ValueError("pass exactly one of urls= / doc_ids=")
     if not os.path.exists(os.path.join(out_dir, INDEX_MARKER)):
         raise ValueError(f"{out_dir} is not a completed index (missing {INDEX_MARKER})")
+    stop_serving(out_dir)
     import numpy as np
 
     if urls is not None:
@@ -250,6 +258,7 @@ def delete_by_query(out_dir: str, text: str, mode: str = "or") -> dict:
     Returns {"n_tombstoned"}."""
     if not os.path.exists(os.path.join(out_dir, INDEX_MARKER)):
         raise ValueError(f"{out_dir} is not a completed index (missing {INDEX_MARKER})")
+    stop_serving(out_dir)
     from .query import export_matches
 
     q = pa.table(
@@ -337,6 +346,7 @@ def update_by_query(
     compact_index merges them away, exactly like Lucene deleted docs;
     post-compaction the index is fresh-build exact over the updated
     corpus. Returns {"n_updated", "stats"}."""
+    stop_serving(out_dir)
     r = delete_by_query(out_dir, text, mode=mode)
     if r["n_tombstoned"] == 0:
         return {"n_updated": 0, "stats": mf.read_stats(out_dir)}
@@ -440,6 +450,7 @@ def compact_index(out_dir: str, *, num_segments: int | None = None) -> dict:
         ]
         plan = dict(plan, boundaries=boundaries)
         stats = dict(stats, num_segments=num_segments)
+    stop_serving(out_dir)
     # one flat pid space again: the heavy docID-range salt maps the TOTAL
     # range over n_salts shards (pid_offset=0, P=total)
     n_salts = int(stats["n_salts"])

@@ -28,12 +28,14 @@ from __future__ import annotations
 import glob
 import os
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 import ray.data
+from ray.exceptions import RayTaskError
 
 from ..stages import query_stage as qs
 from ..state import manifest as mf
@@ -1023,54 +1025,85 @@ def _in_qid_rank_order(q: np.ndarray, r: np.ndarray) -> bool:
 class _ServeScorer:
     """Standing scorer actor for the serving pool: holds a CachedOp over
     QueryScorer; the scorer builds once in THIS process (CachedOp's
-    worker-process cache) and stays warm across calls. A request crosses
-    the actor boundary as plain columns both ways: an int64 query-id
-    array and a list of texts in, the four result arrays (query_id, rank,
-    doc_id, score) out; the Arrow table the scorer consumes is built
-    here, on the actor's side."""
+    worker-process cache) and stays warm across calls. ``score`` is bound
+    into the pool's compiled graph (start_serving), which runs it on every
+    actor for every request: a slice crosses the actor boundary as plain
+    columns both ways, an int64 query-id array and a list of texts in, the
+    four result arrays (query_id, rank, doc_id, score) out; the Arrow table
+    the scorer consumes is built here, on the actor's side. An empty slice
+    (a request of fewer queries than actors) returns four empty typed
+    arrays without calling the scorer."""
 
     def __init__(self, fn):
         self.fn = fn
 
     def score(self, qids: np.ndarray, texts: list) -> tuple:
+        if not len(qids):
+            return tuple(np.empty(0, dt) for _, dt in _TOPK_COLUMNS)
         out = self.fn(pa.table({"query_id": pa.array(qids, pa.int64()),
                                 "text": pa.array(texts, pa.string())}))
         return tuple(out[name].to_numpy() for name, _ in _TOPK_COLUMNS)
 
 
+class _Pool(NamedTuple):
+    """A standing pool under its ``_SERVE_POOLS`` key: ``subs`` holds one
+    list of _ServeScorer actors per range sub-pool (all of one size),
+    ``graph`` the compiled Ray graph whose input carries one (query ids,
+    texts) slice per actor of a sub-pool and whose outputs are every
+    actor's result columns."""
+
+    key: tuple
+    subs: list
+    graph: object
+
+
 _SERVE_POOLS: dict = {}
+
+
+def _compile_pool(subs: list):
+    """One compiled graph over every actor of every range sub-pool: input
+    arguments 2j and 2j+1 are slice j's query ids and texts, bound to actor
+    j of each sub-pool; one output per actor, sub-pool by sub-pool."""
+    from ray.dag import InputNode, MultiOutputNode
+
+    with InputNode() as inp:
+        dag = MultiOutputNode([a.score.bind(inp[2 * j], inp[2 * j + 1])
+                               for sub in subs for j, a in enumerate(sub)])
+    return dag.experimental_compile()
 
 
 def start_serving(out_dir: str, k: int = 10, method: str = "wand",
                   n_actors: int | None = None,
-                  n_ranges: int | None = None, mode: str = "or") -> list:
+                  n_ranges: int | None = None, mode: str = "or") -> _Pool:
     """Spin (or reuse) a STANDING scorer-actor pool for ``out_dir`` — the
     architecture a search engine actually serves from: shards stay open,
-    state stays hot, a query answers in one actor round-trip instead of a
-    fresh Dataset pipeline launch (~1s fixed, the measured cap on per-call
-    QPS — BENCH/BASELINE.md). Idempotent per (out_dir, version, k, method,
-    n_actors, n_ranges, mode), ``n_actors`` as given (None stays None) —
-    every query_index retrieval ``mode`` (and/phrase/near/msm/spans/…)
-    serves from its own pool, the per-doc semantics are unchanged; a
-    rebuilt index (new version) evicts the stale pool.
+    state stays hot, a query answers in one compiled-graph round trip
+    instead of a fresh Dataset pipeline launch (~1s fixed, the measured cap
+    on per-call QPS — BENCH/BASELINE.md). Idempotent per (out_dir, version,
+    k, method, n_actors, n_ranges, mode), ``n_actors`` as given (None stays
+    None) — every query_index retrieval ``mode`` (and/phrase/near/msm/
+    spans/…) serves from its own pool, the per-doc semantics are
+    unchanged; a rebuilt index (new version) evicts the stale pool.
 
     A warm lookup costs one ``os.stat`` (the stats.json version) and a
     dict hit. Only a miss checks ``method`` and ``mode`` (``ValueError``
     before any actor spawns) and the segments, resolves the actor count
     (``n_actors`` or the cluster's CPUs), evicts older-version pools of
-    the index and spawns the pool, primed with one query so the first
-    served request pays no scorer construction. serve_queries gives every
-    actor of a sub-pool one contiguous slice of each request, so a
-    request of at least as many queries as actors keeps all of them busy.
+    the index, spawns the actors and compiles the pool's one Ray graph
+    (``_compile_pool``: every actor's ``score`` on its slice of the input),
+    primed by one execution with a one-query slice per actor so the first
+    served request pays no scorer construction. A compiled actor polls its
+    input channel: a live pool keeps about one core per actor busy, idle or
+    not, until ``stop_serving`` or a write on its index (maintain.py) ends
+    it.
 
     ``n_ranges``: the CLUSTER-shape pool — the doc space splits into
     contiguous pid ranges (the query_index_doc_sharded bound: each range
     actor loads ONLY its partitions' doclens, memory ∝ range size) and
-    every range gets its own actor sub-pool; serve_queries slices each
-    request the same way inside every range sub-pool and merges the
-    k-sized partials under the frozen order. None = one full-state range
-    (single-node shape). Returns a list of range sub-pools (flat case:
-    one)."""
+    every range gets its own actor sub-pool; actor j of every sub-pool
+    scores the same slice j, and serve_queries merges the k-sized partials
+    under the frozen order. None = one full-state range (single-node
+    shape). Returns the ``_Pool``."""
     version = index_version(out_dir)
     key = (out_dir, version, k, method, n_actors, n_ranges, mode)
     pool = _SERVE_POOLS.get(key)
@@ -1086,17 +1119,25 @@ def start_serving(out_dir: str, k: int = 10, method: str = "wand",
                        (out_dir, tuple(segs), k, method, pids, mode))
            for pids in groups]
     per = max(1, n // len(fns))
-    pool = [[_ServeScorer.remote(fn) for _ in range(per)] for fn in fns]
-    prime = np.zeros(1, np.int64)
-    ray.get([a.score.remote(prime, ["the"]) for sub in pool for a in sub])
-    _SERVE_POOLS[key] = pool
+    subs = [[_ServeScorer.remote(fn) for _ in range(per)] for fn in fns]
+    _SERVE_POOLS[key] = pool = _Pool(key, subs, _compile_pool(subs))
+    try:
+        _execute(pool, [np.zeros(1, np.int64), ["the"]] * per)
+    except BaseException:
+        _evict(pool)
+        raise
     return pool
 
 
 def _kill_pool(key) -> None:
-    for sub in _SERVE_POOLS.pop(key):
-        for a in sub:
-            ray.kill(a)
+    """Tear down the pool's compiled graph, then kill its actors."""
+    pool = _SERVE_POOLS.pop(key)
+    try:
+        pool.graph.teardown()
+    finally:
+        for sub in pool.subs:
+            for a in sub:
+                ray.kill(a)
 
 
 def stop_serving(out_dir: str | None = None) -> None:
@@ -1105,31 +1146,59 @@ def stop_serving(out_dir: str | None = None) -> None:
         _kill_pool(key)
 
 
+def _evict(pool: _Pool) -> None:
+    """Kill ``pool`` unless it is no longer registered under its key."""
+    if _SERVE_POOLS.get(pool.key) is pool:
+        _kill_pool(pool.key)
+
+
+def _execute(pool: _Pool, args: list) -> list:
+    """One execution of the pool's graph: every actor's output tuple, in
+    graph output order. A scorer exception (``RayTaskError``, which also
+    matches the scorer's own error class) propagates and leaves the pool
+    serving; any other error (a dead actor, a closed channel) evicts the
+    pool before it propagates, so the next call spawns a fresh one. Outputs
+    wait without a time limit: a slow slice is not an error."""
+    try:
+        return [ref.get(timeout=-1) for ref in pool.graph.execute(*args)]
+    except RayTaskError:
+        raise
+    except Exception:
+        _evict(pool)
+        raise
+
+
 def _slice_bounds(n: int, n_actors: int) -> list[tuple[int, int]]:
     """[lo, hi) bounds of the contiguous slices a request of ``n`` queries
-    is cut into for a sub-pool of ``n_actors``: one slice per actor, at
-    most ``n`` slices, sizes differing by at most one, none empty."""
-    n_slices = min(n_actors, n)
-    return [(n * j // n_slices, n * (j + 1) // n_slices) for j in range(n_slices)]
+    is cut into for a sub-pool of ``n_actors``: exactly one slice per actor
+    (every actor of the compiled graph runs on every request), sizes
+    differing by at most one, so a slice is empty only when ``n`` is
+    smaller than ``n_actors``."""
+    return [(n * j // n_actors, n * (j + 1) // n_actors) for j in range(n_actors)]
 
 
 def serve_queries(out_dir: str, queries, k: int = 10, method: str = "wand",
                   n_actors: int | None = None, n_ranges: int | None = None,
                   mode: str = "or"):
     """Answer a query table (query_id, text) — or a parquet path to one —
-    from the standing pool (start_serving): the table is cut into one
-    contiguous slice per actor of each range sub-pool (fewer when the
-    request has fewer queries than actors), actor j scoring slice j, each
-    sent as an int64 query-id array plus a list of texts, all in flight
-    at once; the returned result arrays concatenate column by column, in
-    slice order, into the frame. More slices than actors only add
-    dispatch: on a 2-actor pool a 64-query request took 10.7–12.9 ms in 2
-    slices and 12.9–16.7 ms in 4 (BENCH/BASELINE.md). Bit-identical to
-    ``query_index(..., resolve_urls=False)`` (same scorer fn, same frozen
-    order; pinned by test) — only the dispatch differs. With ``n_ranges``
-    the k-sized per-range partials merge under (score DESC, doc_id ASC) —
-    exact, the query_index_doc_sharded argument: each doc is scored wholly
-    inside one range with global df/idf.
+    from the standing pool (start_serving) in ONE execution of its compiled
+    graph: the table is cut into one contiguous slice per actor of a
+    sub-pool (empty ones when the request has fewer queries than actors),
+    each an int64 query-id array plus a list of texts, and actor j of every
+    range sub-pool scores slice j; the returned result arrays concatenate
+    column by column, in slice order, into the frame. On a 2-actor pool
+    (4-vCPU host) with 64-query requests the graph served a median 7.3k
+    QPS against 5.0k for one ``.remote`` call per slice (perfbench serve,
+    10 interleaved pairs; BENCH/BASELINE.md).
+    Bit-identical to ``query_index(..., resolve_urls=False)`` (same scorer
+    fn, same frozen order; pinned by test) — only the dispatch differs.
+    With ``n_ranges`` the k-sized per-range partials merge under (score
+    DESC, doc_id ASC) — exact, the query_index_doc_sharded argument: each
+    doc is scored wholly inside one range with global df/idf.
+
+    A scorer exception raises here and the pool keeps serving; a dead
+    actor or a broken channel raises here and evicts the pool, so the next
+    call serves from a fresh one.
 
     Returns a pandas DataFrame (query_id int64, rank int32, doc_id uint64,
     score float64) sorted by (query_id, rank). Slices come back in that
@@ -1144,15 +1213,13 @@ def serve_queries(out_dir: str, queries, k: int = 10, method: str = "wand",
     qids = queries["query_id"].to_numpy().astype(np.int64, copy=False)
     texts = queries["text"].to_pylist()
     # a range pool scores row positions, merged and mapped back to qids
-    sent = qids if len(pool) == 1 else np.arange(n, dtype=np.int64)
-    futs = [
-        sub[j].score.remote(sent[lo:hi], texts[lo:hi])
-        for sub in pool
-        for j, (lo, hi) in enumerate(_slice_bounds(n, len(sub)))
-    ]
-    cols = [np.concatenate(col) for col in zip(*ray.get(futs))]
+    sent = qids if len(pool.subs) == 1 else np.arange(n, dtype=np.int64)
+    args = []
+    for lo, hi in _slice_bounds(n, len(pool.subs[0])):
+        args += (sent[lo:hi], texts[lo:hi])
+    cols = [np.concatenate(col) for col in zip(*_execute(pool, args))]
     out = _topk_frame(cols)
-    if len(pool) > 1:
+    if len(pool.subs) > 1:
         return _merge_range_partials(out, k, qids)
     if _in_qid_rank_order(cols[0], cols[1]):
         return out

@@ -51,3 +51,44 @@ def test_steal_seconds_reads_the_aggregate_cpu_line():
     assert ab_pairs.steal_seconds(stat, 250) == 710438 / 250
     with pytest.raises(ValueError):
         ab_pairs.steal_seconds("cpu0 1 2 3 4 5 6 7 8 9 10\n", 100)
+
+
+def test_run_once_without_a_result_prints_its_exit_and_stderr(tmp_path, capsys):
+    os.makedirs(tmp_path / "perfbench")
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\nprint('no json here')\nsys.stderr.write('worker died: boom\\n')\n"
+        "sys.exit(3)\n")
+    assert ab_pairs.run_once(str(tmp_path), "serve", 1) is None
+    out = capsys.readouterr().out
+    assert "exit 3" in out and "worker died: boom" in out
+
+
+def test_a_run_without_a_result_leaves_its_pair_out(tmp_path, monkeypatch, capsys):
+    """A run that gives no result counts as a failed run of its side and
+    its pair is left out of the rule; the other pairs still decide it."""
+    import json
+
+    parent, change = str(tmp_path / "parent"), str(tmp_path / "change")
+    os.makedirs(parent)
+    os.makedirs(change)
+    with open(os.path.join(parent, "BENCHMARK.json"), "w") as f:
+        json.dump({"end_to_end": [{"name": "throughput_per_s", "better": "higher"}]}, f)
+    values = {parent: [100.0, 101.0, 102.0], change: [110.0, None, 112.0]}
+
+    def fake_run(checkout, workload, seed):
+        v = values[checkout].pop(0)
+        if v is None:
+            return None
+        return {"failed": 0, "attempted": 5, "metrics": {"throughput_per_s": {"value": v}}}
+
+    monkeypatch.setattr(ab_pairs, "run_once", fake_run)
+    monkeypatch.setattr(ab_pairs, "_steal_now", lambda: 0.0)
+    assert ab_pairs.main([parent, change, "--workload", "serve", "--seed", "1",
+                          "--pairs", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "pair 1 change: no result" in out
+    assert "2 pairs (1 left out for a run with no result)" in out
+    assert "change wins 2/2" in out and "pair rule holds" in out
+    assert "failed ops parent: 0 / 15, failed runs 0" in out
+    assert "failed ops change: 0 / 10, failed runs 1" in out
+    assert ab_pairs.complete_pairs([1, None, 3], [4, 5, None]) == ([1], [4])

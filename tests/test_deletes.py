@@ -112,6 +112,47 @@ def test_serving_pool_over_tombstoned_index(del_base, tmp_path):
         stop_serving(idx)
 
 
+def test_writes_end_only_their_own_index_pools(del_base, tmp_path):
+    """add_documents, delete_documents and compact_index on index A each
+    end A's serving pools before they write: afterwards A has no
+    _SERVE_POOLS entry and its pool's actors are dead. A pool on index B
+    stays registered through every write and still answers, equal to
+    query_index."""
+    import ray
+
+    from aarhus_ray.pipelines.maintain import add_documents
+    from aarhus_ray.pipelines.query import (
+        _SERVE_POOLS, serve_queries, start_serving, stop_serving,
+    )
+
+    a, b = _copy(del_base, tmp_path, "a"), _copy(del_base, tmp_path, "b")
+    delta = str(tmp_path / "delta")
+    os.makedirs(delta)
+    pq.write_table(fixtures.gen_pages(40, seed=12, url_offset=100_000),
+                   os.path.join(delta, "part-0000.parquet"))
+    q = del_base["queries"]
+    want_b = (query_index(b, q, k=10, resolve_urls=False).to_pandas()
+              .sort_values(["query_id", "rank"]).reset_index(drop=True))
+    writes = (lambda: add_documents(a, delta, num_partitions=2),
+              lambda: delete_documents(a, urls=_dead_urls(del_base)),
+              lambda: compact_index(a))
+    try:
+        pool_b = start_serving(b, k=10, n_actors=1)
+        for write in writes:
+            pool_a = start_serving(a, k=10, n_actors=1)
+            write()
+            assert not [key for key in _SERVE_POOLS if key[0] == a]
+            for actor in (x for sub in pool_a.subs for x in sub):
+                with pytest.raises(ray.exceptions.RayActorError):
+                    ray.get(actor.__ray_ready__.remote(), timeout=60)
+            assert _SERVE_POOLS.get(pool_b.key) is pool_b
+            got = serve_queries(b, q, k=10, n_actors=1)
+            assert got.equals(want_b[list(got.columns)])
+    finally:
+        stop_serving(a)
+        stop_serving(b)
+
+
 def test_compaction_purges_and_matches_fresh_build(del_base, tmp_path):
     """Post-compaction: tombstones dir gone, stats recomputed, and the
     (score, url) sets equal a fresh build over the surviving pages."""

@@ -1925,56 +1925,146 @@ def test_serving_pool_matches_pipeline(golden_index):
 
 def test_serve_slice_bounds():
     """A request of n queries on a sub-pool of a actors is cut into
-    min(a, n) contiguous slices covering [0, n), none empty, sizes
-    differing by at most one."""
+    exactly a contiguous slices covering [0, n) in order, one per actor
+    of the compiled graph, sizes differing by at most one: a slice is
+    empty only when n < a."""
     from aarhus_ray.pipelines.query import _slice_bounds
 
     for n in range(1, 41):
         for a in range(1, 9):
             b = _slice_bounds(n, a)
-            assert len(b) == min(a, n)
+            assert len(b) == a
             assert b[0][0] == 0 and b[-1][1] == n
             assert all(hi == lo for (_, hi), (lo, _) in zip(b, b[1:]))
             sizes = [hi - lo for lo, hi in b]
-            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+            assert min(sizes) == n // a and max(sizes) - min(sizes) <= 1
 
 
-def test_serving_request_spans_every_actor(golden_index):
-    """A request of at least as many queries as actors sends actor j of
-    each range sub-pool exactly slice j, so every actor scores; a smaller
-    request uses one actor per query."""
-    from types import SimpleNamespace
-
+def test_serving_request_spans_every_actor(golden_index, monkeypatch):
+    """A request is ONE execution of the pool's compiled graph, whose
+    input carries one (query ids, texts) slice per actor of a sub-pool:
+    contiguous and in order, so actor j of every range sub-pool scores
+    slice j. A request of fewer queries than actors sends empty slices
+    to the rest. A flat pool sends the query ids, a range pool the row
+    positions."""
     from aarhus_ray.pipelines.query import serve_queries, start_serving, stop_serving
 
     idx = golden_index["index"]
     sent = []
-
-    def spy(actor, name):
-        def remote(qids, texts):
-            sent.append((name, len(qids)))
-            return actor.score.remote(qids, texts)
-        return SimpleNamespace(score=SimpleNamespace(remote=remote))
-
-    # (range, actor) → slice size: 2 actors in one range, or 1 in each of 2
-    want = {None: {40: [((0, 0), 20), ((0, 1), 20)], 3: [((0, 0), 1), ((0, 1), 2)],
-                   1: [((0, 0), 1)]},
-            2: {n: [((0, 0), n), ((1, 0), n)] for n in (40, 3, 1)}}
+    # slice sizes per request size: 2 actors in one range, or 1 in each of 2
+    want = {None: {40: [20, 20], 3: [1, 2], 1: [0, 1]},
+            2: {n: [n] for n in (40, 3, 1)}}
     try:
         for n_ranges, per_n in want.items():
             pool = start_serving(idx, k=5, n_actors=2, n_ranges=n_ranges)
-            real = [list(sub) for sub in pool]
-            for r, sub in enumerate(pool):
-                sub[:] = [spy(a, (r, j)) for j, a in enumerate(sub)]
-            try:
-                for n, slices in per_n.items():
-                    sent.clear()
-                    serve_queries(idx, fixtures.gen_queries(n, seed=3), k=5, n_actors=2,
-                                  n_ranges=n_ranges)
-                    assert sent == slices
-            finally:
-                for sub, actors in zip(pool, real):
-                    sub[:] = actors
+            execute = pool.graph.execute
+
+            def spy(*args, execute=execute):
+                sent.append(args)
+                return execute(*args)
+
+            monkeypatch.setattr(pool.graph, "execute", spy)
+            for n, sizes in per_n.items():
+                sent.clear()
+                q = fixtures.gen_queries(n, seed=3)
+                serve_queries(idx, q, k=5, n_actors=2, n_ranges=n_ranges)
+                assert len(sent) == 1
+                ids, texts = sent[0][0::2], sent[0][1::2]
+                assert [len(i) for i in ids] == sizes == [len(t) for t in texts]
+                want_ids = (q["query_id"].to_numpy() if n_ranges is None
+                            else np.arange(n))
+                assert np.array_equal(np.concatenate(ids), want_ids)
+                assert [t for sl in texts for t in sl] == q["text"].to_pylist()
+            monkeypatch.undo()
+    finally:
+        stop_serving(idx)
+
+
+def _pipeline_answer(idx, tbl, k=5):
+    return (query_index(idx, tbl, k=k, resolve_urls=False).to_pandas()
+            .sort_values(["query_id", "rank"]).reset_index(drop=True))
+
+
+def test_serving_request_past_the_channel_buffer(golden_index):
+    """A request whose slices pass the compiled graph's 1 MB channel
+    buffer (4,096 long texts) is answered whole, flat and doc-range
+    sharded, bit-identical to query_index."""
+    import pickle
+
+    import pandas as pd
+
+    from aarhus_ray.pipelines.query import serve_queries, stop_serving
+
+    idx = golden_index["index"]
+    base = fixtures.gen_queries(4096, seed=13)
+    pad = " ".join(f"zzpad{i:03d}" for i in range(30))  # out of vocabulary
+    tbl = pa.table({"query_id": base["query_id"],
+                    "text": pa.array([f"{t} {pad}" for t in base["text"].to_pylist()])})
+    assert len(pickle.dumps(tbl["text"].to_pylist())) > 1_000_000
+    want = _pipeline_answer(idx, tbl)
+    try:
+        for n_ranges in (None, 2):
+            got = serve_queries(idx, tbl, k=5, n_actors=2, n_ranges=n_ranges)
+            pd.testing.assert_frame_equal(got, want[list(got.columns)])
+    finally:
+        stop_serving(idx)
+
+
+def test_serving_pool_survives_a_failing_request(golden_index):
+    """A request the scorer rejects (non-string texts) raises an
+    exception of the scorer's own error class and leaves the pool
+    serving: the next request is answered by the same pool, bit-identical
+    to query_index."""
+    from aarhus_ray.pipelines.query import (
+        _SERVE_POOLS, serve_queries, start_serving, stop_serving,
+    )
+
+    idx = golden_index["index"]
+    q = fixtures.gen_queries(16, seed=3)
+    want = _pipeline_answer(idx, q)
+    bad = pa.table({"query_id": pa.array([0, 1, 2], pa.int64()),
+                    "text": pa.array([5, 6, 7])})
+    try:
+        for n_ranges in (None, 2):
+            pool = start_serving(idx, k=5, n_actors=2, n_ranges=n_ranges)
+            with pytest.raises(pa.ArrowTypeError):
+                serve_queries(idx, bad, k=5, n_actors=2, n_ranges=n_ranges)
+            assert _SERVE_POOLS.get(pool.key) is pool
+            got = serve_queries(idx, q, k=5, n_actors=2, n_ranges=n_ranges)
+            assert got.equals(want[list(got.columns)])
+            assert _SERVE_POOLS.get(pool.key) is pool
+    finally:
+        stop_serving(idx)
+
+
+def test_serving_pool_dead_actor_fails_one_call(golden_index):
+    """A dead pool actor fails one call, not every later call: the call
+    after ``ray.kill`` raises a Ray error (not a scorer exception) and
+    evicts the pool, and the call after it is served by a fresh pool,
+    bit-identical to query_index."""
+    import ray
+
+    from aarhus_ray.pipelines.query import (
+        _SERVE_POOLS, serve_queries, start_serving, stop_serving,
+    )
+
+    idx = golden_index["index"]
+    q = fixtures.gen_queries(16, seed=3)
+    want = _pipeline_answer(idx, q)
+    try:
+        for victim in (0, 1):
+            pool = start_serving(idx, k=5, n_actors=2)
+            actor = pool.subs[0][victim]
+            ray.kill(actor)
+            with pytest.raises(ray.exceptions.RayActorError):  # wait for its death
+                ray.get(actor.__ray_ready__.remote(), timeout=60)
+            with pytest.raises(ray.exceptions.RayError) as err:
+                serve_queries(idx, q, k=5, n_actors=2)
+            assert not isinstance(err.value, ray.exceptions.RayTaskError)
+            assert pool.key not in _SERVE_POOLS
+            got = serve_queries(idx, q, k=5, n_actors=2)
+            assert got.equals(want[list(got.columns)])
+            assert _SERVE_POOLS[pool.key] is not pool
     finally:
         stop_serving(idx)
 

@@ -13,6 +13,11 @@ neither side), and whether the pair rule holds — the change wins at least
 nine tenths of the pairs AND its median is better than the parent's by
 more than the parent's quartile distance. Failed ops are printed per side.
 
+A run that prints no result (a crash, a kill) does not end the set: its
+exit code and the tail of its stderr are printed, it counts as a failed
+run of its side, and its pair is left out of the rule; the summary says
+how many pairs were left out.
+
 Each run line also carries ``steal=…s``: the CPU time a hypervisor stole
 from the (virtual) machine running the pairs during the run (the ``cpu``
 line of ``/proc/stat``, 8th value, in ``SC_CLK_TCK`` ticks, read before
@@ -69,16 +74,26 @@ def _steal_now() -> float:
         return steal_seconds(f.read(), os.sysconf("SC_CLK_TCK"))
 
 
-def run_once(checkout: str, workload: str, seed: int) -> dict:
-    """One benchmark run in ``checkout``; its parsed JSON result."""
+def run_once(checkout: str, workload: str, seed: int) -> dict | None:
+    """One benchmark run in ``checkout``: its parsed JSON result, or None
+    (after printing its exit code and the tail of its stderr) when it
+    printed none."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", "10"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("{")]
     if not lines:
-        raise RuntimeError(f"no JSON result from {checkout} (exit {proc.returncode}):\n"
-                           f"{proc.stderr[-2000:]}")
+        print(f"no JSON result from {checkout} (exit {proc.returncode}):\n"
+              f"{proc.stderr[-2000:]}", flush=True)
+        return None
     return json.loads(lines[-1])
+
+
+def complete_pairs(parent: list, change: list) -> tuple[list, list]:
+    """The runs of the pairs in which both sides gave a result (a run
+    without one is None), in pair order."""
+    kept = [(p, c) for p, c in zip(parent, change) if p is not None and c is not None]
+    return [p for p, _ in kept], [c for _, c in kept]
 
 
 def _fmt(q) -> str:
@@ -106,23 +121,30 @@ def main(argv: list[str]) -> int:
             stolen = _steal_now() - before
             steal[side] += stolen
             runs[side].append(res)
+            if res is None:
+                print(f"pair {i} {side}: no result, steal={stolen:.2f}s", flush=True)
+                continue
             vals = " ".join(f"{n}={res['metrics'][n]['value']:.4g}" for n, _ in metrics
                             if n in res["metrics"])
             print(f"pair {i} {side}: failed {res['failed']}/{res['attempted']} "
                   f"steal={stolen:.2f}s {vals}", flush=True)
-    print(f"\n{a.workload} seed {a.seed}, {a.pairs} pairs: median [q1, q3]")
+    parent, change = complete_pairs(runs["parent"], runs["change"])
+    print(f"\n{a.workload} seed {a.seed}, {len(parent)} pairs "
+          f"({a.pairs - len(parent)} left out for a run with no result): median [q1, q3]")
     for name, better in metrics:
-        if not all(name in r["metrics"] for side in runs.values() for r in side):
+        if not parent or not all(name in r["metrics"] for r in parent + change):
             continue
-        s = summarize([r["metrics"][name]["value"] for r in runs["parent"]],
-                      [r["metrics"][name]["value"] for r in runs["change"]], better)
+        s = summarize([r["metrics"][name]["value"] for r in parent],
+                      [r["metrics"][name]["value"] for r in change], better)
         print(f"{name} ({better} is better): parent {_fmt(s['parent'])}, "
               f"change {_fmt(s['change'])}, change wins {s['wins']}/{s['pairs']}, "
               f"median gain {s['gain']:.4g} vs parent quartile distance "
               f"{s['parent_iqr']:.4g}: pair rule {'holds' if s['holds'] else 'does not hold'}")
     for side, rs in runs.items():
-        print(f"failed ops {side}: {sum(r['failed'] for r in rs)} / "
-              f"{sum(r['attempted'] for r in rs)}, steal {steal[side]:.2f}s")
+        done = [r for r in rs if r is not None]
+        print(f"failed ops {side}: {sum(r['failed'] for r in done)} / "
+              f"{sum(r['attempted'] for r in done)}, failed runs {len(rs) - len(done)}, "
+              f"steal {steal[side]:.2f}s")
     return 0
 
 
