@@ -56,12 +56,3 @@ def normalize_url(url: str) -> str:
 
 def partition_ids(urls, num_partitions: int) -> np.ndarray:
     return (hash64_column(urls) % np.uint64(num_partitions)).astype(np.uint32)
-
-
-def make_doc_ids(partition_id: int, n_rows: int) -> np.ndarray:
-    base = np.uint64(int(partition_id) << DOC_ID_PARTITION_SHIFT)
-    return base + np.arange(n_rows, dtype=np.uint64)
-
-
-def doc_id_partition(doc_ids: np.ndarray) -> np.ndarray:
-    return (doc_ids >> np.uint64(DOC_ID_PARTITION_SHIFT)).astype(np.uint32)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import glob
 import os
 import re
+import traceback
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +36,6 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 import ray.data
-from ray.exceptions import RayTaskError
 
 from ..stages import query_stage as qs
 from ..state import manifest as mf
@@ -1032,17 +1032,43 @@ class _ServeScorer:
     four result arrays (query_id, rank, doc_id, score) out; the Arrow table
     the scorer consumes is built here, on the actor's side. An empty slice
     (a request of fewer queries than actors) returns four empty typed
-    arrays without calling the scorer."""
+    arrays without calling the scorer.
+
+    A slice the scorer fails on returns a ``_SliceError`` instead of
+    raising. The query ids arrive as a view of the input channel's one
+    buffer, and a live traceback keeps that view alive: its frames reach
+    Ray's actor loop (``f_back``), which holds the inputs, in a reference
+    cycle only the garbage collector breaks. The next request then could
+    not write its input and stalled until the graph's submit timeout.
+    ``score`` therefore catches the scorer's exceptions itself and drops
+    their tracebacks, keeping the text."""
 
     def __init__(self, fn):
         self.fn = fn
 
-    def score(self, qids: np.ndarray, texts: list) -> tuple:
+    def score(self, qids: np.ndarray, texts: list):
         if not len(qids):
             return tuple(np.empty(0, dt) for _, dt in _TOPK_COLUMNS)
-        out = self.fn(pa.table({"query_id": pa.array(qids, pa.int64()),
-                                "text": pa.array(texts, pa.string())}))
-        return tuple(out[name].to_numpy() for name, _ in _TOPK_COLUMNS)
+        try:
+            out = self.fn(pa.table({"query_id": pa.array(qids, pa.int64()),
+                                    "text": pa.array(texts, pa.string())}))
+            return tuple(out[name].to_numpy() for name, _ in _TOPK_COLUMNS)
+        except Exception as e:
+            trace = traceback.format_exc()
+            err, seen = e, set()
+            while err is not None and id(err) not in seen:  # the chain too
+                seen.add(id(err))
+                err.__traceback__ = None
+                err = err.__cause__ or err.__context__
+            return _SliceError(e, trace)
+
+
+class _SliceError(NamedTuple):
+    """A serving actor's failed slice: the scorer's exception and its
+    traceback text, raised again in the calling process."""
+
+    error: Exception
+    trace: str
 
 
 class _Pool(NamedTuple):
@@ -1063,13 +1089,16 @@ _SERVE_POOLS: dict = {}
 def _compile_pool(subs: list):
     """One compiled graph over every actor of every range sub-pool: input
     arguments 2j and 2j+1 are slice j's query ids and texts, bound to actor
-    j of each sub-pool; one output per actor, sub-pool by sub-pool."""
+    j of each sub-pool; one output per actor, sub-pool by sub-pool. A pool
+    never has more than one execution in flight (``_execute`` reads every
+    output before it returns), so each channel holds one buffer, not
+    Ray's default ten."""
     from ray.dag import InputNode, MultiOutputNode
 
     with InputNode() as inp:
         dag = MultiOutputNode([a.score.bind(inp[2 * j], inp[2 * j + 1])
                                for sub in subs for j, a in enumerate(sub)])
-    return dag.experimental_compile()
+    return dag.experimental_compile(_max_inflight_executions=1)
 
 
 def start_serving(out_dir: str, k: int = 10, method: str = "wand",
@@ -1154,18 +1183,28 @@ def _evict(pool: _Pool) -> None:
 
 def _execute(pool: _Pool, args: list) -> list:
     """One execution of the pool's graph: every actor's output tuple, in
-    graph output order. A scorer exception (``RayTaskError``, which also
-    matches the scorer's own error class) propagates and leaves the pool
-    serving; any other error (a dead actor, a closed channel) evicts the
-    pool before it propagates, so the next call spawns a fresh one. Outputs
-    wait without a time limit: a slow slice is not an error."""
+    graph output order, each array a copy the caller owns (a read output
+    may view its channel's one buffer, which the next execution
+    overwrites, and a held view would stall that execution). A scorer
+    exception (a ``_SliceError`` output) is raised as its own class, with
+    the actor's traceback as a note, after every output is read, and
+    leaves the pool serving; any other error (a dead actor, a closed
+    channel) evicts the pool before it propagates, so the next call
+    spawns a fresh one. Outputs wait without a time limit: a slow slice
+    is not an error."""
     try:
-        return [ref.get(timeout=-1) for ref in pool.graph.execute(*args)]
-    except RayTaskError:
-        raise
+        outs = [ref.get(timeout=-1) for ref in pool.graph.execute(*args)]
     except Exception:
         _evict(pool)
         raise
+    # copy before raising too: the raised error's traceback holds this frame
+    outs = [o if isinstance(o, _SliceError) else tuple(np.array(a) for a in o)
+            for o in outs]
+    for out in outs:
+        if isinstance(out, _SliceError):
+            out.error.add_note(f"raised in a serving actor:\n{out.trace}")
+            raise out.error
+    return outs
 
 
 def _slice_bounds(n: int, n_actors: int) -> list[tuple[int, int]]:
@@ -1187,9 +1226,10 @@ def serve_queries(out_dir: str, queries, k: int = 10, method: str = "wand",
     each an int64 query-id array plus a list of texts, and actor j of every
     range sub-pool scores slice j; the returned result arrays concatenate
     column by column, in slice order, into the frame. On a 2-actor pool
-    (4-vCPU host) with 64-query requests the graph served a median 7.3k
-    QPS against 5.0k for one ``.remote`` call per slice (perfbench serve,
-    10 interleaved pairs; BENCH/BASELINE.md).
+    (4-vCPU host) with 64-query requests the pool served a median 15.1k
+    QPS (perfbench serve seed 1) and 14.6k (seed 7) once each actor
+    scored its slice in one batched pass, against 10.1k and 8.3k before
+    (10 interleaved pairs each; BENCH/BASELINE.md).
     Bit-identical to ``query_index(..., resolve_urls=False)`` (same scorer
     fn, same frozen order; pinned by test) — only the dispatch differs.
     With ``n_ranges`` the k-sized per-range partials merge under (score

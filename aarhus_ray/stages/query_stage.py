@@ -2,9 +2,10 @@
 
 ``QueryScorer`` is an actor-pool map_batches stage: one segment's dictionary,
 postings and skip lists plus the global doclen sidecar load ONCE in
-``__init__``; each __call__ scores a batch of queries with Block-Max WAND
-(or exhaustive BM25 with method="brute" — the in-test oracle) and emits
-<= k (query_id, doc_id, score) rows per query.
+``__init__``; each __call__ scores a batch of queries, each by its
+cheapest exact path — dense accumulation, the exhaustive union or
+Block-Max WAND (or exhaustive BM25 with method="brute" — the in-test
+oracle) — and emits <= k (query_id, doc_id, score) rows per query.
 
 ``UrlResolver`` resolves doc_id → url on the tiny final top-k table by
 lazily loading only the docs/pid files its doc_ids actually touch (doc_id
@@ -29,12 +30,16 @@ from ..bm25 import brute_force_topk, idf, score_tf, topk_select
 from ..partition import DOC_ID_PARTITION_SHIFT
 from ..state import manifest as mf
 from ..textnorm import tokenize
-from ..wand import TermCursor, block_max_topk, dense_accum_topk, wand_topk
+from ..wand import FIRST_CHUNK, TermCursor, block_max_topk, dense_accum_topk, wand_topk
 from .postings_stage import seg_dir
 
 # per-Segment decoded-position cache budget (values, not entries): head
 # terms carry corpus-scale streams, ~4M int64 values ≈ 32 MB
 _POS_CACHE_VALS = 1 << 22
+
+# the dense accumulator's size bound: dense rows score in groups of at most
+# this many float64 cells (8 MB; one row when the doc space is larger)
+_DENSE_CELLS = 1 << 20
 
 # the positions of a term a candidate doc lacks (shared; never written)
 _NO_POS = np.empty(0, np.int64)
@@ -96,9 +101,13 @@ def _present_sum(cand: np.ndarray, entries, weights=None) -> np.ndarray:
 def _scored_union(entries) -> tuple[np.ndarray, np.ndarray]:
     """The disjunctive match set of ``entries`` ((doc_ids, contribs, ...)
     per term, sorted-term order) with each doc's BM25 sum, accumulated term
-    by term in that order — brute's accumulation exactly."""
+    by term in that order — brute's accumulation exactly (one term's
+    postings are already sorted and distinct, and 0.0 + x == x, so they
+    are its own union)."""
     if not entries:
         return _no_hits()
+    if len(entries) == 1:
+        return entries[0][0], entries[0][1]
     ids = np.unique(np.concatenate([e[0] for e in entries]))
     scores = np.zeros(len(ids), dtype=np.float64)
     for e in entries:
@@ -114,7 +123,7 @@ def _ranked_table(lists, schema: pa.Schema) -> pa.Table:
     list (unless the lists carry their own ranks), and every other field
     its values, concatenated in list order."""
     counts = np.array([len(next(iter(c.values()))) for _, c in lists], np.int64)
-    cols = {}
+    cols = []
     for i, f in enumerate(schema):
         if i == 0:
             vals = np.repeat(np.array([key for key, _ in lists], np.int64), counts)
@@ -130,8 +139,8 @@ def _ranked_table(lists, schema: pa.Schema) -> pa.Table:
                 [v if isinstance(v := c[f.name], np.ndarray) else np.asarray(v, dt)
                  for _, c in lists] or [np.empty(0, dt)]
             )
-        cols[f.name] = pa.array(vals, f.type)
-    return pa.table(cols)
+        cols.append(pa.array(vals, f.type))
+    return pa.Table.from_arrays(cols, schema=schema)
 
 
 def _docs_columns(out_dir: str, columns, pids: list[int] | None = None) -> pa.Table | None:
@@ -617,9 +626,6 @@ class Segment:
             out.extend(t for t in self.terms_sorted if _lev_dist_cap(tok, t, 2) <= 2)
         return out
 
-    def term_entry(self, term: str):
-        return self.dict.get(term)
-
     def term_postings(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
         e = self.dict.get(term)
         if e is None:
@@ -767,10 +773,11 @@ class QueryScorer:
         terms_set_mod: int = 3,
         max_gaps: int = 2,
     ):
-        """``method``: "wand" (vectorized Block-Max WAND, or dense
-        accumulation when a query's postings cover much of the corpus) or
-        "brute" (exhaustive BM25, the in-test oracle); the two are
-        bit-identical.
+        """``method``: "wand" (vectorized Block-Max WAND, dense
+        accumulation when a query's postings cover much of the corpus, or
+        the exhaustive union when WAND could not prune; see
+        ``_score_term_sets``) or "brute" (exhaustive BM25, the in-test
+        oracle); the two are bit-identical.
 
         ``pids`` (ascending, contiguous) activates the DOC-SHARDED mode
         (cluster scorer-state path, SCALE.md): this scorer holds only the
@@ -838,10 +845,11 @@ class QueryScorer:
         self._term_cache: dict[str, tuple] = {}
         self._cached_postings = 0
         self._cache_cap = 32_000_000
-        # dense-accumulation state (wand.dense_accum_topk): per-term global
-        # position arrays + one reusable float64 scratch over the doc space
-        self._pos_cache: dict[str, np.ndarray] = {}
-        self._dense_scratch: np.ndarray | None = None
+        # the dense-row form of each term a dense query scored
+        # (``_dense_entry``) and the owning shards of each looked-up term
+        # (``_owners``), charged to the same cap
+        self._dense_cache: dict[str, tuple] = {}
+        self._owner_memo: dict[str, list[Segment]] = {}
 
     def _slice_to_range(self, doc_ids, contribs_or_tfs, lasts, bmax):
         """Restrict term arrays to [lo, hi). Postings slice exactly; skip
@@ -884,29 +892,59 @@ class QueryScorer:
                                self.n_docs, self.avgdl)
             if self.doc_range is not None:
                 got = self._slice_to_range(*got)
+            for a in got:  # shared by every query of the term (_scored_union)
+                a.flags.writeable = False
             self._charge_cache(len(got[0]))
             self._term_cache[term] = got
         return got
 
     def _charge_cache(self, n_postings: int) -> None:
-        """Charge a new cached array (term arrays OR dense position arrays)
-        against the shared cap; evict-all on overflow keeps both caches
-        bounded together (a long-lived worker serving many distinct head
-        terms must not grow without bound — _pos_cache entries are
-        postings-length too)."""
+        """Charge a new cache entry (term arrays, a dense-row form or an
+        owner lookup) against the shared cap; evict-all on overflow keeps
+        every cache bounded together (a long-lived worker serving many
+        distinct head terms must not grow without bound)."""
         if self._cached_postings + n_postings > self._cache_cap:
             self._term_cache.clear()
-            self._pos_cache.clear()
+            self._dense_cache.clear()
+            self._owner_memo.clear()
             self._cached_postings = 0
         self._cached_postings += n_postings
 
     def _owners(self, term: str) -> list[Segment]:
-        """All shards holding postings of this term. Heavy terms are salted
-        into several (term-range × docID-range) shards; shard order in
-        self.segments is bucket order = (seg_id, salt) ascending, and salt
-        ascends with docID range, so concatenation in this order is already
+        """All shards holding postings of this term (empty when none does),
+        memoised per scorer. Heavy terms are salted into several
+        (term-range × docID-range) shards; shard order in self.segments is
+        bucket order = (seg_id, salt) ascending, and salt ascends with
+        docID range, so concatenation in this order is already
         docID-sorted."""
-        return [seg for seg in self.segments if term in seg.dict]
+        got = self._owner_memo.get(term)
+        if got is None:
+            got = [seg for seg in self.segments if term in seg.dict]
+            self._charge_cache(1)
+            self._owner_memo[term] = got
+        return got
+
+    def _dense_entry(self, term: str, doc_ids: np.ndarray, contribs: np.ndarray) -> tuple:
+        """The (pos, vals) entry of ``term`` in a dense accumulator row
+        (``dense_accum_topk``): a head term (postings × 8 >= docs) as its
+        dense impact vector over the local doc table (pos None), any other
+        as the table positions of its postings and their contributions.
+        Built on first use, then cached."""
+        got = self._dense_cache.get(term)
+        if got is None:
+            table = self.doclens.doc_ids
+            pos = np.searchsorted(table, doc_ids)
+            if len(doc_ids) * 8 >= len(table):
+                vec = np.zeros(len(table), dtype=np.float64)
+                vec[pos] = contribs
+                got = (None, vec)
+            else:
+                if len(table) < (1 << 31):
+                    pos = pos.astype(np.int32)  # halve index bandwidth
+                got = (pos, contribs)
+            self._charge_cache(len(got[1]))
+            self._dense_cache[term] = got
+        return got
 
     def _owners_of(self, toks, required: bool = False) -> dict[str, list[Segment]] | None:
         """The term lookup of every mode: {term: owning shards} for the
@@ -1864,46 +1902,64 @@ class QueryScorer:
     def _score_terms(self, toks: set[str]) -> tuple[np.ndarray, np.ndarray]:
         """Disjunctive BM25 top-k over a concrete term set (the or-mode
         engine; prefix mode feeds it the expanded set). OOV terms drop."""
-        owners = self._owners_of(toks)
-        if not owners:
-            return _no_hits()
-        if self.method == "brute":
-            return self._brute(owners)
-        # "wand": vectorized Block-Max WAND over cached full arrays,
-        # or — when the query's terms cover a large fraction of the corpus
-        # (flat block maxes, pruning can't bite) — exact term-at-a-time
-        # dense accumulation over precomputed global positions, which skips
-        # the union-sort work WAND would spend scoring nearly everything
-        tbs = []
-        total_postings = 0
-        for t, segs in owners.items():
-            doc_ids, contribs, lasts, bmax = self._term_arrays(t, segs)
-            tbs.append((t, doc_ids, contribs, lasts, bmax))
-            total_postings += len(doc_ids)
-        # dense-path trigger compares against the LOCAL doc space (== n_docs
-        # for the default full-corpus scorer; the range's size when sharded)
+        return self._score_term_sets([toks])[0]
+
+    def _score_term_sets(self, tok_sets: list) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``_score_terms`` of every term set of ``tok_sets`` in one pass,
+        one (doc_ids, scores) pair per set. "brute" scores each set
+        exhaustively. "wand" picks each query's path by what it costs:
+
+        - dense: when the query's postings cover much of the local doc
+          space (postings × 8 >= docs) pruning cannot bite, so the query is
+          one row of a dense accumulator (``dense_accum_topk``), its head
+          terms added as cached dense impact vectors and its other terms
+          scattered from cached positions; the rows score together, in
+          groups of at most ``_DENSE_CELLS`` accumulator cells;
+        - union: a query of at most ``FIRST_CHUNK`` skip blocks has at most
+          that many Block-Max WAND intervals, all of which WAND's first
+          chunk would score, so its postings' union is scored outright
+          (``_scored_union`` + ``topk_select``);
+        - Block-Max WAND (``block_max_topk``) otherwise.
+
+        All three add contributions in sorted-term order into zeros and
+        select in the frozen (score DESC, doc_id ASC) order, so they are
+        bit-identical to brute and to each other."""
+        out: list = [None] * len(tok_sets)
         n_local = len(self.doclens.doc_ids)
-        if n_local and total_postings * 8 >= n_local:
-            if self._dense_scratch is None:
-                self._dense_scratch = np.zeros(len(self.doclens.doc_ids), dtype=np.float64)
-            pos_entries = []
-            for t, doc_ids, contribs, _, _ in tbs:
-                pos = self._pos_cache.get(t)
-                if pos is None:
-                    pos = np.searchsorted(self.doclens.doc_ids, doc_ids)
-                    if len(self.doclens.doc_ids) < (1 << 31):
-                        pos = pos.astype(np.int32)  # halve index bandwidth
-                    self._charge_cache(len(pos))
-                    self._pos_cache[t] = pos
-                pos_entries.append((pos, contribs))
-            return dense_accum_topk(pos_entries, self.doclens.doc_ids, self._dense_scratch, self.k)
-        return block_max_topk(tbs, self.avgdl, self.k)
+        dense: list[tuple[int, list]] = []
+        for i, toks in enumerate(tok_sets):
+            owners = self._owners_of(toks)
+            if not owners:
+                out[i] = _no_hits()
+                continue
+            if self.method == "brute":
+                out[i] = self._brute(owners)
+                continue
+            entries = self._entries(owners)
+            if n_local and sum(len(e[0]) for e in entries) * 8 >= n_local:
+                dense.append((i, [self._dense_entry(t, e[0], e[1])
+                                  for t, e in zip(owners, entries)]))
+            elif sum(len(e[2]) for e in entries) <= FIRST_CHUNK:
+                out[i] = topk_select(*_scored_union(entries), self.k)
+            else:
+                out[i] = block_max_topk([(t, *e) for t, e in zip(owners, entries)],
+                                        self.avgdl, self.k)
+        per = max(1, _DENSE_CELLS // max(1, n_local))
+        for g in range(0, len(dense), per):
+            group = dense[g : g + per]
+            hits = dense_accum_topk([row for _, row in group], self.doclens.doc_ids, self.k)
+            for (i, _), hit in zip(group, hits):
+                out[i] = hit
+        return out
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        hits = []
-        for qid, text in zip(batch["query_id"].to_pylist(), batch["text"].to_pylist()):
-            d, s = self._score_query(text)
-            hits.append((qid, {"doc_id": d, "score": s}))
+        texts = batch["text"].to_pylist()
+        if self.mode == "or":
+            found = self._score_term_sets([set(tokenize(t)) for t in texts])
+        else:
+            found = [self._score_query(t) for t in texts]
+        hits = [(qid, {"doc_id": d, "score": s})
+                for qid, (d, s) in zip(batch["query_id"].to_pylist(), found)]
         return _ranked_table(hits, _SCORED_HITS)
 
 

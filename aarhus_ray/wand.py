@@ -26,6 +26,12 @@ from .bm25 import score_tf, topk_select
 # 2^24, so real doc_ids stay < 2^64 - 2^40 < 2^64-1.
 _EXHAUSTED = (1 << 64) - 1
 
+# Block-Max WAND's first interval chunk: a query of at most this many skip
+# blocks has at most this many intervals, all scored in the first chunk
+FIRST_CHUNK = 64
+
+_MIN_POSITIVE = np.nextafter(0.0, 1.0)
+
 
 class TermCursor:
     __slots__ = (
@@ -232,7 +238,7 @@ def block_max_topk(
     cand_ids = np.empty(0, np.uint64)
     cand_scores = np.empty(0, np.float64)
     threshold = -1.0
-    chunk = 64
+    chunk = FIRST_CHUNK
     pos0 = 0
     while pos0 < len(order):
         sel = order[pos0 : pos0 + chunk]
@@ -285,54 +291,68 @@ def block_max_topk(
 
 
 def dense_accum_topk(
-    pos_entries: list[tuple[np.ndarray, np.ndarray]],
+    rows: list[list[tuple[np.ndarray | None, np.ndarray]]],
     global_doc_ids: np.ndarray,
-    scratch: np.ndarray,
     k: int = 10,
-):
-    """EXACT top-k by term-at-a-time dense accumulation — the head-heavy
-    complement to ``block_max_topk``.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """EXACT top-k of several queries at once by term-at-a-time dense
+    accumulation — the head-heavy complement to ``block_max_topk``.
 
     When a query's terms cover a large fraction of the corpus (Zipf-head
     stopwords), block maxes are flat and WAND pruning cannot bite: the
     interval path then pays repeated union-sort + scatter work just to
-    score nearly everything anyway. Here each term's precomputed POSITION
-    array (its postings' indices in the global sorted doc table) lets its
-    contributions land with one vectorized fancy-index add; candidates
-    fall out of a single linear scan of the scratch array.
+    score nearly everything anyway. Here each query is one row of a
+    float64 accumulator over the doc space (``global_doc_ids``, sorted),
+    and each of its terms is one (pos, vals) entry: ``pos`` None adds the
+    term's dense impact vector (``vals``, one value per doc, 0.0 where the
+    term is absent) with one contiguous add, otherwise ``vals`` scatters
+    onto the doc positions ``pos`` (unique within a term, so a plain fancy
+    add). The rows then select together: one ``np.partition`` over the
+    rows' chunk maxima gives each row a floor no higher than its
+    kth-highest value, and one ``flatnonzero`` + ``lexsort`` over the cells
+    at or above their row's floor picks every row's top-k.
 
-    Bit-identical to brute force / block_max_topk: contributions add in
-    the same sorted-term order into a zero float64 accumulator, and
-    ``topk_select`` applies the same frozen (score DESC, doc_id ASC)
-    order. Positions within one term are unique, so ``scratch[pos] +=``
-    is a plain fancy add (no np.add.at).
+    Bit-identical to brute force / block_max_topk: each row adds its
+    contributions in the same sorted-term order into zeros (and x + 0.0 ==
+    x, so a dense vector's zeros change nothing), and the selection is the
+    frozen (score DESC, doc_id ASC) ``topk_select`` order. A row with fewer
+    than k touched docs returns every doc it touched; zeros (untouched
+    docs) are never candidates. Returns one (doc_ids, scores) pair per
+    row.
 
-    The scratch array is O(docs in this scorer's doc space) — fine for a
-    per-node shard replica, NOT for 10^12 docs in one address space; at
-    cluster scale selective queries stay on WAND and head terms are served
-    from these same per-node impact arrays (SCALE.md)."""
-    for pos, contribs in pos_entries:  # sorted-term order → float determinism
-        scratch[pos] += contribs
-    n = len(scratch)
+    The accumulator is rows × docs of this scorer's doc space — the caller
+    bounds the rows per call; at 10^12 docs in one address space selective
+    queries stay on WAND and head terms are served from these same
+    per-node impact arrays (SCALE.md)."""
+    n = len(global_doc_ids)
+    acc = np.zeros((len(rows), n), dtype=np.float64)
+    for row, entries in zip(acc, rows):
+        for pos, vals in entries:  # sorted-term order → float determinism
+            if pos is None:
+                row += vals
+            else:
+                row[pos] += vals
     if n > k:
-        # Select the top-k directly from the dense accumulator: zeros
-        # (untouched docs) cannot displace positive scores, so as long as
-        # the kth-highest value is > 0 the candidate set equals the one
-        # the gather-touched path would produce — same floats, same
-        # frozen (score DESC, doc_id ASC) lexsort tie-break. This skips
-        # the flatnonzero + fancy-gather + fancy-zero passes; the reset
-        # becomes one sequential fill.
-        kth = np.partition(scratch, n - k)[n - k]
-        if kth > 0.0:
-            cand = np.flatnonzero(scratch >= kth)
-            scores = scratch[cand]
-            order = np.lexsort((global_doc_ids[cand], -scores))
-            sel = order[:k]
-            out = (global_doc_ids[cand[sel]], scores[sel])
-            scratch.fill(0.0)
-            return out
-    # sparse tail (< k docs touched): fall back to the exact-touched path
-    touched = np.flatnonzero(scratch)
-    scores = scratch[touched]  # fancy indexing copies; scratch can be zeroed
-    scratch[touched] = 0.0
-    return topk_select(global_doc_ids[touched], scores, k)
+        # a lower bound of each row's kth-highest value: the kth-highest of
+        # the maxima of 4k disjoint column chunks (k distinct cells reach
+        # it), so every top-k cell passes it, with few others beside them
+        width = max(1, n // (4 * k))
+        maxima = np.maximum.reduceat(acc, np.arange(0, n, width), axis=1)
+        m = maxima.shape[1]
+        floor = np.partition(maxima, m - k, axis=1)[:, m - k]
+    else:
+        floor = np.zeros(len(rows))
+    # acc >= the smallest positive double ⇔ acc > 0: untouched docs (0.0)
+    # are never candidates, and a row that touched fewer than k docs
+    # keeps them all
+    hit = np.flatnonzero(acc >= np.maximum(floor, _MIN_POSITIVE)[:, None])
+    r, c = np.divmod(hit, n)
+    scores = acc.ravel()[hit]
+    ids = global_doc_ids[c]
+    # the cells come in (row, doc) order, so a stable sort by (row, score
+    # DESC) leaves each row's ties in doc_id order
+    order = np.lexsort((-scores, r))
+    ids, scores = ids[order], scores[order]
+    starts = np.searchsorted(r, np.arange(len(rows) + 1)).tolist()
+    return [(ids[a : min(b, a + k)], scores[a : min(b, a + k)])
+            for a, b in zip(starts, starts[1:])]

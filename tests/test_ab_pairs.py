@@ -92,3 +92,45 @@ def test_a_run_without_a_result_leaves_its_pair_out(tmp_path, monkeypatch, capsy
     assert "failed ops parent: 0 / 15, failed runs 0" in out
     assert "failed ops change: 0 / 10, failed runs 1" in out
     assert ab_pairs.complete_pairs([1, None, 3], [4, 5, None]) == ([1], [4])
+
+
+def test_median_change_in_percent_and_the_bound_flag(tmp_path, monkeypatch, capsys):
+    """Each metric's median change prints as a percentage of the parent's
+    median, flagged when it is worse than the metric's bound; a change
+    in the better direction or inside the bound is not flagged."""
+    import json
+
+    s = ab_pairs.summarize([100.0, 100.0, 100.0], [70.0, 70.0, 70.0], "higher", 0.25)
+    assert s["change_pct"] == -30.0 and s["beyond_bound"]
+    s = ab_pairs.summarize([100.0] * 3, [80.0] * 3, "higher", 0.25)
+    assert s["change_pct"] == -20.0 and not s["beyond_bound"]
+    s = ab_pairs.summarize([100.0] * 3, [70.0] * 3, "lower", 0.25)  # 30% better
+    assert s["change_pct"] == -30.0 and not s["beyond_bound"]
+    s = ab_pairs.summarize([100.0] * 3, [112.0] * 3, "lower", 0.1)
+    assert s["change_pct"] == 12.0 and s["beyond_bound"]
+    assert not ab_pairs.summarize([100.0] * 3, [1.0] * 3, "higher")["beyond_bound"]
+
+    parent, change = str(tmp_path / "parent"), str(tmp_path / "change")
+    os.makedirs(parent)
+    os.makedirs(change)
+    with open(os.path.join(parent, "BENCHMARK.json"), "w") as f:
+        json.dump({"end_to_end": [
+            {"name": "throughput_per_s", "better": "higher", "bound": 0.25},
+            {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}, f)
+    values = {parent: [(100.0, 1000.0), (104.0, 1000.0)],
+              change: [(150.0, 1150.0), (160.0, 1150.0)]}
+
+    def fake_run(checkout, workload, seed):
+        qps, rss = values[checkout].pop(0)
+        return {"failed": 0, "attempted": 5,
+                "metrics": {"throughput_per_s": {"value": qps}, "peak_rss_mb": {"value": rss}}}
+
+    monkeypatch.setattr(ab_pairs, "run_once", fake_run)
+    monkeypatch.setattr(ab_pairs, "_steal_now", lambda: 0.0)
+    assert ab_pairs.main([parent, change, "--workload", "serve", "--seed", "1",
+                          "--pairs", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    qps = next(ln for ln in lines if ln.startswith("throughput_per_s ("))
+    rss = next(ln for ln in lines if ln.startswith("peak_rss_mb ("))
+    assert "median change +52.0% of the parent's" in qps and "WORSE" not in qps
+    assert "median change +15.0% of the parent's, WORSE THAN BOUND (10%)" in rss

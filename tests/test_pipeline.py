@@ -2069,6 +2069,120 @@ def test_serving_pool_dead_actor_fails_one_call(golden_index):
         stop_serving(idx)
 
 
+def _finish_within(seconds, fn):
+    """``fn()`` in a daemon thread, failing the test when it has not
+    returned after ``seconds`` (a request stalled on a channel buffer
+    would otherwise hang the session)."""
+    import threading
+
+    done, errs = [], []
+
+    def run():
+        try:
+            done.append(fn())
+        except BaseException as e:  # re-raised in the test's thread
+            errs.append(e)
+
+    th = threading.Thread(target=run, daemon=True)
+    th.start()
+    th.join(seconds)
+    assert not th.is_alive(), f"no answer within {seconds} s"
+    if errs:
+        raise errs[0]
+    return done[0]
+
+
+def test_serving_outputs_outlive_later_requests(golden_index):
+    """What a request returns owns its memory: a held result frame and
+    held raw ``_execute`` outputs stay unchanged across 20 later requests
+    and across ``stop_serving``, and holding them stalls no later request
+    (a pool channel holds one buffer, which every execution reuses)."""
+    from aarhus_ray.pipelines.query import _execute, serve_queries, start_serving, stop_serving
+
+    idx = golden_index["index"]
+    q = fixtures.gen_queries(16, seed=3)
+    other = fixtures.gen_queries(16, seed=4)
+    want = _pipeline_answer(idx, q)
+    qids, texts = q["query_id"].to_numpy(), q["text"].to_pylist()
+    try:
+        pool = start_serving(idx, k=5, n_actors=2)
+        held = serve_queries(idx, q, k=5, n_actors=2)
+        raw = _execute(pool, [qids[:8], texts[:8], qids[8:], texts[8:]])
+        assert np.array_equal(np.concatenate([out[2] for out in raw]), want["doc_id"])
+        snapshot = [tuple(a.copy() for a in out) for out in raw]
+
+        def later():
+            for i in range(20):
+                serve_queries(idx, other if i % 2 else q, k=5, n_actors=2)
+
+        _finish_within(120, later)
+        _finish_within(120, lambda: stop_serving(idx))
+        assert held.equals(want[list(held.columns)])
+        for out, snap in zip(raw, snapshot):
+            assert all(np.array_equal(a, b) for a, b in zip(out, snap))
+    finally:
+        stop_serving(idx)
+
+
+def test_serving_pool_survives_many_failing_requests(golden_index):
+    """Twelve requests in a row with a failing slice, more than Ray's
+    default ten buffers per channel, each raise the scorer's own error
+    class without a stall, though the caller keeps every error: a failed
+    slice pins no buffer of the pool's channels, so the same pool then
+    answers, bit-identical to query_index."""
+    from aarhus_ray.pipelines.query import (
+        _SERVE_POOLS, serve_queries, start_serving, stop_serving,
+    )
+
+    idx = golden_index["index"]
+    q = fixtures.gen_queries(16, seed=3)
+    want = _pipeline_answer(idx, q)
+    # slice 0 scores, slice 1's null texts make the scorer raise
+    bad = pa.table({"query_id": pa.array([0, 1, 2, 3], pa.int64()),
+                    "text": pa.array(q["text"].to_pylist()[:2] + [None, None], pa.string())})
+    held = []  # every raised error stays referenced
+
+    def failing():
+        for _ in range(12):
+            with pytest.raises(TypeError, match="must be str") as err:
+                serve_queries(idx, bad, k=5, n_actors=2)
+            held.append(err.value)
+
+    try:
+        pool = start_serving(idx, k=5, n_actors=2)
+        _finish_within(60, failing)
+        got = _finish_within(60, lambda: serve_queries(idx, q, k=5, n_actors=2))
+        assert got.equals(want[list(got.columns)])
+        assert _SERVE_POOLS.get(pool.key) is pool
+    finally:
+        stop_serving(idx)
+
+
+def _driver_shmem_mb() -> float:
+    """This process's resident shared memory (``RssShmem``), in MB."""
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith("RssShmem:"):
+                return int(line.split()[1]) / 1024
+    raise AssertionError("no RssShmem line in /proc/self/status")
+
+
+def test_serving_pool_cycles_keep_driver_shared_memory_small(golden_index):
+    """Ten start/serve/stop cycles of a pool grow the driver's resident
+    shared memory by less than 40 MB: each graph channel maps one buffer,
+    not one per allowed in-flight execution."""
+    from aarhus_ray.pipelines.query import serve_queries, stop_serving
+
+    idx = golden_index["index"]
+    q = fixtures.gen_queries(16, seed=3)
+    stop_serving()
+    before = _driver_shmem_mb()
+    for _ in range(10):
+        serve_queries(idx, q, k=5, n_actors=2)
+        stop_serving(idx)
+    assert _driver_shmem_mb() - before < 40
+
+
 def test_serving_request_shapes_match_pipeline(golden_index, monkeypatch):
     """Every request shape the pool answers equals the sorted
     query_index(..., resolve_urls=False) frame, columns and dtypes both:

@@ -230,3 +230,146 @@ def test_conjunctive_oov_term_empties_result():
         [t, "zzz_oov"], postings, dfs, lookup, len(doclens), avgdl, 10, conjunctive=True
     )
     assert len(ci) == 0 and len(cs) == 0
+
+
+# --- the batched or-mode scorer over a real index ---------------------------
+#
+# QueryScorer scores every or-mode query of a batch in one pass: dense rows
+# (wand.dense_accum_topk), the exhaustive union of a query of at most
+# FIRST_CHUNK skip blocks, Block-Max WAND otherwise. Every answer must equal
+# method="brute" bit for bit, whatever mix of paths one batch takes.
+
+_OOV_TEXT = "zzqxv qqzzyy"
+
+
+@pytest.fixture(scope="module")
+def batched_setups(golden_index, tmp_path_factory):
+    """{name: (wand scorer, brute scorer)} over the golden index: plain,
+    with tombstones, with a doc filter, doc-range sharded (``pids``), a
+    range of at most k docs, and a cache cap small enough to evict
+    everything in the middle of a batch; plus the vocabulary by df class
+    (head: postings × 8 >= docs, rare: df 1)."""
+    import shutil
+
+    from aarhus_ray.pipelines.maintain import delete_documents
+    from aarhus_ray.stages.query_stage import QueryScorer
+
+    idx = golden_index["index"]
+    plain = QueryScorer(idx, k=10)
+    n = len(plain.doclens.doc_ids)
+    df: dict[str, int] = {}
+    for seg in plain.segments:
+        for t, e in seg.dict.items():
+            df[t] = df.get(t, 0) + e[0]
+    vocab = {"head": sorted(t for t, d in df.items() if d * 8 >= n),
+             "rare": sorted(t for t, d in df.items() if d == 1),
+             "any": sorted(df)}
+    doc_ids = plain.doclens.doc_ids
+    # tombstone the best docs of the head terms, so deletes change answers
+    dead = tmp_path_factory.mktemp("batched") / "index"
+    shutil.copytree(idx, dead)
+    top = set()
+    for t in vocab["head"][:5]:
+        top.update(int(d) for d in plain._score_terms({t})[0][:3])
+    delete_documents(str(dead), doc_ids=sorted(top) + [int(d) for d in doc_ids[::7]])
+    keep = np.ascontiguousarray(doc_ids[::3])
+    pids = sorted({int(d) >> 40 for d in doc_ids})
+    small = min(pids, key=lambda p: int(np.sum((doc_ids >> np.uint64(40)) == p)))
+    setups = {
+        "plain": dict(out_dir=idx, k=10),
+        "tombstones": dict(out_dir=str(dead), k=10),
+        "filter": dict(out_dir=idx, k=10, filter_ids=keep),
+        "pids": dict(out_dir=idx, k=10, pids=pids[2:5]),
+        "n_local<=k": dict(out_dir=idx, k=200, pids=[small]),
+        "evict": dict(out_dir=idx, k=10),
+    }
+    pairs = {name: (QueryScorer(method="wand", **kw), QueryScorer(method="brute", **kw))
+             for name, kw in setups.items()}
+    assert pairs["tombstones"][0].exclude_ids is not None
+    assert len(pairs["n_local<=k"][0].doclens.doc_ids) <= 200
+    pairs["evict"][0]._cache_cap = 3 * n  # a few head terms fill it
+    return pairs, vocab
+
+
+def _query_text(data, vocab, shape: str) -> str:
+    from aarhus_ray.wand import FIRST_CHUNK
+
+    pick = st.sampled_from
+    if shape == "dense":  # a head term, maybe with more terms
+        terms = [data.draw(pick(vocab["head"]))]
+        terms += data.draw(st.lists(pick(vocab["any"]), max_size=3))
+    elif shape == "union":  # a few df-1 terms: a few skip blocks
+        terms = data.draw(st.lists(pick(vocab["rare"]), min_size=1, max_size=3))
+    elif shape == "wand":  # more df-1 terms than WAND's first chunk of blocks
+        terms = data.draw(st.lists(pick(vocab["rare"]), min_size=FIRST_CHUNK + 1,
+                                   max_size=FIRST_CHUNK + 8, unique=True))
+    else:
+        return _OOV_TEXT
+    return " ".join(terms)
+
+
+def _batch(texts):
+    import pyarrow as pa
+
+    return pa.table({"query_id": pa.array(range(len(texts)), pa.int64()),
+                     "text": pa.array(texts, pa.string())})
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_batched_scorer_equals_brute(batched_setups, data):
+    """One batch mixing dense, union and Block-Max WAND queries, OOV-only
+    queries and repeated texts equals ``method="brute"`` bit for bit on
+    every setup (tombstones, a filter, pids, n_local <= k, evict-all in
+    the middle of the batch)."""
+    pairs, vocab = batched_setups
+    shapes = data.draw(st.lists(st.sampled_from(["dense", "union", "wand", "oov"]),
+                                min_size=1, max_size=8))
+    texts = [_query_text(data, vocab, s) for s in shapes]
+    texts += data.draw(st.lists(st.sampled_from(texts), max_size=3))  # repeats
+    batch = _batch(data.draw(st.permutations(texts)))
+    for name, (wand, brute) in pairs.items():
+        got, want = wand(batch), brute(batch)
+        assert got.equals(want), name
+
+
+def test_batched_scorer_takes_every_path(batched_setups, golden_index):
+    """A spy on the three or-mode paths: one batch takes each at least
+    once, answers equal brute, and a cold small-cap scorer evicts its
+    caches in the middle of the batch."""
+    from unittest import mock
+
+    from aarhus_ray.stages import query_stage
+    from aarhus_ray.wand import FIRST_CHUNK
+
+    pairs, vocab = batched_setups
+    plain, brute = pairs["plain"]
+    wand = query_stage.QueryScorer(golden_index["index"], k=10)
+    wand._cache_cap = 3 * len(wand.doclens.doc_ids)
+    texts = [" ".join(vocab["head"][:2]), vocab["rare"][0], _OOV_TEXT,
+             " ".join(vocab["rare"][: FIRST_CHUNK + 4]), vocab["head"][-1],
+             " ".join(vocab["rare"][1:3]), vocab["rare"][0]]
+    calls = {"dense_accum_topk": 0, "_scored_union": 0, "block_max_topk": 0}
+
+    def spy(name):
+        real = getattr(query_stage, name)
+
+        def wrapper(*a, **kw):
+            calls[name] += 1
+            return real(*a, **kw)
+        return wrapper
+
+    evictions = []
+    charge = wand._charge_cache
+
+    def counting_charge(n):
+        evictions.append(wand._cached_postings + n > wand._cache_cap)
+        charge(n)
+
+    with mock.patch.multiple(query_stage, **{name: spy(name) for name in calls}), \
+            mock.patch.object(wand, "_charge_cache", counting_charge):
+        want = brute(_batch(texts))
+        for scorer in (plain, wand):
+            assert scorer(_batch(texts)).equals(want)
+    assert all(c >= 2 for c in calls.values()), calls
+    assert any(evictions[1:-1]), "no evict-all in the middle of the batch"

@@ -9,9 +9,12 @@ first in even pairs and the change first in odd ones, and reads each run's
 last stdout line as its JSON result. One line per run as it finishes, then
 per end-to-end metric of the parent's ``BENCHMARK.json``: each side's
 median and quartiles, the change's wins out of the pairs (ties count for
-neither side), and whether the pair rule holds — the change wins at least
+neither side), whether the pair rule holds — the change wins at least
 nine tenths of the pairs AND its median is better than the parent's by
-more than the parent's quartile distance. Failed ops are printed per side.
+more than the parent's quartile distance — and the median change as a
+percentage of the parent's median, flagged ``WORSE THAN BOUND`` when it
+is worse than the metric's ``bound`` (a fraction of the parent's
+median). Failed ops are printed per side.
 
 A run that prints no result (a crash, a kill) does not end the set: its
 exit code and the tail of its stderr are printed, it counts as a failed
@@ -42,11 +45,15 @@ def quartiles(values) -> tuple[float, float, float]:
     return float(q1), float(med), float(q3)
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
+def summarize(parent: list[float], change: list[float], better: str,
+              bound: float | None = None) -> dict:
     """The pair rule on one metric: ``parent[i]`` and ``change[i]`` are
     the two runs of pair i, ``better`` is "higher" or "lower". Returns
     each side's quartiles, the change's wins, its median gain (positive =
-    better), the parent's quartile distance and whether the rule holds."""
+    better), the parent's quartile distance, whether the rule holds, the
+    median change in percent of the parent's median (signed as the values
+    move) and whether it is worse than ``bound`` (a fraction of the
+    parent's median; None checks nothing)."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same, non-zero number of runs on each side")
     sign = 1.0 if better == "higher" else -1.0
@@ -54,9 +61,12 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     pq_, cq = quartiles(parent), quartiles(change)
     gain = sign * (cq[1] - pq_[1])
     spread = pq_[2] - pq_[0]
+    pct = 100.0 * (cq[1] - pq_[1]) / abs(pq_[1]) if pq_[1] else float("nan")
     return {"parent": pq_, "change": cq, "wins": int(wins), "pairs": len(parent),
             "gain": gain, "parent_iqr": spread,
-            "holds": wins >= 0.9 * len(parent) and gain > spread}
+            "holds": wins >= 0.9 * len(parent) and gain > spread,
+            "change_pct": pct,
+            "beyond_bound": bound is not None and -gain > bound * abs(pq_[1])}
 
 
 def steal_seconds(stat_text: str, ticks_per_s: int) -> float:
@@ -109,7 +119,8 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--pairs", type=int, required=True)
     a = ap.parse_args(argv)
     with open(os.path.join(a.parent, "BENCHMARK.json")) as f:
-        metrics = [(m["name"], m["better"]) for m in json.load(f)["end_to_end"]]
+        metrics = [(m["name"], m["better"], m.get("bound"))
+                   for m in json.load(f)["end_to_end"]]
     sides = {"parent": a.parent, "change": a.change}
     runs: dict = {"parent": [], "change": []}
     steal = {"parent": 0.0, "change": 0.0}
@@ -124,22 +135,24 @@ def main(argv: list[str]) -> int:
             if res is None:
                 print(f"pair {i} {side}: no result, steal={stolen:.2f}s", flush=True)
                 continue
-            vals = " ".join(f"{n}={res['metrics'][n]['value']:.4g}" for n, _ in metrics
+            vals = " ".join(f"{n}={res['metrics'][n]['value']:.4g}" for n, _, _ in metrics
                             if n in res["metrics"])
             print(f"pair {i} {side}: failed {res['failed']}/{res['attempted']} "
                   f"steal={stolen:.2f}s {vals}", flush=True)
     parent, change = complete_pairs(runs["parent"], runs["change"])
     print(f"\n{a.workload} seed {a.seed}, {len(parent)} pairs "
           f"({a.pairs - len(parent)} left out for a run with no result): median [q1, q3]")
-    for name, better in metrics:
+    for name, better, bound in metrics:
         if not parent or not all(name in r["metrics"] for r in parent + change):
             continue
         s = summarize([r["metrics"][name]["value"] for r in parent],
-                      [r["metrics"][name]["value"] for r in change], better)
+                      [r["metrics"][name]["value"] for r in change], better, bound)
+        flag = (f", WORSE THAN BOUND ({bound:.0%})" if s["beyond_bound"] else "")
         print(f"{name} ({better} is better): parent {_fmt(s['parent'])}, "
               f"change {_fmt(s['change'])}, change wins {s['wins']}/{s['pairs']}, "
               f"median gain {s['gain']:.4g} vs parent quartile distance "
-              f"{s['parent_iqr']:.4g}: pair rule {'holds' if s['holds'] else 'does not hold'}")
+              f"{s['parent_iqr']:.4g}: pair rule {'holds' if s['holds'] else 'does not hold'}; "
+              f"median change {s['change_pct']:+.1f}% of the parent's{flag}")
     for side, rs in runs.items():
         done = [r for r in rs if r is not None]
         print(f"failed ops {side}: {sum(r['failed'] for r in done)} / "
