@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import glob
 import os
+import pickle
 import re
 import traceback
 from typing import NamedTuple
@@ -89,6 +90,22 @@ def _query_blocks(queries, batch_rows: int = _BATCH_ROWS) -> ray.data.Dataset:
     return ray.data.from_arrow(
         [queries.slice(i * per, per) for i in range(n_blocks) if i * per < queries.num_rows]
     )
+
+
+def _check_texts(queries: pa.Table) -> None:
+    """Raise ``ValueError`` naming the first query whose text the scorer
+    cannot read — a null, or any value of a text column that does not hold
+    strings — in the calling process, before any Ray work."""
+    col = queries["text"]
+    if not queries.num_rows:
+        return
+    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+        if not col.null_count:
+            return
+        bad, why = int(np.flatnonzero(col.is_null().to_numpy(zero_copy_only=False))[0]), "is null"
+    else:
+        bad, why = 0, f"is {col.type}, not a string"
+    raise ValueError(f"query {queries['query_id'][bad].as_py()}: text {why}")
 
 
 def run_index_op(out_dir: str, queries, OpCls, *args,
@@ -269,9 +286,17 @@ def query_index(
 
     ``filter_ids`` (sorted uint64 doc_ids, e.g. from ``facet_doc_ids``)
     restricts results to that doc set; BM25 statistics stay global (see
-    QueryScorer). Composes with every mode."""
+    QueryScorer). Composes with every mode.
+
+    A query table or path whose text is null or not a string raises
+    ``ValueError`` naming the first such query id, at this call; a
+    caller-built Dataset is scored as it is."""
     qs.check_scorer_args(method, mode)  # in this process, not wrapped by a Ray worker
     _require_segments(out_dir)
+    if isinstance(queries, str):
+        queries = pq.read_table(queries)
+    if isinstance(queries, pa.Table):
+        _check_texts(queries)
     filter_ref = ray.put(np.ascontiguousarray(filter_ids, dtype=np.uint64)) if filter_ids is not None else None
     merged = run_index_op(
         out_dir, queries, qs.QueryScorer, k, method, None, mode, filter_ref,
@@ -997,17 +1022,21 @@ def _merge_range_partials(out, k: int, qids: np.ndarray | None = None):
 
 
 # the serving result frame: (column, dtype) in output order — the dtypes
-# QueryScorer's result table converts to
+# of QueryScorer.score_columns — and the bytes a result row takes on the
+# wire (the columns back to back, _encode_columns)
 _TOPK_COLUMNS = (("query_id", np.int64), ("rank", np.int32),
                  ("doc_id", np.uint64), ("score", np.float64))
+_ROW_BYTES = sum(np.dtype(dt).itemsize for _, dt in _TOPK_COLUMNS)
 
 
 def _topk_frame(cols):
-    """(query_id, rank, doc_id, score) arrays → the serving DataFrame."""
+    """(query_id, rank, doc_id, score) arrays → the serving DataFrame,
+    over the arrays themselves (no copy when they already have the
+    column dtypes)."""
     import pandas as pd
 
     return pd.DataFrame({name: np.asarray(c, dtype=dt)
-                         for (name, dt), c in zip(_TOPK_COLUMNS, cols)})
+                         for (name, dt), c in zip(_TOPK_COLUMNS, cols)}, copy=False)
 
 
 def _empty_topk_frame():
@@ -1021,46 +1050,65 @@ def _in_qid_rank_order(q: np.ndarray, r: np.ndarray) -> bool:
     return bool(np.all((q[1:] > q[:-1]) | ((q[1:] == q[:-1]) & (r[1:] > r[:-1]))))
 
 
+def _encode_request(sent: np.ndarray, texts: list) -> bytes:
+    """A pool request on the wire: the pickled (int64 query ids, texts) of
+    the whole request, one bytes value every actor reads its slice from."""
+    return pickle.dumps((sent, texts), protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _encode_columns(cols) -> bytes:
+    """A slice's result on the wire: its four ``_TOPK_COLUMNS`` arrays
+    back to back, ``_ROW_BYTES`` per row (b"" for no rows)."""
+    return b"".join(memoryview(np.ascontiguousarray(c, dtype=dt))
+                    for (_, dt), c in zip(_TOPK_COLUMNS, cols))
+
+
+def _decode_columns(buf: bytes) -> list[np.ndarray]:
+    """``_encode_columns``'s four arrays, read in place from ``buf`` at
+    their fixed offsets."""
+    n, off, cols = len(buf) // _ROW_BYTES, 0, []
+    for _, dt in _TOPK_COLUMNS:
+        cols.append(np.frombuffer(buf, dt, n, off))
+        off += n * np.dtype(dt).itemsize
+    return cols
+
+
 @ray.remote
 class _ServeScorer:
-    """Standing scorer actor for the serving pool: holds a CachedOp over
-    QueryScorer; the scorer builds once in THIS process (CachedOp's
-    worker-process cache) and stays warm across calls. ``score`` is bound
-    into the pool's compiled graph (start_serving), which runs it on every
-    actor for every request: a slice crosses the actor boundary as plain
-    columns both ways, an int64 query-id array and a list of texts in, the
-    four result arrays (query_id, rank, doc_id, score) out; the Arrow table
-    the scorer consumes is built here, on the actor's side. An empty slice
-    (a request of fewer queries than actors) returns four empty typed
-    arrays without calling the scorer.
+    """Standing scorer actor of a serving pool: actor ``j`` of a range
+    sub-pool of ``per`` actors, holding its own ``QueryScorer(*args)``,
+    built on its first scored slice and warm for the pool's life (the pool
+    key carries the index version, so a rebuilt index gets new actors).
+    ``score`` is bound into the pool's compiled graph (start_serving),
+    which runs it on every actor for every request. A request crosses the
+    actor boundary as one bytes value each way: in, the whole request
+    (``_encode_request``), of which this actor scores slice
+    ``_slice_bounds(n, per)[j]``; out, that slice's result columns
+    (``_encode_columns``), b"" for an empty slice (a request of fewer
+    queries than actors).
 
-    A slice the scorer fails on returns a ``_SliceError`` instead of
-    raising. The query ids arrive as a view of the input channel's one
-    buffer, and a live traceback keeps that view alive: its frames reach
-    Ray's actor loop (``f_back``), which holds the inputs, in a reference
-    cycle only the garbage collector breaks. The next request then could
-    not write its input and stalled until the graph's submit timeout.
-    ``score`` therefore catches the scorer's exceptions itself and drops
-    their tracebacks, keeping the text."""
+    A slice that fails — the scorer's construction included — returns a
+    ``_SliceError`` instead of raising, so the caller gets the scorer's
+    own exception class, not a Ray wrapper. The request arrives as a
+    bytes copy this actor owns, not a view of the input channel's one
+    buffer, so a live traceback of the failure pins no buffer the next
+    request needs."""
 
-    def __init__(self, fn):
-        self.fn = fn
+    def __init__(self, args: tuple, j: int, per: int):
+        self.args, self.j, self.per = args, j, per
+        self.scorer = None
 
-    def score(self, qids: np.ndarray, texts: list):
-        if not len(qids):
-            return tuple(np.empty(0, dt) for _, dt in _TOPK_COLUMNS)
+    def score(self, request: bytes):
         try:
-            out = self.fn(pa.table({"query_id": pa.array(qids, pa.int64()),
-                                    "text": pa.array(texts, pa.string())}))
-            return tuple(out[name].to_numpy() for name, _ in _TOPK_COLUMNS)
+            sent, texts = pickle.loads(request)
+            lo, hi = _slice_bounds(len(sent), self.per)[self.j]
+            if lo == hi:
+                return b""
+            if self.scorer is None:
+                self.scorer = qs.QueryScorer(*self.args)
+            return _encode_columns(self.scorer.score_columns(sent[lo:hi], texts[lo:hi]))
         except Exception as e:
-            trace = traceback.format_exc()
-            err, seen = e, set()
-            while err is not None and id(err) not in seen:  # the chain too
-                seen.add(id(err))
-                err.__traceback__ = None
-                err = err.__cause__ or err.__context__
-            return _SliceError(e, trace)
+            return _SliceError(e, traceback.format_exc())
 
 
 class _SliceError(NamedTuple):
@@ -1074,9 +1122,8 @@ class _SliceError(NamedTuple):
 class _Pool(NamedTuple):
     """A standing pool under its ``_SERVE_POOLS`` key: ``subs`` holds one
     list of _ServeScorer actors per range sub-pool (all of one size),
-    ``graph`` the compiled Ray graph whose input carries one (query ids,
-    texts) slice per actor of a sub-pool and whose outputs are every
-    actor's result columns."""
+    ``graph`` the compiled Ray graph whose one input is a whole request
+    and whose outputs are every actor's encoded result columns."""
 
     key: tuple
     subs: list
@@ -1087,17 +1134,15 @@ _SERVE_POOLS: dict = {}
 
 
 def _compile_pool(subs: list):
-    """One compiled graph over every actor of every range sub-pool: input
-    arguments 2j and 2j+1 are slice j's query ids and texts, bound to actor
-    j of each sub-pool; one output per actor, sub-pool by sub-pool. A pool
-    never has more than one execution in flight (``_execute`` reads every
-    output before it returns), so each channel holds one buffer, not
-    Ray's default ten."""
+    """One compiled graph over every actor of every range sub-pool: each
+    actor's ``score`` reads the graph's one input (a request); one output
+    per actor, sub-pool by sub-pool. A pool never has more than one
+    execution in flight (``_execute`` reads every output before it
+    returns), so each channel holds one buffer, not Ray's default ten."""
     from ray.dag import InputNode, MultiOutputNode
 
     with InputNode() as inp:
-        dag = MultiOutputNode([a.score.bind(inp[2 * j], inp[2 * j + 1])
-                               for sub in subs for j, a in enumerate(sub)])
+        dag = MultiOutputNode([a.score.bind(inp) for sub in subs for a in sub])
     return dag.experimental_compile(_max_inflight_executions=1)
 
 
@@ -1144,14 +1189,12 @@ def start_serving(out_dir: str, k: int = 10, method: str = "wand",
     for stale in [k_ for k_ in _SERVE_POOLS if k_[0] == out_dir and k_[1] < version]:
         _kill_pool(stale)
     groups = [None] if n_ranges is None else _pid_groups(out_dir, n_ranges)
-    fns = [qs.CachedOp(out_dir, version, qs.QueryScorer,
-                       (out_dir, tuple(segs), k, method, pids, mode))
-           for pids in groups]
-    per = max(1, n // len(fns))
-    subs = [[_ServeScorer.remote(fn) for _ in range(per)] for fn in fns]
+    per = max(1, n // len(groups))
+    subs = [[_ServeScorer.remote((out_dir, tuple(segs), k, method, pids, mode), j, per)
+             for j in range(per)] for pids in groups]
     _SERVE_POOLS[key] = pool = _Pool(key, subs, _compile_pool(subs))
     try:
-        _execute(pool, [np.zeros(1, np.int64), ["the"]] * per)
+        _execute(pool, _encode_request(np.zeros(per, np.int64), ["the"] * per))
     except BaseException:
         _evict(pool)
         raise
@@ -1181,30 +1224,27 @@ def _evict(pool: _Pool) -> None:
         _kill_pool(pool.key)
 
 
-def _execute(pool: _Pool, args: list) -> list:
-    """One execution of the pool's graph: every actor's output tuple, in
-    graph output order, each array a copy the caller owns (a read output
-    may view its channel's one buffer, which the next execution
-    overwrites, and a held view would stall that execution). A scorer
-    exception (a ``_SliceError`` output) is raised as its own class, with
-    the actor's traceback as a note, after every output is read, and
-    leaves the pool serving; any other error (a dead actor, a closed
-    channel) evicts the pool before it propagates, so the next call
-    spawns a fresh one. Outputs wait without a time limit: a slow slice
-    is not an error."""
+def _execute(pool: _Pool, request: bytes) -> list:
+    """One execution of the pool's graph on ``request``
+    (``_encode_request``): every actor's four result columns, in graph
+    output order, read in place from the bytes value the actor returned —
+    a copy this process owns, so holding it pins no channel buffer. A
+    scorer exception (a ``_SliceError`` output) is raised as its own
+    class, with the actor's traceback as a note, after every output is
+    read, and leaves the pool serving; any other error (a dead actor, a
+    closed channel) evicts the pool before it propagates, so the next call
+    spawns a fresh one. Outputs wait without a time limit: a slow slice is
+    not an error."""
     try:
-        outs = [ref.get(timeout=-1) for ref in pool.graph.execute(*args)]
+        outs = [ref.get(timeout=-1) for ref in pool.graph.execute(request)]
     except Exception:
         _evict(pool)
         raise
-    # copy before raising too: the raised error's traceback holds this frame
-    outs = [o if isinstance(o, _SliceError) else tuple(np.array(a) for a in o)
-            for o in outs]
     for out in outs:
         if isinstance(out, _SliceError):
             out.error.add_note(f"raised in a serving actor:\n{out.trace}")
             raise out.error
-    return outs
+    return [_decode_columns(out) for out in outs]
 
 
 def _slice_bounds(n: int, n_actors: int) -> list[tuple[int, int]]:
@@ -1221,43 +1261,57 @@ def serve_queries(out_dir: str, queries, k: int = 10, method: str = "wand",
                   mode: str = "or"):
     """Answer a query table (query_id, text) — or a parquet path to one —
     from the standing pool (start_serving) in ONE execution of its compiled
-    graph: the table is cut into one contiguous slice per actor of a
-    sub-pool (empty ones when the request has fewer queries than actors),
-    each an int64 query-id array plus a list of texts, and actor j of every
-    range sub-pool scores slice j; the returned result arrays concatenate
-    column by column, in slice order, into the frame. On a 2-actor pool
-    (4-vCPU host) with 64-query requests the pool served a median 15.1k
-    QPS (perfbench serve seed 1) and 14.6k (seed 7) once each actor
-    scored its slice in one batched pass, against 10.1k and 8.3k before
-    (10 interleaved pairs each; BENCH/BASELINE.md).
+    graph: the whole request crosses to the actors as one bytes value (the
+    pickled query ids and texts), actor j of every range sub-pool scores
+    contiguous slice j of it (empty when the request has fewer queries
+    than actors), and each actor's result columns come back as one bytes
+    value, concatenated column by column, in slice order, into the frame.
+    On a 2-actor pool (4-vCPU host) with 64-query requests the pool served
+    a median 33.8k QPS (perfbench serve seed 1) and 28.4k (seed 7) with
+    this one-bytes-message wire format, against 21.8k and 19.6k with one
+    argument per slice and Arrow tables in the actor (10 interleaved
+    pairs each; BENCH/BASELINE.md).
     Bit-identical to ``query_index(..., resolve_urls=False)`` (same scorer
     fn, same frozen order; pinned by test) — only the dispatch differs.
     With ``n_ranges`` the k-sized per-range partials merge under (score
     DESC, doc_id ASC) — exact, the query_index_doc_sharded argument: each
     doc is scored wholly inside one range with global df/idf.
 
-    A scorer exception raises here and the pool keeps serving; a dead
-    actor or a broken channel raises here and evicts the pool, so the next
-    call serves from a fresh one.
+    A text that is null or not a string raises ``ValueError`` naming its
+    query id, before the pool is used. A scorer exception raises here and
+    the pool keeps serving; a dead actor or a broken channel raises here
+    and evicts the pool, so the next call serves from a fresh one.
 
     Returns a pandas DataFrame (query_id int64, rank int32, doc_id uint64,
     score float64) sorted by (query_id, rank). Slices come back in that
     order whenever the query ids ascend, so the sort runs only for
     shuffled or duplicate ids."""
-    pool = start_serving(out_dir, k, method, n_actors, n_ranges, mode)
+    pool, qids, request = _serve_request(out_dir, queries, k, method, n_actors, n_ranges, mode)
+    if request is None:
+        return _empty_topk_frame()
+    return _serve_frame(pool, _execute(pool, request), qids, k)
+
+
+def _serve_request(out_dir, queries, k, method, n_actors, n_ranges, mode):
+    """serve_queries' driver side before the execution: (pool, int64
+    query ids, encoded request), the request None for no queries."""
     if isinstance(queries, str):
         queries = pq.read_table(queries)
+    _check_texts(queries)
+    pool = start_serving(out_dir, k, method, n_actors, n_ranges, mode)
     n = queries.num_rows
     if n == 0:
-        return _empty_topk_frame()
+        return pool, None, None
     qids = queries["query_id"].to_numpy().astype(np.int64, copy=False)
-    texts = queries["text"].to_pylist()
     # a range pool scores row positions, merged and mapped back to qids
     sent = qids if len(pool.subs) == 1 else np.arange(n, dtype=np.int64)
-    args = []
-    for lo, hi in _slice_bounds(n, len(pool.subs[0])):
-        args += (sent[lo:hi], texts[lo:hi])
-    cols = [np.concatenate(col) for col in zip(*_execute(pool, args))]
+    return pool, qids, _encode_request(sent, queries["text"].to_pylist())
+
+
+def _serve_frame(pool: _Pool, outs: list, qids: np.ndarray, k: int):
+    """serve_queries' driver side after the execution: the actors' result
+    columns (``outs``) → the answer frame, sorted by (query_id, rank)."""
+    cols = [np.concatenate(col) for col in zip(*outs)]
     out = _topk_frame(cols)
     if len(pool.subs) > 1:
         return _merge_range_partials(out, k, qids)

@@ -115,21 +115,32 @@ def _scored_union(entries) -> tuple[np.ndarray, np.ndarray]:
     return ids, scores
 
 
+def _flat_ranks(keys, counts) -> tuple[np.ndarray, np.ndarray]:
+    """The (key, rank) columns of ranked lists laid end to end: list i
+    holds ``counts[i]`` rows under ``keys[i]``, each row takes its list's
+    key (int64) and its 1-based position within the list (int32). The
+    one flattening rule of every ranked result."""
+    counts = np.asarray(counts, np.int64)
+    starts = (np.cumsum(counts) - counts).astype(np.int32)
+    ranks = np.arange(1, counts.sum() + 1, dtype=np.int32) - np.repeat(starts, counts)
+    return np.repeat(np.asarray(keys, np.int64), counts), ranks
+
+
 def _ranked_table(lists, schema: pa.Schema) -> pa.Table:
     """The result table of a ranked op. ``lists`` holds one (key,
     columns) pair per ranked list, ``columns`` mapping field names to
     hit-aligned values in rank order. The first ``schema`` field takes
     each row's list key, a ``rank`` field the 1-based position within its
     list (unless the lists carry their own ranks), and every other field
-    its values, concatenated in list order."""
-    counts = np.array([len(next(iter(c.values()))) for _, c in lists], np.int64)
+    its values, concatenated in list order (``_flat_ranks``)."""
+    keys, ranks = _flat_ranks([key for key, _ in lists],
+                              [len(next(iter(c.values()))) for _, c in lists])
     cols = []
     for i, f in enumerate(schema):
         if i == 0:
-            vals = np.repeat(np.array([key for key, _ in lists], np.int64), counts)
+            vals = keys
         elif f.name == "rank" and not (lists and "rank" in lists[0][1]):
-            starts = (np.cumsum(counts) - counts).astype(np.int32)
-            vals = np.arange(1, counts.sum() + 1, dtype=np.int32) - np.repeat(starts, counts)
+            vals = ranks
         elif pa.types.is_string(f.type):
             vals = [v for _, c in lists for v in c[f.name]]
         else:
@@ -1952,15 +1963,28 @@ class QueryScorer:
                 out[i] = hit
         return out
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch["text"].to_pylist()
+    def score_columns(self, qids, texts: list) -> tuple[np.ndarray, ...]:
+        """The top-k of each query (``qids[i]``, ``texts[i]``) as the four
+        result columns (query_id int64, rank int32, doc_id uint64, score
+        float64), query by query in input order, each query's hits in
+        rank order. The scorer's one result path: the serving actor sends
+        these columns as they are, ``__call__`` wraps them in Arrow."""
         if self.mode == "or":
             found = self._score_term_sets([set(tokenize(t)) for t in texts])
         else:
             found = [self._score_query(t) for t in texts]
-        hits = [(qid, {"doc_id": d, "score": s})
-                for qid, (d, s) in zip(batch["query_id"].to_pylist(), found)]
-        return _ranked_table(hits, _SCORED_HITS)
+        q, r = _flat_ranks(qids, [len(d) for d, _ in found])
+        docs, scores = _no_hits()
+        if found:
+            docs = np.concatenate([d for d, _ in found], dtype=np.uint64, casting="unsafe")
+            scores = np.concatenate([s for _, s in found], dtype=np.float64)
+        return q, r, docs, scores
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        """``score_columns`` over a (query_id, text) table, as a result
+        table of ``_SCORED_HITS`` — the Ray Data form of the scorer."""
+        cols = self.score_columns(batch["query_id"].to_pylist(), batch["text"].to_pylist())
+        return pa.Table.from_arrays([pa.array(c) for c in cols], schema=_SCORED_HITS)
 
 
 def cursor_wand_topk(scorer: QueryScorer, toks) -> tuple[np.ndarray, np.ndarray]:

@@ -1941,47 +1941,65 @@ def test_serve_slice_bounds():
 
 
 def test_serving_request_spans_every_actor(golden_index, monkeypatch):
-    """A request is ONE execution of the pool's compiled graph, whose
-    input carries one (query ids, texts) slice per actor of a sub-pool:
-    contiguous and in order, so actor j of every range sub-pool scores
-    slice j. A request of fewer queries than actors sends empty slices
-    to the rest. A flat pool sends the query ids, a range pool the row
-    positions."""
-    from aarhus_ray.pipelines.query import serve_queries, start_serving, stop_serving
+    """A request is ONE execution of the pool's compiled graph on one
+    bytes value, the whole request: a flat pool sends the query ids, a
+    range pool the row positions, with the texts. Actor j of a flat pool
+    answers exactly the queries of slice ``_slice_bounds(n, per)[j]``
+    (none when the request has fewer queries than actors); actor j of
+    every range sub-pool answers only queries of slice j, and the
+    sub-pools together answer all of them."""
+    import pickle
+
+    from aarhus_ray.pipelines import query as qmod
+    from aarhus_ray.pipelines.query import (
+        _slice_bounds, serve_queries, start_serving, stop_serving,
+    )
 
     idx = golden_index["index"]
-    sent = []
-    # slice sizes per request size: 2 actors in one range, or 1 in each of 2
-    want = {None: {40: [20, 20], 3: [1, 2], 1: [0, 1]},
-            2: {n: [n] for n in (40, 3, 1)}}
+    pool_q = fixtures.gen_queries(80, seed=3)
+    # only queries with hits, so every query shows up in its actor's output
+    hit = set(_pipeline_answer(idx, pool_q)["query_id"])
+    pool_q = pool_q.take([i for i, qid in enumerate(pool_q["query_id"].to_pylist())
+                          if qid in hit][:40])
+    assert pool_q.num_rows == 40
+    real_execute, calls = qmod._execute, []
+
+    def spy(pool, request):
+        outs = real_execute(pool, request)
+        calls.append((request, outs))
+        return outs
+
+    monkeypatch.setattr(qmod, "_execute", spy)
     try:
-        for n_ranges, per_n in want.items():
+        for n_ranges in (None, 2):
             pool = start_serving(idx, k=5, n_actors=2, n_ranges=n_ranges)
-            execute = pool.graph.execute
-
-            def spy(*args, execute=execute):
-                sent.append(args)
-                return execute(*args)
-
-            monkeypatch.setattr(pool.graph, "execute", spy)
-            for n, sizes in per_n.items():
-                sent.clear()
-                q = fixtures.gen_queries(n, seed=3)
+            per = len(pool.subs[0])
+            assert per == (2 if n_ranges is None else 1)
+            for n in (40, 3, 1):
+                calls.clear()
+                q = pool_q.slice(0, n)
                 serve_queries(idx, q, k=5, n_actors=2, n_ranges=n_ranges)
-                assert len(sent) == 1
-                ids, texts = sent[0][0::2], sent[0][1::2]
-                assert [len(i) for i in ids] == sizes == [len(t) for t in texts]
-                want_ids = (q["query_id"].to_numpy() if n_ranges is None
-                            else np.arange(n))
-                assert np.array_equal(np.concatenate(ids), want_ids)
-                assert [t for sl in texts for t in sl] == q["text"].to_pylist()
-            monkeypatch.undo()
+                assert len(calls) == 1
+                request, outs = calls[0]
+                assert isinstance(request, bytes)
+                sent, texts = pickle.loads(request)
+                want_ids = q["query_id"].to_numpy() if n_ranges is None else np.arange(n)
+                assert np.array_equal(sent, want_ids)
+                assert texts == q["text"].to_pylist()
+                assert len(outs) == len(pool.subs) * per
+                for j, (lo, hi) in enumerate(_slice_bounds(n, per)):
+                    got = [np.unique(outs[r * per + j][0]) for r in range(len(pool.subs))]
+                    want = np.unique(want_ids[lo:hi])
+                    assert all(np.isin(g, want).all() for g in got)
+                    assert np.array_equal(np.unique(np.concatenate(got)), want)
+                    if n_ranges is None:
+                        assert np.array_equal(got[0], want)
     finally:
         stop_serving(idx)
 
 
-def _pipeline_answer(idx, tbl, k=5):
-    return (query_index(idx, tbl, k=k, resolve_urls=False).to_pandas()
+def _pipeline_answer(idx, tbl, k=5, mode="or"):
+    return (query_index(idx, tbl, k=k, resolve_urls=False, mode=mode).to_pandas()
             .sort_values(["query_id", "rank"]).reset_index(drop=True))
 
 
@@ -2010,31 +2028,114 @@ def test_serving_request_past_the_channel_buffer(golden_index):
         stop_serving(idx)
 
 
+def test_serving_result_past_the_channel_buffer(golden_index, monkeypatch):
+    """A request whose per-actor result passes the compiled graph's 1 MB
+    channel buffer (k=20 over 4,096 queries that each match at least 20
+    docs, 28 bytes a result row) is answered whole, bit-identical to
+    query_index."""
+    import pandas as pd
+
+    from aarhus_ray.pipelines import query as qmod
+    from aarhus_ray.pipelines.query import serve_queries, start_serving, stop_serving
+
+    idx = golden_index["index"]
+    base = fixtures.gen_queries(4096, seed=13)
+    tbl = pa.table({"query_id": base["query_id"],  # "the" matches most docs
+                    "text": pa.array([f"{t} the" for t in base["text"].to_pylist()])})
+    want = _pipeline_answer(idx, tbl, k=20)
+    assert (want.groupby("query_id").size() == 20).all()
+    start_serving(idx, k=20, n_actors=2)
+    real_execute, sizes = qmod._execute, []
+
+    def spy(pool, request):
+        outs = real_execute(pool, request)
+        sizes.extend(sum(c.nbytes for c in out) for out in outs)
+        return outs
+
+    monkeypatch.setattr(qmod, "_execute", spy)
+    try:
+        got = serve_queries(idx, tbl, k=20, n_actors=2)
+        pd.testing.assert_frame_equal(got, want[list(got.columns)])
+        assert len(sizes) == 2 and min(sizes) > 1_000_000
+    finally:
+        stop_serving(idx)
+
+
+def test_bad_query_texts_raise_at_the_call(golden_index, monkeypatch, tmp_path):
+    """A null text, or a text column that does not hold strings, raises
+    ``ValueError`` naming the first bad query id at the serve_queries /
+    query_index call (a table or a parquet path), before any graph
+    execution, actor spawn or Dataset."""
+    from aarhus_ray.pipelines import query as qmod
+
+    idx = golden_index["index"]
+    texts = fixtures.gen_queries(4, seed=3)["text"].to_pylist()
+    null_text = pa.table({"query_id": pa.array([7, 8, 9, 10], pa.int64()),
+                          "text": pa.array(texts[:2] + [None, None], pa.string())})
+    int_text = pa.table({"query_id": pa.array([5, 6], pa.int64()), "text": pa.array([1, 2])})
+    path = str(tmp_path / "bad_texts.parquet")
+    pq.write_table(null_text, path)
+
+    def forbidden(*a, **kw):
+        raise AssertionError("Ray work ran before the text check")
+
+    monkeypatch.setattr(qmod, "_execute", forbidden)
+    monkeypatch.setattr(qmod, "_ServeScorer", forbidden)
+    monkeypatch.setattr(qmod, "run_index_op", forbidden)
+    for queries, match in ((null_text, "query 9: text is null"),
+                           (path, "query 9: text is null"),
+                           (int_text, "query 5: text is int64, not a string")):
+        with pytest.raises(ValueError, match=match):
+            qmod.serve_queries(idx, queries, k=5, n_actors=2)
+        with pytest.raises(ValueError, match=match):
+            qmod.query_index(idx, queries, k=5)
+
+
 def test_serving_pool_survives_a_failing_request(golden_index):
-    """A request the scorer rejects (non-string texts) raises an
-    exception of the scorer's own error class and leaves the pool
-    serving: the next request is answered by the same pool, bit-identical
-    to query_index."""
+    """A request the scorer rejects (a negative boost in a ``mode="boost"``
+    pool) raises an exception of the scorer's own error class and leaves
+    the pool serving: the next request is answered by the same pool,
+    bit-identical to query_index."""
     from aarhus_ray.pipelines.query import (
         _SERVE_POOLS, serve_queries, start_serving, stop_serving,
     )
 
     idx = golden_index["index"]
     q = fixtures.gen_queries(16, seed=3)
-    want = _pipeline_answer(idx, q)
+    want = _pipeline_answer(idx, q, mode="boost")
     bad = pa.table({"query_id": pa.array([0, 1, 2], pa.int64()),
-                    "text": pa.array([5, 6, 7])})
+                    "text": pa.array(["the^-1", "the^-2", "the^-3"])})
     try:
         for n_ranges in (None, 2):
-            pool = start_serving(idx, k=5, n_actors=2, n_ranges=n_ranges)
-            with pytest.raises(pa.ArrowTypeError):
-                serve_queries(idx, bad, k=5, n_actors=2, n_ranges=n_ranges)
+            pool = start_serving(idx, k=5, n_actors=2, n_ranges=n_ranges, mode="boost")
+            with pytest.raises(ValueError, match="negative boost"):
+                serve_queries(idx, bad, k=5, n_actors=2, n_ranges=n_ranges, mode="boost")
             assert _SERVE_POOLS.get(pool.key) is pool
-            got = serve_queries(idx, q, k=5, n_actors=2, n_ranges=n_ranges)
+            got = serve_queries(idx, q, k=5, n_actors=2, n_ranges=n_ranges, mode="boost")
             assert got.equals(want[list(got.columns)])
             assert _SERVE_POOLS.get(pool.key) is pool
     finally:
         stop_serving(idx)
+
+
+def _wait_for_death(actor, seconds):
+    """Call ``actor`` until a call raises ``RayActorError`` (``ray.kill``
+    is asynchronous: an actor can still answer a call made just after
+    it), failing the test when none has after ``seconds``."""
+    import time
+
+    import ray
+
+    deadline = time.monotonic() + seconds
+    while True:
+        try:
+            ray.get(actor.__ray_ready__.remote(), timeout=max(0.1, deadline - time.monotonic()))
+        except ray.exceptions.RayActorError:
+            return
+        except ray.exceptions.GetTimeoutError:
+            pass
+        assert time.monotonic() < deadline, f"the killed actor still answers after {seconds} s"
+        time.sleep(0.05)
 
 
 def test_serving_pool_dead_actor_fails_one_call(golden_index):
@@ -2056,8 +2157,7 @@ def test_serving_pool_dead_actor_fails_one_call(golden_index):
             pool = start_serving(idx, k=5, n_actors=2)
             actor = pool.subs[0][victim]
             ray.kill(actor)
-            with pytest.raises(ray.exceptions.RayActorError):  # wait for its death
-                ray.get(actor.__ray_ready__.remote(), timeout=60)
+            _wait_for_death(actor, 60)
             with pytest.raises(ray.exceptions.RayError) as err:
                 serve_queries(idx, q, k=5, n_actors=2)
             assert not isinstance(err.value, ray.exceptions.RayTaskError)
@@ -2097,7 +2197,9 @@ def test_serving_outputs_outlive_later_requests(golden_index):
     held raw ``_execute`` outputs stay unchanged across 20 later requests
     and across ``stop_serving``, and holding them stalls no later request
     (a pool channel holds one buffer, which every execution reuses)."""
-    from aarhus_ray.pipelines.query import _execute, serve_queries, start_serving, stop_serving
+    from aarhus_ray.pipelines.query import (
+        _encode_request, _execute, serve_queries, start_serving, stop_serving,
+    )
 
     idx = golden_index["index"]
     q = fixtures.gen_queries(16, seed=3)
@@ -2107,7 +2209,7 @@ def test_serving_outputs_outlive_later_requests(golden_index):
     try:
         pool = start_serving(idx, k=5, n_actors=2)
         held = serve_queries(idx, q, k=5, n_actors=2)
-        raw = _execute(pool, [qids[:8], texts[:8], qids[8:], texts[8:]])
+        raw = _execute(pool, _encode_request(qids, texts))
         assert np.array_equal(np.concatenate([out[2] for out in raw]), want["doc_id"])
         snapshot = [tuple(a.copy() for a in out) for out in raw]
 
@@ -2136,22 +2238,22 @@ def test_serving_pool_survives_many_failing_requests(golden_index):
 
     idx = golden_index["index"]
     q = fixtures.gen_queries(16, seed=3)
-    want = _pipeline_answer(idx, q)
-    # slice 0 scores, slice 1's null texts make the scorer raise
+    want = _pipeline_answer(idx, q, mode="boost")
+    # slice 0 scores, slice 1's negative boosts make the scorer raise
     bad = pa.table({"query_id": pa.array([0, 1, 2, 3], pa.int64()),
-                    "text": pa.array(q["text"].to_pylist()[:2] + [None, None], pa.string())})
+                    "text": pa.array(q["text"].to_pylist()[:2] + ["the^-1", "the^-2"])})
     held = []  # every raised error stays referenced
 
     def failing():
         for _ in range(12):
-            with pytest.raises(TypeError, match="must be str") as err:
-                serve_queries(idx, bad, k=5, n_actors=2)
+            with pytest.raises(ValueError, match="negative boost") as err:
+                serve_queries(idx, bad, k=5, n_actors=2, mode="boost")
             held.append(err.value)
 
     try:
-        pool = start_serving(idx, k=5, n_actors=2)
+        pool = start_serving(idx, k=5, n_actors=2, mode="boost")
         _finish_within(60, failing)
-        got = _finish_within(60, lambda: serve_queries(idx, q, k=5, n_actors=2))
+        got = _finish_within(60, lambda: serve_queries(idx, q, k=5, n_actors=2, mode="boost"))
         assert got.equals(want[list(got.columns)])
         assert _SERVE_POOLS.get(pool.key) is pool
     finally:
