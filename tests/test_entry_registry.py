@@ -94,3 +94,23 @@ def test_sql_mix64_matches_numpy():
         )
         got = [int(v) for v in con.execute(f"SELECT {exprs}").fetchone()]
         assert got == expect, (r, got, expect)
+
+
+def test_oracle_sql_is_pinned():
+    """Every ``oracle_sql()`` string hashes to its md5 in
+    ``tests/oracle_sql_md5.json``, so a refactor of the oracle generators
+    cannot change, by accident, the SQL any check sends to DuckDB.
+
+    Changing an oracle on purpose is allowed, but it must be stated in
+    CHANGES.md (which entries changed and why). Then regenerate the
+    table from the repo root with::
+
+        python -c "import json, hashlib, __ray_entry__ as e; print(json.dumps({k: hashlib.md5(v.encode()).hexdigest() for k, v in e.oracle_sql().items()}, indent=1, sort_keys=True))" > tests/oracle_sql_md5.json
+    """
+    import hashlib
+    import json
+
+    pinned = json.loads((Path(__file__).parent / "oracle_sql_md5.json").read_text())
+    got = {k: hashlib.md5(v.encode()).hexdigest() for k, v in entry.oracle_sql().items()}
+    changed = sorted(k for k in set(pinned) | set(got) if pinned.get(k) != got.get(k))
+    assert not changed, f"oracle SQL changed for {len(changed)} entries: {changed}"
