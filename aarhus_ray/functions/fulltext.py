@@ -21,7 +21,7 @@ import ray
 
 from ..pipelines.build import build_index
 from ..pipelines.query import attach_urls, query_index
-from ..textnorm import tokenize
+from ..textnorm import TOKENIZE_SQL, tokenize
 
 # Frozen query set (query_id = position). Duplicate terms count once (frozen
 # engine semantics — mirrored with DISTINCT in the oracle SQL).
@@ -53,6 +53,85 @@ def doc_url(doc_id: int) -> str:
 
 def url_doc_id(url: str) -> int:
     return int(url[len("doc://") :])
+
+
+# The BM25 oracle builder. Every ``*_oracle_sql`` below replays the frozen
+# engine in DuckDB as one CTE chain: toks → dl/stats/tf/df → scored →
+# ranked → top-k SELECT, built from these pieces (each returns its text
+# without a trailing comma or newline). The formula keeps its own literals
+# (k1=1.2, b=0.75, Lucene idf ln(1+(N-df+.5)/(df+.5))) on purpose: an
+# oracle that read bm25.py's constants would no longer check them.
+
+
+def _values(queries, terms=str.split) -> str:
+    """``VALUES`` rows ``(qid, 'term')``, qid = position in ``queries``."""
+    return ",".join(f"({qid}, '{t}')" for qid, q in enumerate(queries) for t in terms(q))
+
+
+def _distinct_terms(q: str) -> list[str]:
+    return sorted(set(q.split()))
+
+
+def _toks(corpus: str = "documents", distinct: bool = False) -> str:
+    """``toks(doc_id, tok)``: the non-empty tokens of ``corpus``.text."""
+    return f"""toks AS (
+  SELECT {"DISTINCT " if distinct else ""}doc_id, tok FROM (
+    SELECT doc_id, unnest({TOKENIZE_SQL}) AS tok
+    FROM {corpus}) WHERE tok <> ''
+)"""
+
+
+def _bm25_head(corpus: str = "documents", alias: str = "d") -> str:
+    """The corpus statistics: ``toks``, ``dl`` (every doc of ``corpus``,
+    0.0 when it has no token), ``stats`` (n, avgdl), ``tf`` and ``df``."""
+    return f"""{_toks(corpus)},
+dl AS (SELECT {alias}.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
+       FROM {corpus} {alias} LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
+stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
+tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
+df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1)"""
+
+
+def _scored(q: str = "qd", w: str = "", having: str = "", compact: bool = False) -> str:
+    """``scored(query_id, doc_id, score)``: the BM25 sum over the
+    (query_id, tok) rows of ``q`` (a relation, optionally "rel alias"),
+    each term multiplied by the weight factor ``w`` (e.g. ``"qw.w * "``)."""
+    a = q.split()[-1]
+    joins = (
+        f"FROM {q} JOIN tf USING (tok) JOIN df USING (tok)\n"
+        "  JOIN dl ON tf.doc_id = dl.doc_id\n  CROSS JOIN stats s GROUP BY 1, 2"
+        if compact else
+        f"FROM {q}\n  JOIN tf USING (tok)\n  JOIN df USING (tok)\n"
+        "  JOIN dl ON tf.doc_id = dl.doc_id\n  CROSS JOIN stats s\n  GROUP BY 1, 2"
+    )
+    return f"""scored AS (
+  SELECT {a}.query_id, tf.doc_id,
+         sum( {w}ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
+              * tf.tf * (1.2 + 1.0)
+              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
+  {joins}{having}
+)"""
+
+
+def _ranked(frm: str = "scored", key: str = "score", a: str = "") -> str:
+    """``ranked``: each query's rows of ``frm`` (the eligibility join)
+    numbered by (``key`` DESC, doc_id); ``a`` qualifies query_id/doc_id."""
+    p = f"{a}." if a else ""
+    return f"""ranked AS (
+  SELECT {p}query_id, {p}doc_id,
+         row_number() OVER (PARTITION BY {p}query_id ORDER BY {key} DESC, {p}doc_id) AS rank
+  FROM {frm}
+)"""
+
+
+def _top(k, cols: str = "CAST(rank AS INTEGER) AS rank, doc_id", lo: int = 0,
+         order: str = "rank") -> str:
+    """The final SELECT: ranks ``lo``+1..``k`` of ``ranked``, projected
+    to query_id plus ``cols``."""
+    window = f"rank > {lo} AND rank <= {k}" if lo else f"rank <= {k}"
+    return f"""SELECT CAST(query_id AS BIGINT) AS query_id, {cols}
+FROM ranked WHERE {window}
+ORDER BY query_id, {order}"""
 
 
 def _write_pages(out_path: str, url, warc_ts, text, lang) -> str:
@@ -553,51 +632,25 @@ def bm25_delete_by_query_oracle_sql(k: int = 10) -> str:
     """Full-corpus-stats BM25 (stale statistics — the Lucene pre-merge
     contract) with the conjunctive DBQ_TEXT match set anti-joined out of
     the ranking."""
-    values = ",".join(
-        f"({qid}, '{term}')"
-        for qid, q in enumerate(FT_QUERIES)
-        for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     dbq_terms = ",".join(f"'{t}'" for t in sorted(set(DBQ_TEXT.split())))
     n_dbq = len(set(DBQ_TEXT.split()))
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 deleted AS (
   SELECT doc_id FROM (SELECT DISTINCT doc_id, tok FROM toks WHERE tok IN ({dbq_terms}))
   GROUP BY doc_id HAVING count(*) = {n_dbq}
 ),
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
+{_scored()},
 ranked AS (
   SELECT query_id, doc_id,
          row_number() OVER (PARTITION BY query_id ORDER BY score DESC, doc_id) AS rank
   FROM scored
   WHERE doc_id NOT IN (SELECT doc_id FROM deleted)
 )
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_top(k)}
 """
 
 
@@ -634,9 +687,7 @@ def bm25_near_oracle_sql(k: int = 10) -> str:
     a doc when MIN(GREATEST(pos…) − LEAST(pos…)) ≤ NEAR_WINDOW−1 (some
     pick of one occurrence per term spans < window). Single-term queries
     degenerate to containment (span 0)."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_NEARS) for term in q.split()
-    )
+    values = _values(FT_NEARS)
     blocks = []
     for qid, q in enumerate(FT_NEARS):
         terms = sorted(set(q.split()))
@@ -653,16 +704,7 @@ def bm25_near_oracle_sql(k: int = 10) -> str:
         )
     nears = "\n  UNION ALL\n".join(blocks)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
 arr AS (SELECT doc_id,
@@ -672,23 +714,9 @@ posi AS (SELECT doc_id, unnest(a) AS tok, generate_subscripts(a, 1) - 1 AS pos F
 nears AS (
 {nears}
 ),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd JOIN tf USING (tok) JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s GROUP BY 1, 2
-),
-ranked AS (
-  SELECT s.query_id, s.doc_id,
-         row_number() OVER (PARTITION BY s.query_id ORDER BY s.score DESC, s.doc_id) AS rank
-  FROM scored s JOIN nears n ON n.query_id = s.query_id AND n.doc_id = s.doc_id
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_scored(compact=True)},
+{_ranked("scored s JOIN nears n ON n.query_id = s.query_id AND n.doc_id = s.doc_id", "s.score", "s")}
+{_top(k)}
 """
 
 
@@ -730,11 +758,7 @@ def completion_suggest_oracle_sql() -> str:
             rows.append(f"({qid}, '{toks[0]}')")
     values = ",".join(rows)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks()},
 df AS (SELECT tok, CAST(count(DISTINCT doc_id) AS BIGINT) AS df FROM toks GROUP BY 1),
 q(query_id, prefix) AS (VALUES {values}),
 ranked AS (
@@ -774,21 +798,13 @@ def adjacency_matrix_oracle_sql() -> str:
     """Adjacency oracle: distinct containment match sets per query, then
     per-pair counts and an intersection join; zero cells survive via LEFT
     JOIN + coalesce (the matrix shape is fixed by the request)."""
-    values = ",".join(
-        f"({qid}, '{term}')"
-        for qid, q in enumerate(FT_QUERIES)
-        for term in sorted(set(q.split()))
-    )
+    values = _values(FT_QUERIES, _distinct_terms)
     n = len(FT_QUERIES)
     pair_values = ",".join(
         f"({i * n + j}, {i}, {j})" for i in range(n) for j in range(i, n)
     )
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks()},
 qd(query_id, tok) AS (VALUES {values}),
 m AS (SELECT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok) GROUP BY 1, 2),
 cnt AS (SELECT query_id, count(*) AS n FROM m GROUP BY 1),
@@ -831,22 +847,9 @@ def rank_eval_oracle_sql(k: int = 10) -> str:
     the query's distinct in-vocab tokens, count(DISTINCT tok) = the
     query's distinct-token count — an OOV token makes the count
     unreachable, emptying the set)."""
-    values = ",".join(
-        f"({qid}, '{term}')"
-        for qid, q in enumerate(FT_QUERIES)
-        for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
 qn AS (SELECT query_id, count(*) AS n_terms FROM qd GROUP BY 1),
@@ -856,20 +859,8 @@ rel AS (
   GROUP BY 1, 2
   HAVING count(DISTINCT tok) = min(qn.n_terms)
 ),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd JOIN tf USING (tok) JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s GROUP BY 1, 2
-),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY score DESC, doc_id) AS rank
-  FROM scored
-),
+{_scored(compact=True)},
+{_ranked()},
 nr AS (SELECT query_id, count(*) AS n_rel FROM rel GROUP BY 1),
 tk AS (
   SELECT r.query_id,
@@ -912,38 +903,13 @@ def explain_oracle_sql(k: int = 10) -> str:
     CTEs) ranks FT_QUERIES' top-k, then each hit joins back the per-term
     tf / global df / doclen it was scored from — exactly the rows the
     engine's Explainer emits (absent terms emit no row)."""
-    values = ",".join(
-        f"({qid}, '{term}')"
-        for qid, q in enumerate(FT_QUERIES)
-        for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd JOIN tf USING (tok) JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s GROUP BY 1, 2
-),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY score DESC, doc_id) AS rank
-  FROM scored
-)
+{_scored(compact=True)},
+{_ranked()}
 SELECT CAST(r.query_id AS BIGINT) AS query_id, CAST(r.rank AS INTEGER) AS rank,
        r.doc_id, qd.tok AS term,
        CAST(tf.tf AS BIGINT) AS tf, CAST(df.df AS BIGINT) AS df,
@@ -1095,33 +1061,12 @@ def top_hits_query(sf_dir: str, size: int = TH_SIZE) -> pd.DataFrame:
 def top_hits_oracle_sql(size: int = TH_SIZE) -> str:
     """top_hits oracle: the standard BM25 stack scored per query, joined to
     the documents' lang docvalue, row_number per (query, lang) bucket."""
-    values = ",".join(
-        f"({qid}, '{term}')"
-        for qid, q in enumerate(FT_QUERIES)
-        for term in sorted(set(q.split()))
-    )
+    values = _values(FT_QUERIES, _distinct_terms)
     langs = ",".join(f"'{l}'" for l in TH_LANGS)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 qd(query_id, tok) AS (VALUES {values}),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd JOIN tf USING (tok) JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s GROUP BY 1, 2
-),
+{_scored(compact=True)},
 ranked AS (
   SELECT s.query_id, d.lang, s.doc_id,
          row_number() OVER (PARTITION BY s.query_id, d.lang
@@ -1186,16 +1131,7 @@ def bm25_intervals_oracle_sql(k: int = 10) -> str:
         )
     spans = "\n  UNION ALL\n".join(blocks)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 qd(query_id, tok) AS (VALUES {values}),
 arr AS (SELECT doc_id,
                list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> '') AS a
@@ -1204,23 +1140,9 @@ posi AS (SELECT doc_id, unnest(a) AS tok, generate_subscripts(a, 1) - 1 AS pos F
 spans AS (
 {spans}
 ),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd JOIN tf USING (tok) JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s GROUP BY 1, 2
-),
-ranked AS (
-  SELECT s.query_id, s.doc_id,
-         row_number() OVER (PARTITION BY s.query_id ORDER BY s.score DESC, s.doc_id) AS rank
-  FROM scored s JOIN spans n ON n.query_id = s.query_id AND n.doc_id = s.doc_id
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_scored(compact=True)},
+{_ranked("scored s JOIN spans n ON n.query_id = s.query_id AND n.doc_id = s.doc_id", "s.score", "s")}
+{_top(k)}
 """
 
 
@@ -1234,16 +1156,7 @@ def _bm25_spans_oracle_sql(qd_block: str, spans: str, k: int) -> str:
     change to the frozen scoring form cannot desynchronize one span
     oracle from the other five."""
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 {qd_block},
 arr AS (SELECT doc_id,
                list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> '') AS a
@@ -1252,23 +1165,9 @@ posi AS (SELECT doc_id, unnest(a) AS tok, generate_subscripts(a, 1) - 1 AS pos F
 spans AS (
 {spans}
 ),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd JOIN tf USING (tok) JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s GROUP BY 1, 2
-),
-ranked AS (
-  SELECT s.query_id, s.doc_id,
-         row_number() OVER (PARTITION BY s.query_id ORDER BY s.score DESC, s.doc_id) AS rank
-  FROM scored s JOIN spans n ON n.query_id = s.query_id AND n.doc_id = s.doc_id
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_scored(compact=True)},
+{_ranked("scored s JOIN spans n ON n.query_id = s.query_id AND n.doc_id = s.doc_id", "s.score", "s")}
+{_top(k)}
 """
 
 
@@ -1280,11 +1179,7 @@ def bm25_span_near_oracle_sql(k: int = 10) -> str:
     query tokens reuse the same tok in two aliases), qualifying a doc when
     MIN(p_last − p_first) ≤ n−1+slop over strictly-increasing picks.
     Single-token queries degenerate to containment."""
-    values = ",".join(
-        f"({qid}, '{term}')"
-        for qid, q in enumerate(FT_SPANS)
-        for term in sorted(set(q.split()))
-    )
+    values = _values(FT_SPANS, _distinct_terms)
     blocks = []
     for qid, q in enumerate(FT_SPANS):
         seq = q.split()
@@ -1656,16 +1551,7 @@ def bm25_prefix_oracle_sql(k: int = 10) -> str:
                 rows.append(f"({qid}, '{raw}', false)")
     values = ",".join(rows)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 vocab AS (SELECT DISTINCT tok FROM tf),
 q(query_id, pat, is_prefix) AS (VALUES {values}),
 qd AS (
@@ -1674,26 +1560,9 @@ qd AS (
     ON (q.is_prefix AND v.tok LIKE q.pat || '%')
     OR (NOT q.is_prefix AND v.tok = q.pat)
 ),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY score DESC, doc_id) AS rank
-  FROM scored
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_scored()},
+{_ranked()}
+{_top(k)}
 """
 
 
@@ -1731,16 +1600,7 @@ def bm25_wildcard_oracle_sql(k: int = 10) -> str:
                 rows.append(f"({qid}, '{raw}', false)")
     values = ",".join(rows)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 vocab AS (SELECT DISTINCT tok FROM tf),
 q(query_id, pat, is_wild) AS (VALUES {values}),
 qd AS (
@@ -1749,26 +1609,9 @@ qd AS (
     ON (q.is_wild AND v.tok LIKE q.pat)
     OR (NOT q.is_wild AND v.tok = q.pat)
 ),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY score DESC, doc_id) AS rank
-  FROM scored
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_scored()},
+{_ranked()}
+{_top(k)}
 """
 
 
@@ -1790,16 +1633,10 @@ def percentile_ranks_query(sf_dir: str) -> pd.DataFrame:
 
 
 def percentile_ranks_oracle_sql() -> str:
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     probes = ",".join(f"({p})" for p in PR_PROBES)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
@@ -1949,11 +1786,7 @@ def bm25_query_string_oracle_sql(k: int = 10) -> str:
     phr = ",".join(phr_rows) or sent
     mn = ",".join(mn_rows) or sent
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks()},
 toksd AS (SELECT DISTINCT doc_id, tok FROM toks),
 dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
        FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
@@ -2025,14 +1858,8 @@ scored AS (
   CROSS JOIN stats s
   GROUP BY 1, 2
 ),
-ranked AS (
-  SELECT e.query_id, e.doc_id,
-         row_number() OVER (PARTITION BY e.query_id ORDER BY s.score DESC, e.doc_id) AS rank
-  FROM elig e JOIN scored s ON s.query_id = e.query_id AND s.doc_id = e.doc_id
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_ranked("elig e JOIN scored s ON s.query_id = e.query_id AND s.doc_id = e.doc_id", "s.score", "e")}
+{_top(k)}
 """
 
 
@@ -2071,19 +1898,11 @@ def bm25_update_by_query_oracle_sql(k: int = 10) -> str:
     corpus' INCLUDING the superseded old versions — the Lucene pre-merge
     contract — and only the eligibility filter hides them; output ids
     fold back with % UBQ_OFFSET."""
-    values = ",".join(
-        f"({qid}, '{term}')"
-        for qid, q in enumerate(FT_QUERIES)
-        for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     upd_terms = ",".join(f"'{t}'" for t in sorted(set(UBQ_TEXT.split())))
     n_upd = len(set(UBQ_TEXT.split()))
     return f"""
-WITH base_toks AS (
-  SELECT DISTINCT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH base_{_toks(distinct=True)},
 upd AS (
   SELECT doc_id FROM base_toks WHERE tok IN ({upd_terms})
   GROUP BY doc_id HAVING count(*) = {n_upd}
@@ -2106,18 +1925,7 @@ tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 
 df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
+{_scored()},
 ranked AS (
   SELECT query_id, doc_id % {UBQ_OFFSET} AS doc_id,
          row_number() OVER (
@@ -2126,9 +1934,7 @@ ranked AS (
   FROM scored
   WHERE NOT (doc_id < {UBQ_OFFSET} AND doc_id IN (SELECT doc_id FROM upd))
 )
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_top(k)}
 """
 
 
@@ -2167,42 +1973,16 @@ def bm25_regexp_oracle_sql(k: int = 10) -> str:
         for pat in q.lower().split()
     )
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 vocab AS (SELECT DISTINCT tok FROM tf),
 q(query_id, pat) AS (VALUES {values}),
 qd AS (
   SELECT DISTINCT q.query_id, v.tok
   FROM q JOIN vocab v ON regexp_full_match(v.tok, q.pat)
 ),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY score DESC, doc_id) AS rank
-  FROM scored
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_scored()},
+{_ranked()}
+{_top(k)}
 """
 
 
@@ -2223,42 +2003,16 @@ def bm25_fuzzy_oracle_sql(k: int = 10) -> str:
         f"({qid}, '{tok}')" for qid, q in enumerate(FT_FUZZIES) for tok in q.split()
     )
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 vocab AS (SELECT DISTINCT tok FROM tf),
 q(query_id, pat) AS (VALUES {values}),
 qd AS (
   SELECT DISTINCT q.query_id, v.tok
   FROM q JOIN vocab v ON levenshtein(v.tok, q.pat) <= 1
 ),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY score DESC, doc_id) AS rank
-  FROM scored
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_scored()},
+{_ranked()}
+{_top(k)}
 """
 
 
@@ -2282,42 +2036,16 @@ def bm25_fuzzy2_oracle_sql(k: int = 10) -> str:
         f"({qid}, '{tok}')" for qid, q in enumerate(FT_FUZZIES2) for tok in q.split()
     )
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 vocab AS (SELECT DISTINCT tok FROM tf),
 q(query_id, pat) AS (VALUES {values}),
 qd AS (
   SELECT DISTINCT q.query_id, v.tok
   FROM q JOIN vocab v ON levenshtein(v.tok, q.pat) <= 2
 ),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY score DESC, doc_id) AS rank
-  FROM scored
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_scored()},
+{_ranked()}
+{_top(k)}
 """
 
 
@@ -2335,15 +2063,9 @@ def facet_counts_query(sf_dir: str) -> pd.DataFrame:
 def facet_counts_oracle_sql() -> str:
     """Facet-count oracle: distinct (query, doc) matches through the token
     table, grouped by the document's lang."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT DISTINCT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks(distinct=True)},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
 matches AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok))
@@ -2393,16 +2115,7 @@ def bm25_boost_oracle_sql(k: int = 10) -> str:
         for tok, w in _parse_boosts(q)
     )
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 q(query_id, tok, w) AS (VALUES {values}),
 qw AS (SELECT query_id, tok, CAST(SUM(w) AS DOUBLE) AS w FROM q GROUP BY 1, 2),
 scored AS (
@@ -2417,14 +2130,8 @@ scored AS (
   CROSS JOIN stats s
   GROUP BY 1, 2
 ),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY score DESC, doc_id) AS rank
-  FROM scored
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_ranked()}
+{_top(k)}
 """
 
 
@@ -2456,16 +2163,7 @@ def bm25_boolean_oracle_sql(k: int = 10) -> str:
                 rows.append(f"({qid}, '{t}', '{role}')")
     values = ",".join(rows)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 q(query_id, tok, role) AS (VALUES {values}),
 qmust AS (SELECT DISTINCT query_id, tok FROM q WHERE role = 'must'),
 mcnt AS (SELECT query_id, count(*) AS n_must FROM qmust GROUP BY 1),
@@ -2506,14 +2204,8 @@ scored AS (
   CROSS JOIN stats s
   GROUP BY 1, 2
 ),
-ranked AS (
-  SELECT s.query_id, s.doc_id,
-         row_number() OVER (PARTITION BY s.query_id ORDER BY s.score DESC, s.doc_id) AS rank
-  FROM scored s JOIN elig USING (query_id, doc_id)
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_ranked("scored s JOIN elig USING (query_id, doc_id)", "s.score", "s")}
+{_top(k)}
 """
 
 
@@ -2533,34 +2225,12 @@ def facet_topk_query(sf_dir: str, k: int = 5) -> pd.DataFrame:
 
 def facet_topk_oracle_sql(k: int = 5) -> str:
     """Grouped-top-k oracle: the BM25 CTE stack windowed per (query, lang)."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
+{_scored()},
 ranked AS (
   SELECT s.query_id, d.lang, s.doc_id,
          row_number() OVER (PARTITION BY s.query_id, d.lang
@@ -2594,34 +2264,12 @@ def collapse_oracle_sql(k: int = 5) -> str:
     """Collapse oracle: the BM25 stack joined to lang; per (query, lang)
     window picks the group winner (grn=1) and counts the group; winners
     re-rank per query."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
+{_scored()},
 g AS (
   SELECT s.query_id, d.lang, s.doc_id, s.score,
          row_number() OVER (PARTITION BY s.query_id, d.lang
@@ -2677,16 +2325,7 @@ def bm25_phrase_prefix_oracle_sql(k: int = 10) -> str:
         for qid, (f, s) in enumerate(FT_PHRASE_PREFIX)
     )
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 q(query_id, fixed, stem) AS (VALUES {values}),
 vocab AS (SELECT DISTINCT tok FROM tf),
 exp AS (SELECT q.query_id, v.tok AS e FROM q JOIN vocab v ON v.tok LIKE q.stem || '%'),
@@ -2723,14 +2362,8 @@ final AS (
   JOIN q ON q.query_id = e.query_id
   LEFT JOIN contrib fc ON fc.doc_id = e.doc_id AND fc.tok = q.fixed
 ),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY fscore DESC, doc_id) AS rank
-  FROM final
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_ranked("final", "fscore")}
+{_top(k)}
 """
 
 
@@ -2755,16 +2388,10 @@ def top_metrics_oracle_sql() -> str:
     """top_metrics oracle: the match set joined to the frozen warc_ts
     rule and token-count doclens, windowed (ts DESC, doc_id) to
     TM_SIZE."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     ts = f"({BASE_TS_US} + (doc_id * {TS_MULT}) % {TS_MOD})"
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
@@ -2818,15 +2445,9 @@ def sliced_scroll_query(sf_dir: str) -> pd.DataFrame:
 def sliced_scroll_oracle_sql() -> str:
     """Sliced-scroll oracle: the match set with the md5-prefix slice hash
     replayed over the frozen url format."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT DISTINCT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks(distinct=True)},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
@@ -2873,11 +2494,7 @@ def mget_oracle_sql() -> str:
     ts = f"({BASE_TS_US} + (d.doc_id * {TS_MULT}) % {TS_MOD})"
     return f"""
 WITH req(url) AS (VALUES {req}),
-toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+{_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
 d AS (SELECT 'doc://' || lpad(CAST(doc_id AS VARCHAR), 8, '0') AS url, doc_id, lang
       FROM documents)
@@ -2917,34 +2534,12 @@ def diversified_sampler_oracle_sql() -> str:
     """Sampler oracle: the skip-walk is equivalent to per-lang rank
     filter (≤ DS_CAP) then global top-DS_N over the kept set (a skipped
     doc can never evict an earlier pick), which two windows replay."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
+{_scored()},
 g AS (
   SELECT s.query_id, d.lang, s.doc_id, s.score,
          row_number() OVER (PARTITION BY s.query_id, d.lang
@@ -3000,38 +2595,13 @@ def bm25_snippets_oracle_sql(k: int = 5) -> str:
     """Snippet oracle: the bm25 ranking CTEs + 1-based list_slice replay of
     the frozen window rule (engine 0-based s = max(0, first-2) ↔ SQL
     start = greatest(1, fp-2) for 1-based fp, end = start+6 inclusive)."""
-    values = ",".join(
-        f"({qid}, '{term}')"
-        for qid, q in enumerate(FT_QUERIES)
-        for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd JOIN tf USING (tok) JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s GROUP BY 1, 2
-),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY score DESC, doc_id) AS rank
-  FROM scored
-),
+{_scored(compact=True)},
+{_ranked()},
 arr AS (SELECT doc_id,
                list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> '') AS a
         FROM documents),
@@ -3127,46 +2697,20 @@ def bm25_filtered_oracle_sql(k: int = 10) -> str:
     """Filtered oracle: the unchanged BM25 CTEs (GLOBAL stats over the whole
     corpus) with eligibility restricted by a documents.lang join before
     ranking — scores computed over everything, ranks over the facet set."""
-    values = ",".join(
-        f"({qid}, '{term}')"
-        for qid, q in enumerate(FT_QUERIES)
-        for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     langs = ",".join(f"'{l}'" for l in FT_FILTER_LANGS)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
+{_scored()},
 ranked AS (
   SELECT s.query_id, s.doc_id,
          row_number() OVER (PARTITION BY s.query_id ORDER BY s.score DESC, s.doc_id) AS rank
   FROM scored s JOIN documents d ON d.doc_id = s.doc_id
   WHERE d.lang IN ({langs})
 )
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_top(k)}
 """
 
 
@@ -3228,16 +2772,7 @@ def more_like_this_oracle_sql(k: int = 10) -> str:
     over the selected (src, term) pairs, source doc excluded pre-rank."""
     values = ",".join(f"({s})" for s in MLT_SOURCES)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 src(s) AS (VALUES {values}),
 qterms AS (
   SELECT src.s, tf.tok,
@@ -3291,15 +2826,9 @@ def bm25_recency_oracle_sql(k: int = 10) -> str:
     """Recency oracle: the distinct match set through the token table,
     ranked by the integer-replayed crawl ts (BASE + (doc_id*M) mod P)
     DESC, doc_id ASC — no floats anywhere."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT DISTINCT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks(distinct=True)},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
 matches AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
@@ -3342,36 +2871,14 @@ def bm25_topk_ts_range(sf_dir: str, k: int = 10) -> pd.DataFrame:
 def bm25_ts_range_oracle_sql(k: int = 10) -> str:
     """Range-filter oracle: the unchanged BM25 CTEs (GLOBAL stats) with
     eligibility restricted by the integer-replayed ts permutation."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     lo = TS_RANGE_LO_US - BASE_TS_US
     hi = TS_RANGE_HI_US - BASE_TS_US
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
+{_scored()},
 ranked AS (
   SELECT query_id, doc_id,
          row_number() OVER (PARTITION BY query_id ORDER BY score DESC, doc_id) AS rank
@@ -3379,9 +2886,7 @@ ranked AS (
   WHERE (doc_id * {TS_MULT}) % {TS_MOD} >= {lo}
     AND (doc_id * {TS_MULT}) % {TS_MOD} < {hi}
 )
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_top(k)}
 """
 
 
@@ -3397,15 +2902,9 @@ def match_counts_query(sf_dir: str) -> pd.DataFrame:
 
 
 def match_counts_oracle_sql() -> str:
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT DISTINCT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks(distinct=True)},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q)
 SELECT CAST(qd.query_id AS BIGINT) AS query_id,
@@ -3459,16 +2958,7 @@ def synonym_oracle_sql(k: int = 10) -> str:
                 rows.append(f"({qid}, '{base}', '{tok}')")
     values = ",".join(rows)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 syn(query_id, grp, tok) AS (VALUES {values}),
 sd AS (SELECT DISTINCT query_id, grp, tok FROM syn),
 mtf AS (SELECT sd.query_id, sd.grp, tf.doc_id, sum(tf.tf) AS mtf
@@ -3486,14 +2976,8 @@ scored AS (
   CROSS JOIN stats s
   GROUP BY 1, 2
 ),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY score DESC, doc_id) AS rank
-  FROM scored
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_ranked()}
+{_top(k)}
 """
 
 
@@ -3542,46 +3026,18 @@ def field_value_factor_oracle_sql(k: int = 10) -> str:
     multiplied by ln(1 + dl) — dl is the same exact integer token count
     on both sides, ln is correctly rounded identically, the multiply is
     one IEEE op."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
+{_scored()},
 boosted AS (
   SELECT sc.query_id, sc.doc_id, sc.score * ln(1.0 + dl.dl) AS fscore
   FROM scored sc JOIN dl ON sc.doc_id = dl.doc_id
 ),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY fscore DESC, doc_id) AS rank
-  FROM boosted
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_ranked("boosted", "fscore")}
+{_top(k)}
 """
 
 
@@ -3622,47 +3078,19 @@ def rank_feature_oracle_sql(k: int = 10) -> str:
     saturation boost — dl and pivot are the same exact integers on both
     sides, the divide, the power-of-two weight multiply, and the add are
     each one correctly-rounded IEEE op."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
+{_scored()},
 boosted AS (
   SELECT sc.query_id, sc.doc_id,
          sc.score + {FEATURE_WEIGHT} * (dl.dl / (dl.dl + {RF_PIVOT}.0)) AS fscore
   FROM scored sc JOIN dl ON sc.doc_id = dl.doc_id
 ),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY fscore DESC, doc_id) AS rank
-  FROM boosted
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_ranked("boosted", "fscore")}
+{_top(k)}
 """
 
 
@@ -3690,49 +3118,21 @@ def distance_feature_oracle_sql(k: int = 10) -> str:
     """Distance-feature oracle: the unchanged BM25 CTEs, final score plus
     the proximity boost replayed from the integer ts permutation — the
     same short IEEE-754 op chain the engine runs."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     ts = f"({BASE_TS_US} + (doc_id * {TS_MULT}) % {TS_MOD})"
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
+{_scored()},
 boosted AS (
   SELECT query_id, doc_id,
          score + {FEATURE_WEIGHT} * ({DF_PIVOT_US}.0
              / ({DF_PIVOT_US}.0 + abs({DF_ORIGIN_US} - {ts}))) AS fscore
   FROM scored
 ),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY fscore DESC, doc_id) AS rank
-  FROM boosted
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_ranked("boosted", "fscore")}
+{_top(k)}
 """
 
 
@@ -3740,48 +3140,20 @@ def function_score_oracle_sql(k: int = 10) -> str:
     """Function-score oracle: the unchanged BM25 CTEs, final score
     multiplied by the linear decay replayed from the integer ts
     permutation — the same short IEEE-754 op chain the engine runs."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     ts = f"({BASE_TS_US} + (doc_id * {TS_MULT}) % {TS_MOD})"
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
+{_scored()},
 decayed AS (
   SELECT query_id, doc_id,
          score * greatest(0.0, 1.0 - abs({FS_ORIGIN_US} - {ts}) / CAST({FS_SCALE_US} AS DOUBLE)) AS fscore
   FROM scored
 ),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY fscore DESC, doc_id) AS rank
-  FROM decayed
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_ranked("decayed", "fscore")}
+{_top(k)}
 """
 
 
@@ -3804,15 +3176,9 @@ def date_histogram_query(sf_dir: str) -> pd.DataFrame:
 
 
 def date_histogram_oracle_sql() -> str:
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT DISTINCT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks(distinct=True)},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok))
@@ -3883,15 +3249,9 @@ def rare_terms_query(sf_dir: str) -> pd.DataFrame:
 
 
 def rare_terms_oracle_sql() -> str:
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT DISTINCT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks(distinct=True)},
 rare AS (SELECT tok FROM toks GROUP BY tok HAVING count(*) <= {RT_MAX_DF}),
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
@@ -3932,15 +3292,9 @@ def histogram_pipeline_oracle_sql() -> str:
     then window functions replay the pipeline aggs — running SUM for
     cumulative_sum, value − lag(value, 1, 0) for the derivative with the
     frozen 0 start baseline."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
@@ -3990,17 +3344,11 @@ def auto_date_histogram_oracle_sql() -> str:
     that interval — the engine's frozen warc_ts rule replayed inline."""
     from ..stages.query_stage import AutoDateHistogram
 
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     ladder = ",".join(f"({iv})" for iv in AutoDateHistogram.LADDER)
     ts = f"({BASE_TS_US} + (doc_id * {TS_MULT}) % {TS_MOD})"
     return f"""
-WITH toks AS (
-  SELECT DISTINCT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks(distinct=True)},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
@@ -4061,15 +3409,9 @@ def moving_window_query(sf_dir: str) -> pd.DataFrame:
 def moving_window_oracle_sql() -> str:
     """Oracle: the histogram-pipeline dense series; mov_sum is a ROWS
     BETWEEN window sum, sdiff is n − lag(n, MW_LAG, 0)."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
@@ -4117,15 +3459,9 @@ def bucket_sort_query(sf_dir: str) -> pd.DataFrame:
 def bucket_sort_oracle_sql() -> str:
     """Oracle: sparse histogram counts, HAVING-filtered by the selector
     predicate, row_number re-ranked (n DESC, bucket ASC), truncated."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
@@ -4180,19 +3516,13 @@ def range_agg_oracle_sql() -> str:
     the full (query × range) skeleton LEFT-JOINs the aggregates so
     zero buckets and hit-less queries emit 0 rows exactly like the
     engine."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     ranges = ",".join(
         f"({i}, {lo if lo is not None else 'NULL'}, {hi if hi is not None else 'NULL'})"
         for i, (lo, hi) in enumerate(RANGE_BOUNDS)
     )
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
@@ -4246,20 +3576,10 @@ def matrix_stats_query(sf_dir: str) -> pd.DataFrame:
 def matrix_stats_oracle_sql() -> str:
     """Matrix-stats oracle: per-query joint integer moments of (token
     count, scaled ts permutation) over the distinct match set."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT DISTINCT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-alltoks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks(distinct=True)},
+all{_toks()},
 dl AS (SELECT doc_id, count(*) AS a FROM alltoks GROUP BY 1),
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
@@ -4342,15 +3662,9 @@ def composite_agg_oracle_sql() -> str:
     """Composite oracle: the (lang, ts-bucket) counts per query's distinct
     match set, page = (row_number−1) // size over the composite order —
     exactly the frames the engine's after_key loop emits."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT DISTINCT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks(distinct=True)},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
@@ -4383,16 +3697,10 @@ def matchset_stats_query(sf_dir: str) -> pd.DataFrame:
 
 
 def matchset_stats_oracle_sql() -> str:
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     ts = f"({BASE_TS_US} + (doc_id * {TS_MULT}) % {TS_MOD})"
     return f"""
-WITH toks AS (
-  SELECT DISTINCT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks(distinct=True)},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok))
@@ -4426,15 +3734,9 @@ def string_stats_oracle_sql() -> str:
     """Oracle: matched docs join documents; char counts via
     string_split(text, ''); the same milli-nat rounding on both sides
     (identical integer inputs → identical libm ln)."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT DISTINCT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks(distinct=True)},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
@@ -4475,15 +3777,9 @@ def mad_query(sf_dir: str) -> pd.DataFrame:
 def mad_oracle_sql() -> str:
     """MAD oracle: doclen replay (non-distinct token counts), type-1
     lower median via row_number at floor(0.5·(n−1))+1, twice."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
@@ -4533,15 +3829,9 @@ def multi_terms_query(sf_dir: str) -> pd.DataFrame:
 
 
 def multi_terms_oracle_sql() -> str:
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
@@ -4625,15 +3915,9 @@ def extended_stats_query(sf_dir: str) -> pd.DataFrame:
 
 
 def extended_stats_oracle_sql() -> str:
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
@@ -4663,15 +3947,9 @@ def filters_agg_query(sf_dir: str) -> pd.DataFrame:
 def filters_agg_oracle_sql() -> str:
     from ..stages.query_stage import FILTERS_AGG_LONG, FILTERS_AGG_SHORT
 
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
@@ -4713,15 +3991,9 @@ def bucket_script_oracle_sql() -> str:
     """Oracle: per-(query, lang) count + doclen sum over the distinct
     match set, HAVING the cross-multiplied share selector, integer ``//``
     for the script metric."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
@@ -4760,15 +4032,9 @@ def t_test_oracle_sql() -> str:
     match), the SAME IEEE expression tree as the engine (every operand
     exact below 2^53 at oracle scales, so each op is correctly rounded
     identically on both engines), round 3dp, <2-doc sides dropped."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
 corpus AS (
   SELECT CAST(count(*) AS BIGINT) AS n, CAST(SUM(dlv) AS BIGINT) AS s,
@@ -4813,15 +4079,9 @@ def export_matches_query(sf_dir: str) -> pd.DataFrame:
 
 
 def export_matches_oracle_sql() -> str:
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT DISTINCT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks(distinct=True)},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q)
 SELECT DISTINCT CAST(qd.query_id AS BIGINT) AS query_id, toks.doc_id
@@ -4971,15 +4231,9 @@ def significant_terms_oracle_sql() -> str:
     matching doc_ids per query) → per-term fg over the sample, bg =
     global df, integer-division lift, (lift DESC, fg DESC, term ASC)
     window. No floats anywhere."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT DISTINCT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks(distinct=True)},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
 matches AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
@@ -5071,11 +4325,7 @@ def spell_suggest_oracle_sql() -> str:
         for tok in dict.fromkeys(q.split())
     )
     return f"""
-WITH toks AS (
-  SELECT DISTINCT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks(distinct=True)},
 vocab AS (SELECT tok, CAST(count(*) AS BIGINT) AS df FROM toks GROUP BY 1),
 q(query_id, token) AS (VALUES {values}),
 oov AS (
@@ -5208,11 +4458,7 @@ def phrase_suggest_oracle_sql() -> str:
         )
     phrases = "\n  UNION ALL\n".join(blocks)
     return f"""
-WITH toks AS (
-  SELECT DISTINCT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks(distinct=True)},
 vocab AS (SELECT tok, CAST(count(*) AS BIGINT) AS df FROM toks GROUP BY 1),
 docsets AS (SELECT doc_id, list(tok) AS tokset FROM toks GROUP BY 1),
 qtoks(query_id, pos, tok) AS (VALUES {qtoks}),
@@ -5325,11 +4571,7 @@ def msearch_alias_oracle_sql(k: int = 10) -> str:
     """Alias oracle: one full BM25 CTE stack PER member index (every
     statistic over that lang subset only), UNION ALL, then one global
     row_number per query over (score DESC, doc_id ASC)."""
-    values = ",".join(
-        f"({qid}, '{term}')"
-        for qid, q in enumerate(FT_QUERIES)
-        for term in q.split()
-    )
+    values = _values(FT_QUERIES)
 
     def stack(lang: str) -> str:
         return f"""
@@ -5366,14 +4608,8 @@ qd AS (SELECT DISTINCT query_id, tok FROM q),
 scored AS (
 {unioned}
 ),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY score DESC, doc_id) AS rank
-  FROM scored
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_ranked()}
+{_top(k)}
 """
 
 
@@ -5392,9 +4628,7 @@ def reindex_lang_query(sf_dir: str, k: int = 10) -> pd.DataFrame:
 def reindex_lang_oracle_sql(k: int = 10) -> str:
     """Reindex oracle: the BM25 stack with EVERY corpus statistic —
     N, avgdl, df, tf, dl — computed over the lang-filtered subset."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
 WITH sub AS (SELECT doc_id, text FROM documents WHERE lang = '{REINDEX_LANG}'),
 toks AS (
@@ -5409,26 +4643,9 @@ tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 
 df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY score DESC, doc_id) AS rank
-  FROM scored
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_scored()},
+{_ranked()}
+{_top(k)}
 """
 
 
@@ -5541,9 +4758,7 @@ def bm25_multifield_oracle_sql(k: int = 10) -> str:
     TITLE_LEN tokens with field-local dl/avgdl/df; body = the standard
     stack) FULL-JOINed per (query, doc) and combined with the frozen
     weights."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
 WITH bod AS (SELECT doc_id,
                     list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> '') AS a
@@ -5585,14 +4800,8 @@ comb AS (
   FROM scoredB b FULL JOIN scoredT t
     ON b.query_id = t.query_id AND b.doc_id = t.doc_id
 ),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY score DESC, doc_id) AS rank
-  FROM comb
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_ranked("comb")}
+{_top(k)}
 """
 
 
@@ -5626,9 +4835,7 @@ def combined_fields_oracle_sql(k: int = 10) -> str:
     are exact integers on both engines, avgdl' is one exact-int divide,
     df' = body df (title ⊆ body), and the scoring expression is the
     verbatim standard chain over those inputs."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
 WITH bod AS (SELECT doc_id,
                     list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> '') AS a
@@ -5661,14 +4868,8 @@ scored AS (
   CROSS JOIN stats s
   GROUP BY 1, 2
 ),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY score DESC, doc_id) AS rank
-  FROM scored
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_ranked()}
+{_top(k)}
 """
 
 
@@ -5714,9 +4915,7 @@ def bm25_pinned_oracle_sql(k: int = 10) -> str:
     """Pinned oracle: the standard stack's organic ranking unioned under
     the pins VALUES (pin ordinal as the primary sort key), pinned docs
     removed from the organic side, re-ranked."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     pin_rows = [
         (qid, ordinal, d)
         for qid, pins in enumerate(FT_PINNED)
@@ -5724,31 +4923,11 @@ def bm25_pinned_oracle_sql(k: int = 10) -> str:
     ]
     pins = ",".join(f"({q}, {o}, {d})" for q, o, d in pin_rows) or "(NULL, NULL, NULL)"
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
 pins(query_id, ord, doc_id) AS (VALUES {pins}),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
+{_scored()},
 organic AS (
   SELECT s.query_id, s.doc_id, s.score
   FROM scored s
@@ -5803,15 +4982,9 @@ def random_score_query(sf_dir: str, k: int = 10) -> pd.DataFrame:
 def random_score_oracle_sql(k: int = 10) -> str:
     """random_score oracle: the match set with the md5-prefix hash of
     seed:url replayed, ranked descending."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT DISTINCT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks(distinct=True)},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
@@ -5820,14 +4993,8 @@ hashed AS (
          CAST(concat('0x', substr(md5('{RS_SEED}:' || 'doc://' || lpad(CAST(doc_id AS VARCHAR), 8, '0')), 1, 16)) AS UBIGINT) AS h
   FROM matched
 ),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY h DESC, doc_id) AS rank
-  FROM hashed
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_ranked("hashed", "h")}
+{_top(k)}
 """
 
 
@@ -5896,9 +5063,7 @@ def bm25_cross_fields_oracle_sql(k: int = 10) -> str:
     """cross_fields oracle: the multifield per-field CTE stacks kept at
     PER-TERM granularity (no per-query sum yet), FULL-JOINed per
     (term, doc), blended with greatest(), then summed per (query, doc)."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_CROSS) for term in q.split()
-    )
+    values = _values(FT_CROSS)
     return f"""
 WITH bod AS (SELECT doc_id,
                     list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> '') AS a
@@ -5944,14 +5109,8 @@ scored AS (
   FROM qd JOIN blended bl USING (tok)
   GROUP BY 1, 2
 ),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY score DESC, doc_id) AS rank
-  FROM scored
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_ranked()}
+{_top(k)}
 """
 
 
@@ -5986,16 +5145,10 @@ def search_after_oracle_sql(k: int = 10) -> str:
     """search_after oracle: the recency ordering's ranks k+1..2k (cursor
     paging after a full first page is exactly the next window), rank
     renumbered 1..k within the page."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     ts = f"({BASE_TS_US} + (doc_id * {TS_MULT}) % {TS_MOD})"
     return f"""
-WITH toks AS (
-  SELECT DISTINCT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks(distinct=True)},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
@@ -6031,15 +5184,9 @@ def percolate_oracle_sql() -> str:
     survives iff the doc's distinct-token join covers ALL the query's
     distinct terms (OOV terms never join, so their queries return no
     rows)."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT DISTINCT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks(distinct=True)},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
 qn AS (SELECT query_id, count(*) AS n FROM qd GROUP BY 1),
@@ -6071,11 +5218,7 @@ def term_stats_query(sf_dir: str) -> pd.DataFrame:
 def term_stats_oracle_sql() -> str:
     values = ",".join(f"('{t}')" for t in FT_STAT_TERMS)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks()},
 probe(term) AS (VALUES {values})
 SELECT probe.term,
        CAST(count(DISTINCT toks.doc_id) AS BIGINT) AS df,
@@ -6099,15 +5242,9 @@ def facet_cardinality_query(sf_dir: str) -> pd.DataFrame:
 
 
 def facet_cardinality_oracle_sql() -> str:
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT DISTINCT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks(distinct=True)},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok))
@@ -6134,17 +5271,11 @@ def matchset_percentiles_query(sf_dir: str) -> pd.DataFrame:
 
 
 def matchset_percentiles_oracle_sql() -> str:
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     qvals = ",".join(f"({q}, {int(round(q * 100))})" for q in PCTL_QUANTILES)
     ts = f"({BASE_TS_US} + (doc_id * {TS_MULT}) % {TS_MOD})"
     return f"""
-WITH toks AS (
-  SELECT DISTINCT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks(distinct=True)},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
@@ -6181,15 +5312,9 @@ def matchset_boxplot_oracle_sql() -> str:
     """Boxplot oracle: dl = per-doc token count (the engine's doclen),
     quartiles via row_number() = floor(q·(n−1)) + 1, fences replayed with
     the identical doubled-integer comparisons."""
-    values = ",".join(
-        f"({qid}, '{term}')" for qid, q in enumerate(FT_QUERIES) for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
+WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
@@ -6251,16 +5376,7 @@ def rescore_oracle_sql(k: int = 10) -> str:
     W × (score if phrase else 0), re-ranked inside the window."""
     values = ",".join(f"({qid}, '{p}')" for qid, p in enumerate(FT_PHRASES))
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 q(query_id, phrase) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, unnest(regexp_split_to_array(phrase, ' ')) AS tok FROM q),
 dt AS (SELECT doc_id,
@@ -6270,18 +5386,7 @@ phrased AS (
   SELECT q.query_id, dt.doc_id
   FROM q JOIN dt ON position((' ' || q.phrase || ' ') IN dt.ts) > 0
 ),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
+{_scored()},
 windowed AS (
   SELECT query_id, doc_id, score,
          row_number() OVER (PARTITION BY query_id ORDER BY score DESC, doc_id) AS rn
@@ -6294,14 +5399,8 @@ final AS (
   LEFT JOIN phrased p ON p.query_id = w.query_id AND p.doc_id = w.doc_id
   WHERE w.rn <= {RESCORE_WINDOW}
 ),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY fscore DESC, doc_id) AS rank
-  FROM final
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_ranked("final", "fscore")}
+{_top(k)}
 """
 
 
@@ -6351,34 +5450,12 @@ def hybrid_rrf_oracle_sql(k: int = 10) -> str:
     the cosine ranking windowed likewise (list_cosine_similarity — its
     float32 rounding cannot reorder this corpus's ~1e-3-separated
     cosines), FULL OUTER JOIN, rrf = coalesce'd reciprocal ranks."""
-    values = ",".join(
-        f"({qid}, '{t}')" for qid, q in enumerate(FT_QUERIES) for t in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
+{_scored()},
 lwin AS (
   SELECT query_id, doc_id, rn FROM (
     SELECT query_id, doc_id,
@@ -6404,14 +5481,8 @@ fused AS (
   FROM lwin l FULL OUTER JOIN vwin v
     ON l.query_id = v.query_id AND l.doc_id = v.doc_id
 ),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY rrf DESC, doc_id) AS rank
-  FROM fused
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_ranked("fused", "rrf")}
+{_top(k)}
 """
 
 
@@ -6462,31 +5533,11 @@ def bm25_boosting_oracle_sql(k: int = 10) -> str:
         f"({qid}, '{t}')" for qid, (_, n) in enumerate(FT_BOOSTING) for t in n.split()
     )
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 q(query_id, tok) AS (VALUES {pos_values}),
 nq(query_id, tok) AS (VALUES {neg_values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
+{_scored()},
 negset AS (
   SELECT DISTINCT n.query_id, tf.doc_id
   FROM (SELECT DISTINCT query_id, tok FROM nq) n JOIN tf USING (tok)
@@ -6497,14 +5548,8 @@ final AS (
   FROM scored s
   LEFT JOIN negset ns ON ns.query_id = s.query_id AND ns.doc_id = s.doc_id
 ),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY fscore DESC, doc_id) AS rank
-  FROM final
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_ranked("final", "fscore")}
+{_top(k)}
 """
 
 
@@ -6608,22 +5653,9 @@ def bm25_topk_terms_set(sf_dir: str, k: int = 10) -> pd.DataFrame:
 def bm25_terms_set_oracle_sql(k: int = 10) -> str:
     """terms_set oracle: the msm BM25 CTEs with the HAVING threshold read
     per doc — count(DISTINCT matched) >= 1 + doclen % TSET_MOD."""
-    values = ",".join(
-        f"({qid}, '{term}')"
-        for qid, q in enumerate(FT_MSMS)
-        for term in q.split()
-    )
+    values = _values(FT_MSMS)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
 scored AS (
@@ -6639,14 +5671,8 @@ scored AS (
   GROUP BY 1, 2
   HAVING count(DISTINCT tf.tok) >= 1 + CAST(any_value(dl.dl) AS BIGINT) % {TSET_MOD}
 ),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY score DESC, doc_id) AS rank
-  FROM scored
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_ranked()}
+{_top(k)}
 """
 
 
@@ -6655,22 +5681,9 @@ def bm25_msm_oracle_sql(k: int = 10) -> str:
     survives only when its matched-DISTINCT-term count >= m. OOV terms
     never join, so they reduce the satisfiable clause pool exactly like
     the engine's in-vocabulary term set."""
-    values = ",".join(
-        f"({qid}, '{term}')"
-        for qid, q in enumerate(FT_MSMS)
-        for term in q.split()
-    )
+    values = _values(FT_MSMS)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
 scored AS (
@@ -6686,14 +5699,8 @@ scored AS (
   GROUP BY 1, 2
   HAVING count(DISTINCT tf.tok) >= {MSM_M}
 ),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY score DESC, doc_id) AS rank
-  FROM scored
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_ranked()}
+{_top(k)}
 """
 
 
@@ -6718,11 +5725,7 @@ def bm25_oracle_sql(k: int = 10, where: str = "") -> str:
     NFKC+casefold (textnorm.py) — equivalent only because the driver
     corpus is plain ASCII (guarded by tests/test_functions.py::
     test_driver_corpus_is_ascii; see the note in __ray_entry__.oracle_sql)."""
-    values = ",".join(
-        f"({qid}, '{term}')"
-        for qid, q in enumerate(FT_QUERIES)
-        for term in q.split()
-    )
+    values = _values(FT_QUERIES)
     pred = f" WHERE {where}" if where else ""
     return f"""
 WITH corpus AS (SELECT doc_id, text FROM documents{pred}),
@@ -6738,26 +5741,9 @@ tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 
 df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY score DESC, doc_id) AS rank
-  FROM scored
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_scored()},
+{_ranked()}
+{_top(k)}
 """
 
 
@@ -6769,16 +5755,7 @@ def bm25_phrase_oracle_sql(k: int = 10) -> str:
     matching the phrase contains every term, so the score join is total."""
     values = ",".join(f"({qid}, '{p}')" for qid, p in enumerate(FT_PHRASES))
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 q(query_id, phrase) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, unnest(regexp_split_to_array(phrase, ' ')) AS tok FROM q),
 dt AS (SELECT doc_id,
@@ -6788,26 +5765,9 @@ matched AS (
   SELECT q.query_id, dt.doc_id
   FROM q JOIN dt ON position((' ' || q.phrase || ' ') IN dt.ts) > 0
 ),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
-ranked AS (
-  SELECT m.query_id, m.doc_id,
-         row_number() OVER (PARTITION BY m.query_id ORDER BY s.score DESC, m.doc_id) AS rank
-  FROM matched m JOIN scored s ON s.query_id = m.query_id AND s.doc_id = m.doc_id
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_scored()},
+{_ranked("matched m JOIN scored s ON s.query_id = m.query_id AND s.doc_id = m.doc_id", "s.score", "m")}
+{_top(k)}
 """
 
 
@@ -6816,22 +5776,9 @@ def bm25_conj_oracle_sql(k: int = 10) -> str:
     only when its matched-distinct-term count equals the query's distinct
     term count INCLUDING out-of-vocabulary terms (an OOV term can never
     match, so its query returns zero rows — same as the engine)."""
-    values = ",".join(
-        f"({qid}, '{term}')"
-        for qid, q in enumerate(FT_QUERIES_CONJ)
-        for term in q.split()
-    )
+    values = _values(FT_QUERIES_CONJ)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
 nq AS (SELECT query_id, count(*) AS n_terms FROM qd GROUP BY 1),
@@ -6854,9 +5801,7 @@ ranked AS (
   FROM scored s JOIN nq USING (query_id)
   WHERE s.matched = nq.n_terms
 )
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_top(k)}
 """
 
 
@@ -6990,34 +5935,12 @@ def hybrid_linear_oracle_sql(k: int = 10) -> str:
     """Linear-fusion oracle: the RRF stack with SCORES kept — per-window
     min/max via window functions, DOUBLE[]-cast cosine (f64, 1 ulp from
     numpy), coalesce'd weighted sum."""
-    values = ",".join(
-        f"({qid}, '{t}')" for qid, q in enumerate(FT_QUERIES) for t in q.split()
-    )
+    values = _values(FT_QUERIES)
     return f"""
-WITH toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM documents) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+WITH {_bm25_head()},
 q(query_id, tok) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
+{_scored()},
 lwin AS (
   SELECT query_id, doc_id, score FROM (
     SELECT query_id, doc_id, score,
@@ -7063,14 +5986,8 @@ fused AS (
   FROM lnorm l FULL OUTER JOIN vnorm v
     ON l.query_id = v.query_id AND l.doc_id = v.doc_id
 ),
-ranked AS (
-  SELECT query_id, doc_id,
-         row_number() OVER (PARTITION BY query_id ORDER BY fused DESC, doc_id) AS rank
-  FROM fused
-)
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_ranked("fused", "fused")}
+{_top(k)}
 """
 
 
@@ -7174,9 +6091,7 @@ ranked AS (
                             ORDER BY sc.score DESC, sc.doc_id) AS rank
   FROM scored sc JOIN gate g ON sc.query_id = g.query_id AND sc.doc_id = g.doc_id
 )
-SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id
-FROM ranked WHERE rank <= {k}
-ORDER BY query_id, rank
+{_top(k)}
 """
 
 

@@ -15,6 +15,14 @@ import unicodedata
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
 
+# The DuckDB oracles' stand-in for ``tokenize``: the [a-z0-9]+ runs of a
+# ``text`` column, empty strings included (callers drop them).
+# ASCII-ONLY: lower(text) replaces NFKC + casefold, and the two agree only
+# on plain ASCII; non-ASCII text (ß, ligatures, fullwidth digits) would
+# diverge. Every corpus the oracles run on is checked to be ASCII
+# (tests/test_functions.py::test_driver_corpus_is_ascii).
+TOKENIZE_SQL = "regexp_split_to_array(lower(text), '[^a-z0-9]+')"
+
 
 def normalize_text(text: str) -> str:
     return unicodedata.normalize("NFKC", text).casefold()
