@@ -72,6 +72,13 @@ def _distinct_terms(q: str) -> list[str]:
     return sorted(set(q.split()))
 
 
+def _qd(values: str) -> str:
+    """``q`` = the ``(query_id, tok)`` rows ``values``; ``qd`` = the same
+    deduplicated (a repeated query term counts once)."""
+    return f"""q(query_id, tok) AS (VALUES {values}),
+qd AS (SELECT DISTINCT query_id, tok FROM q)"""
+
+
 def _toks(corpus: str = "documents", distinct: bool = False) -> str:
     """``toks(doc_id, tok)``: the non-empty tokens of ``corpus``.text."""
     return f"""toks AS (
@@ -632,7 +639,6 @@ def bm25_delete_by_query_oracle_sql(k: int = 10) -> str:
     """Full-corpus-stats BM25 (stale statistics — the Lucene pre-merge
     contract) with the conjunctive DBQ_TEXT match set anti-joined out of
     the ranking."""
-    values = _values(FT_QUERIES)
     dbq_terms = ",".join(f"'{t}'" for t in sorted(set(DBQ_TEXT.split())))
     n_dbq = len(set(DBQ_TEXT.split()))
     return f"""
@@ -641,8 +647,7 @@ deleted AS (
   SELECT doc_id FROM (SELECT DISTINCT doc_id, tok FROM toks WHERE tok IN ({dbq_terms}))
   GROUP BY doc_id HAVING count(*) = {n_dbq}
 ),
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 {_scored()},
 ranked AS (
   SELECT query_id, doc_id,
@@ -687,7 +692,6 @@ def bm25_near_oracle_sql(k: int = 10) -> str:
     a doc when MIN(GREATEST(pos…) − LEAST(pos…)) ≤ NEAR_WINDOW−1 (some
     pick of one occurrence per term spans < window). Single-term queries
     degenerate to containment (span 0)."""
-    values = _values(FT_NEARS)
     blocks = []
     for qid, q in enumerate(FT_NEARS):
         terms = sorted(set(q.split()))
@@ -705,8 +709,7 @@ def bm25_near_oracle_sql(k: int = 10) -> str:
     nears = "\n  UNION ALL\n".join(blocks)
     return f"""
 WITH {_bm25_head()},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_NEARS))},
 arr AS (SELECT doc_id,
                list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> '') AS a
         FROM documents),
@@ -798,14 +801,13 @@ def adjacency_matrix_oracle_sql() -> str:
     """Adjacency oracle: distinct containment match sets per query, then
     per-pair counts and an intersection join; zero cells survive via LEFT
     JOIN + coalesce (the matrix shape is fixed by the request)."""
-    values = _values(FT_QUERIES, _distinct_terms)
     n = len(FT_QUERIES)
     pair_values = ",".join(
         f"({i * n + j}, {i}, {j})" for i in range(n) for j in range(i, n)
     )
     return f"""
 WITH {_toks()},
-qd(query_id, tok) AS (VALUES {values}),
+qd(query_id, tok) AS (VALUES {_values(FT_QUERIES, _distinct_terms)}),
 m AS (SELECT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok) GROUP BY 1, 2),
 cnt AS (SELECT query_id, count(*) AS n FROM m GROUP BY 1),
 pairs(pair_id, qa, qb) AS (VALUES {pair_values}),
@@ -847,11 +849,9 @@ def rank_eval_oracle_sql(k: int = 10) -> str:
     the query's distinct in-vocab tokens, count(DISTINCT tok) = the
     query's distinct-token count — an OOV token makes the count
     unreachable, emptying the set)."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_bm25_head()},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 qn AS (SELECT query_id, count(*) AS n_terms FROM qd GROUP BY 1),
 rel AS (
   SELECT qd.query_id, tf.doc_id
@@ -903,11 +903,9 @@ def explain_oracle_sql(k: int = 10) -> str:
     CTEs) ranks FT_QUERIES' top-k, then each hit joins back the per-term
     tf / global df / doclen it was scored from — exactly the rows the
     engine's Explainer emits (absent terms emit no row)."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_bm25_head()},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 {_scored(compact=True)},
 {_ranked()}
 SELECT CAST(r.query_id AS BIGINT) AS query_id, CAST(r.rank AS INTEGER) AS rank,
@@ -1061,11 +1059,10 @@ def top_hits_query(sf_dir: str, size: int = TH_SIZE) -> pd.DataFrame:
 def top_hits_oracle_sql(size: int = TH_SIZE) -> str:
     """top_hits oracle: the standard BM25 stack scored per query, joined to
     the documents' lang docvalue, row_number per (query, lang) bucket."""
-    values = _values(FT_QUERIES, _distinct_terms)
     langs = ",".join(f"'{l}'" for l in TH_LANGS)
     return f"""
 WITH {_bm25_head()},
-qd(query_id, tok) AS (VALUES {values}),
+qd(query_id, tok) AS (VALUES {_values(FT_QUERIES, _distinct_terms)}),
 {_scored(compact=True)},
 ranked AS (
   SELECT s.query_id, d.lang, s.doc_id,
@@ -1130,20 +1127,9 @@ def bm25_intervals_oracle_sql(k: int = 10) -> str:
             f"  HAVING MIN({aliases[-1]}.pos - {aliases[0]}.pos) <= {limit}"
         )
     spans = "\n  UNION ALL\n".join(blocks)
-    return f"""
-WITH {_bm25_head()},
-qd(query_id, tok) AS (VALUES {values}),
-arr AS (SELECT doc_id,
-               list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> '') AS a
-        FROM documents),
-posi AS (SELECT doc_id, unnest(a) AS tok, generate_subscripts(a, 1) - 1 AS pos FROM arr),
-spans AS (
-{spans}
-),
-{_scored(compact=True)},
-{_ranked("scored s JOIN spans n ON n.query_id = s.query_id AND n.doc_id = s.doc_id", "s.score", "s")}
-{_top(k)}
-"""
+    return _bm25_spans_oracle_sql(
+        f"qd(query_id, tok) AS (VALUES {values})", spans, k
+    )
 
 
 def _bm25_spans_oracle_sql(qd_block: str, spans: str, k: int) -> str:
@@ -1171,7 +1157,6 @@ spans AS (
 """
 
 
-
 def bm25_span_near_oracle_sql(k: int = 10) -> str:
     """span_near oracle: BM25 CTEs over each query's DISTINCT terms + a
     per-query ORDERED proximity constraint — an n-way self-join of
@@ -1179,7 +1164,6 @@ def bm25_span_near_oracle_sql(k: int = 10) -> str:
     query tokens reuse the same tok in two aliases), qualifying a doc when
     MIN(p_last − p_first) ≤ n−1+slop over strictly-increasing picks.
     Single-token queries degenerate to containment."""
-    values = _values(FT_SPANS, _distinct_terms)
     blocks = []
     for qid, q in enumerate(FT_SPANS):
         seq = q.split()
@@ -1200,7 +1184,7 @@ def bm25_span_near_oracle_sql(k: int = 10) -> str:
         )
     spans = "\n  UNION ALL\n".join(blocks)
     return _bm25_spans_oracle_sql(
-        f"qd(query_id, tok) AS (VALUES {values})", spans, k
+        f"qd(query_id, tok) AS (VALUES {_values(FT_SPANS, _distinct_terms)})", spans, k
     )
 
 
@@ -1633,13 +1617,11 @@ def percentile_ranks_query(sf_dir: str) -> pd.DataFrame:
 
 
 def percentile_ranks_oracle_sql() -> str:
-    values = _values(FT_QUERIES)
     probes = ",".join(f"({p})" for p in PR_PROBES)
     return f"""
 WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
 p(probe) AS (VALUES {probes})
 SELECT CAST(m.query_id AS BIGINT) AS query_id,
@@ -1898,7 +1880,6 @@ def bm25_update_by_query_oracle_sql(k: int = 10) -> str:
     corpus' INCLUDING the superseded old versions — the Lucene pre-merge
     contract — and only the eligibility filter hides them; output ids
     fold back with % UBQ_OFFSET."""
-    values = _values(FT_QUERIES)
     upd_terms = ",".join(f"'{t}'" for t in sorted(set(UBQ_TEXT.split())))
     n_upd = len(set(UBQ_TEXT.split()))
     return f"""
@@ -1923,8 +1904,7 @@ dl AS (SELECT c.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
 stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
 tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
 df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 {_scored()},
 ranked AS (
   SELECT query_id, doc_id % {UBQ_OFFSET} AS doc_id,
@@ -2063,11 +2043,9 @@ def facet_counts_query(sf_dir: str) -> pd.DataFrame:
 def facet_counts_oracle_sql() -> str:
     """Facet-count oracle: distinct (query, doc) matches through the token
     table, grouped by the document's lang."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_toks(distinct=True)},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matches AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok))
 SELECT CAST(m.query_id AS BIGINT) AS query_id, d.lang,
        CAST(count(*) AS BIGINT) AS n_docs
@@ -2225,11 +2203,9 @@ def facet_topk_query(sf_dir: str, k: int = 5) -> pd.DataFrame:
 
 def facet_topk_oracle_sql(k: int = 5) -> str:
     """Grouped-top-k oracle: the BM25 CTE stack windowed per (query, lang)."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_bm25_head()},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 {_scored()},
 ranked AS (
   SELECT s.query_id, d.lang, s.doc_id,
@@ -2264,11 +2240,9 @@ def collapse_oracle_sql(k: int = 5) -> str:
     """Collapse oracle: the BM25 stack joined to lang; per (query, lang)
     window picks the group winner (grn=1) and counts the group; winners
     re-rank per query."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_bm25_head()},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 {_scored()},
 g AS (
   SELECT s.query_id, d.lang, s.doc_id, s.score,
@@ -2388,13 +2362,11 @@ def top_metrics_oracle_sql() -> str:
     """top_metrics oracle: the match set joined to the frozen warc_ts
     rule and token-count doclens, windowed (ts DESC, doc_id) to
     TM_SIZE."""
-    values = _values(FT_QUERIES)
     ts = f"({BASE_TS_US} + (doc_id * {TS_MULT}) % {TS_MOD})"
     return f"""
 WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
 ranked AS (
   SELECT m.query_id, {ts} AS sort_val, dl.dl AS metric_val,
@@ -2445,11 +2417,9 @@ def sliced_scroll_query(sf_dir: str) -> pd.DataFrame:
 def sliced_scroll_oracle_sql() -> str:
     """Sliced-scroll oracle: the match set with the md5-prefix slice hash
     replayed over the frozen url format."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_toks(distinct=True)},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
 sliced AS (
   SELECT query_id, doc_id,
@@ -2534,11 +2504,9 @@ def diversified_sampler_oracle_sql() -> str:
     """Sampler oracle: the skip-walk is equivalent to per-lang rank
     filter (≤ DS_CAP) then global top-DS_N over the kept set (a skipped
     doc can never evict an earlier pick), which two windows replay."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_bm25_head()},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 {_scored()},
 g AS (
   SELECT s.query_id, d.lang, s.doc_id, s.score,
@@ -2595,11 +2563,9 @@ def bm25_snippets_oracle_sql(k: int = 5) -> str:
     """Snippet oracle: the bm25 ranking CTEs + 1-based list_slice replay of
     the frozen window rule (engine 0-based s = max(0, first-2) ↔ SQL
     start = greatest(1, fp-2) for 1-based fp, end = start+6 inclusive)."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_bm25_head()},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 {_scored(compact=True)},
 {_ranked()},
 arr AS (SELECT doc_id,
@@ -2697,12 +2663,10 @@ def bm25_filtered_oracle_sql(k: int = 10) -> str:
     """Filtered oracle: the unchanged BM25 CTEs (GLOBAL stats over the whole
     corpus) with eligibility restricted by a documents.lang join before
     ranking — scores computed over everything, ranks over the facet set."""
-    values = _values(FT_QUERIES)
     langs = ",".join(f"'{l}'" for l in FT_FILTER_LANGS)
     return f"""
 WITH {_bm25_head()},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 {_scored()},
 ranked AS (
   SELECT s.query_id, s.doc_id,
@@ -2826,11 +2790,9 @@ def bm25_recency_oracle_sql(k: int = 10) -> str:
     """Recency oracle: the distinct match set through the token table,
     ranked by the integer-replayed crawl ts (BASE + (doc_id*M) mod P)
     DESC, doc_id ASC — no floats anywhere."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_toks(distinct=True)},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matches AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
 ranked AS (
   SELECT query_id, doc_id,
@@ -2871,13 +2833,11 @@ def bm25_topk_ts_range(sf_dir: str, k: int = 10) -> pd.DataFrame:
 def bm25_ts_range_oracle_sql(k: int = 10) -> str:
     """Range-filter oracle: the unchanged BM25 CTEs (GLOBAL stats) with
     eligibility restricted by the integer-replayed ts permutation."""
-    values = _values(FT_QUERIES)
     lo = TS_RANGE_LO_US - BASE_TS_US
     hi = TS_RANGE_HI_US - BASE_TS_US
     return f"""
 WITH {_bm25_head()},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 {_scored()},
 ranked AS (
   SELECT query_id, doc_id,
@@ -2902,11 +2862,9 @@ def match_counts_query(sf_dir: str) -> pd.DataFrame:
 
 
 def match_counts_oracle_sql() -> str:
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_toks(distinct=True)},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q)
+{_qd(_values(FT_QUERIES))}
 SELECT CAST(qd.query_id AS BIGINT) AS query_id,
        CAST(count(DISTINCT toks.doc_id) AS BIGINT) AS n_hits
 FROM qd JOIN toks USING (tok)
@@ -3026,11 +2984,9 @@ def field_value_factor_oracle_sql(k: int = 10) -> str:
     multiplied by ln(1 + dl) — dl is the same exact integer token count
     on both sides, ln is correctly rounded identically, the multiply is
     one IEEE op."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_bm25_head()},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 {_scored()},
 boosted AS (
   SELECT sc.query_id, sc.doc_id, sc.score * ln(1.0 + dl.dl) AS fscore
@@ -3078,11 +3034,9 @@ def rank_feature_oracle_sql(k: int = 10) -> str:
     saturation boost — dl and pivot are the same exact integers on both
     sides, the divide, the power-of-two weight multiply, and the add are
     each one correctly-rounded IEEE op."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_bm25_head()},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 {_scored()},
 boosted AS (
   SELECT sc.query_id, sc.doc_id,
@@ -3118,12 +3072,10 @@ def distance_feature_oracle_sql(k: int = 10) -> str:
     """Distance-feature oracle: the unchanged BM25 CTEs, final score plus
     the proximity boost replayed from the integer ts permutation — the
     same short IEEE-754 op chain the engine runs."""
-    values = _values(FT_QUERIES)
     ts = f"({BASE_TS_US} + (doc_id * {TS_MULT}) % {TS_MOD})"
     return f"""
 WITH {_bm25_head()},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 {_scored()},
 boosted AS (
   SELECT query_id, doc_id,
@@ -3140,12 +3092,10 @@ def function_score_oracle_sql(k: int = 10) -> str:
     """Function-score oracle: the unchanged BM25 CTEs, final score
     multiplied by the linear decay replayed from the integer ts
     permutation — the same short IEEE-754 op chain the engine runs."""
-    values = _values(FT_QUERIES)
     ts = f"({BASE_TS_US} + (doc_id * {TS_MULT}) % {TS_MOD})"
     return f"""
 WITH {_bm25_head()},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 {_scored()},
 decayed AS (
   SELECT query_id, doc_id,
@@ -3176,11 +3126,9 @@ def date_histogram_query(sf_dir: str) -> pd.DataFrame:
 
 
 def date_histogram_oracle_sql() -> str:
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_toks(distinct=True)},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok))
 SELECT CAST(query_id AS BIGINT) AS query_id,
        CAST(({BASE_TS_US} + (doc_id * {TS_MULT}) % {TS_MOD}) // {HIST_BUCKET_US} AS BIGINT) AS bucket,
@@ -3249,12 +3197,10 @@ def rare_terms_query(sf_dir: str) -> pd.DataFrame:
 
 
 def rare_terms_oracle_sql() -> str:
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_toks(distinct=True)},
 rare AS (SELECT tok FROM toks GROUP BY tok HAVING count(*) <= {RT_MAX_DF}),
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok))
 SELECT CAST(m.query_id AS BIGINT) AS query_id,
        t.tok AS term,
@@ -3292,12 +3238,10 @@ def histogram_pipeline_oracle_sql() -> str:
     then window functions replay the pipeline aggs — running SUM for
     cumulative_sum, value − lag(value, 1, 0) for the derivative with the
     frozen 0 start baseline."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
 mb AS (SELECT m.query_id, dl.dl // {HP_INTERVAL} AS bucket
        FROM matched m JOIN dl USING (doc_id)),
@@ -3344,13 +3288,11 @@ def auto_date_histogram_oracle_sql() -> str:
     that interval — the engine's frozen warc_ts rule replayed inline."""
     from ..stages.query_stage import AutoDateHistogram
 
-    values = _values(FT_QUERIES)
     ladder = ",".join(f"({iv})" for iv in AutoDateHistogram.LADDER)
     ts = f"({BASE_TS_US} + (doc_id * {TS_MULT}) % {TS_MOD})"
     return f"""
 WITH {_toks(distinct=True)},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
 mts AS (SELECT query_id, {ts} AS ts FROM matched),
 bounds AS (SELECT query_id, min(ts) AS lo, max(ts) AS hi FROM mts GROUP BY 1),
@@ -3409,12 +3351,10 @@ def moving_window_query(sf_dir: str) -> pd.DataFrame:
 def moving_window_oracle_sql() -> str:
     """Oracle: the histogram-pipeline dense series; mov_sum is a ROWS
     BETWEEN window sum, sdiff is n − lag(n, MW_LAG, 0)."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
 mb AS (SELECT m.query_id, dl.dl // {HP_INTERVAL} AS bucket
        FROM matched m JOIN dl USING (doc_id)),
@@ -3459,12 +3399,10 @@ def bucket_sort_query(sf_dir: str) -> pd.DataFrame:
 def bucket_sort_oracle_sql() -> str:
     """Oracle: sparse histogram counts, HAVING-filtered by the selector
     predicate, row_number re-ranked (n DESC, bucket ASC), truncated."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
 mb AS (SELECT m.query_id, dl.dl // {HP_INTERVAL} AS bucket
        FROM matched m JOIN dl USING (doc_id)),
@@ -3516,7 +3454,6 @@ def range_agg_oracle_sql() -> str:
     the full (query × range) skeleton LEFT-JOINs the aggregates so
     zero buckets and hit-less queries emit 0 rows exactly like the
     engine."""
-    values = _values(FT_QUERIES)
     ranges = ",".join(
         f"({i}, {lo if lo is not None else 'NULL'}, {hi if hi is not None else 'NULL'})"
         for i, (lo, hi) in enumerate(RANGE_BOUNDS)
@@ -3524,8 +3461,7 @@ def range_agg_oracle_sql() -> str:
     return f"""
 WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 ranges(range_idx, lo, hi) AS (VALUES {ranges}),
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
 hits AS (
@@ -3576,13 +3512,11 @@ def matrix_stats_query(sf_dir: str) -> pd.DataFrame:
 def matrix_stats_oracle_sql() -> str:
     """Matrix-stats oracle: per-query joint integer moments of (token
     count, scaled ts permutation) over the distinct match set."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_toks(distinct=True)},
 all{_toks()},
 dl AS (SELECT doc_id, count(*) AS a FROM alltoks GROUP BY 1),
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
 ab AS (
   SELECT m.query_id, dl.a,
@@ -3662,11 +3596,9 @@ def composite_agg_oracle_sql() -> str:
     """Composite oracle: the (lang, ts-bucket) counts per query's distinct
     match set, page = (row_number−1) // size over the composite order —
     exactly the frames the engine's after_key loop emits."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_toks(distinct=True)},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
 bkt AS (
   SELECT m.query_id, d.lang,
@@ -3697,12 +3629,10 @@ def matchset_stats_query(sf_dir: str) -> pd.DataFrame:
 
 
 def matchset_stats_oracle_sql() -> str:
-    values = _values(FT_QUERIES)
     ts = f"({BASE_TS_US} + (doc_id * {TS_MULT}) % {TS_MOD})"
     return f"""
 WITH {_toks(distinct=True)},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok))
 SELECT CAST(query_id AS BIGINT) AS query_id,
        CAST(count(*) AS BIGINT) AS n_docs,
@@ -3734,11 +3664,9 @@ def string_stats_oracle_sql() -> str:
     """Oracle: matched docs join documents; char counts via
     string_split(text, ''); the same milli-nat rounding on both sides
     (identical integer inputs → identical libm ln)."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_toks(distinct=True)},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
 md AS (SELECT m.query_id, d.doc_id, d.text, length(d.text) AS len
        FROM matched m JOIN documents d USING (doc_id)),
@@ -3777,12 +3705,10 @@ def mad_query(sf_dir: str) -> pd.DataFrame:
 def mad_oracle_sql() -> str:
     """MAD oracle: doclen replay (non-distinct token counts), type-1
     lower median via row_number at floor(0.5·(n−1))+1, twice."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
 ranked AS (
   SELECT m.query_id, dl.dl AS v,
@@ -3829,12 +3755,10 @@ def multi_terms_query(sf_dir: str) -> pd.DataFrame:
 
 
 def multi_terms_oracle_sql() -> str:
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
 grp AS (
   SELECT m.query_id, d.lang,
@@ -3915,12 +3839,10 @@ def extended_stats_query(sf_dir: str) -> pd.DataFrame:
 
 
 def extended_stats_oracle_sql() -> str:
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok))
 SELECT CAST(m.query_id AS BIGINT) AS query_id,
        COUNT(*) AS n_docs,
@@ -3947,12 +3869,10 @@ def filters_agg_query(sf_dir: str) -> pd.DataFrame:
 def filters_agg_oracle_sql() -> str:
     from ..stages.query_stage import FILTERS_AGG_LONG, FILTERS_AGG_SHORT
 
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
 j AS (SELECT m.query_id, dl.dl, d.lang
       FROM matched m JOIN dl USING (doc_id) JOIN documents d USING (doc_id)),
@@ -3991,12 +3911,10 @@ def bucket_script_oracle_sql() -> str:
     """Oracle: per-(query, lang) count + doclen sum over the distinct
     match set, HAVING the cross-multiplied share selector, integer ``//``
     for the script metric."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
 tot AS (SELECT query_id, count(*) AS n_tot FROM matched GROUP BY 1),
 b AS (SELECT m.query_id, d.lang, count(*) AS n_docs,
@@ -4032,7 +3950,6 @@ def t_test_oracle_sql() -> str:
     match), the SAME IEEE expression tree as the engine (every operand
     exact below 2^53 at oracle scales, so each op is correctly rounded
     identically on both engines), round 3dp, <2-doc sides dropped."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
@@ -4042,8 +3959,7 @@ corpus AS (
   FROM (SELECT coalesce(dl.dl, 0) AS dlv
         FROM documents d LEFT JOIN dl USING (doc_id))
 ),
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
 m AS (SELECT query_id, CAST(count(*) AS BIGINT) AS n1,
              CAST(SUM(dl.dl) AS BIGINT) AS s1,
@@ -4079,11 +3995,9 @@ def export_matches_query(sf_dir: str) -> pd.DataFrame:
 
 
 def export_matches_oracle_sql() -> str:
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_toks(distinct=True)},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q)
+{_qd(_values(FT_QUERIES))}
 SELECT DISTINCT CAST(qd.query_id AS BIGINT) AS query_id, toks.doc_id
 FROM qd JOIN toks USING (tok)
 ORDER BY 1, 2
@@ -4113,14 +4027,9 @@ def bm25_topk_page2(sf_dir: str, k: int = 10) -> pd.DataFrame:
 
 
 def bm25_page2_oracle_sql(k: int = 10) -> str:
-    base = bm25_oracle_sql(PAGE_OFFSET + k)
-    return base.replace(
-        "SELECT CAST(query_id AS BIGINT) AS query_id, CAST(rank AS INTEGER) AS rank, doc_id",
-        "SELECT CAST(query_id AS BIGINT) AS query_id, doc_id",
-    ).replace(
-        f"WHERE rank <= {PAGE_OFFSET + k}",
-        f"WHERE rank > {PAGE_OFFSET} AND rank <= {PAGE_OFFSET + k}",
-    ).replace("ORDER BY query_id, rank", "ORDER BY query_id, doc_id")
+    return _bm25_corpus_sql(
+        "", _top(PAGE_OFFSET + k, "doc_id", lo=PAGE_OFFSET, order="doc_id")
+    )
 
 
 SIG_SAMPLE = 50   # foreground sample: each query's top-50 BM25 docs
@@ -4231,11 +4140,9 @@ def significant_terms_oracle_sql() -> str:
     matching doc_ids per query) → per-term fg over the sample, bg =
     global df, integer-division lift, (lift DESC, fg DESC, term ASC)
     window. No floats anywhere."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_toks(distinct=True)},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matches AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
 sample AS (
   SELECT query_id, doc_id FROM (
@@ -4571,7 +4478,6 @@ def msearch_alias_oracle_sql(k: int = 10) -> str:
     """Alias oracle: one full BM25 CTE stack PER member index (every
     statistic over that lang subset only), UNION ALL, then one global
     row_number per query over (score DESC, doc_id ASC)."""
-    values = _values(FT_QUERIES)
 
     def stack(lang: str) -> str:
         return f"""
@@ -4603,8 +4509,7 @@ df_{lang} AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf_{lang} GROUP BY
     unioned = "\nUNION ALL\n".join(stack(lang) for lang in ALIAS_LANGS)
     return f"""
 WITH {','.join(ctes)},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 scored AS (
 {unioned}
 ),
@@ -4628,7 +4533,6 @@ def reindex_lang_query(sf_dir: str, k: int = 10) -> pd.DataFrame:
 def reindex_lang_oracle_sql(k: int = 10) -> str:
     """Reindex oracle: the BM25 stack with EVERY corpus statistic —
     N, avgdl, df, tf, dl — computed over the lang-filtered subset."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH sub AS (SELECT doc_id, text FROM documents WHERE lang = '{REINDEX_LANG}'),
 toks AS (
@@ -4641,8 +4545,7 @@ dl AS (SELECT s.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
 stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
 tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
 df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 {_scored()},
 {_ranked()}
 {_top(k)}
@@ -4758,7 +4661,6 @@ def bm25_multifield_oracle_sql(k: int = 10) -> str:
     TITLE_LEN tokens with field-local dl/avgdl/df; body = the standard
     stack) FULL-JOINed per (query, doc) and combined with the frozen
     weights."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH bod AS (SELECT doc_id,
                     list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> '') AS a
@@ -4773,8 +4675,7 @@ tfB AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toksB GROUP BY 1
 dfB AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tfB GROUP BY 1),
 tfT AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toksT GROUP BY 1, 2),
 dfT AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tfT GROUP BY 1),
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 scoredB AS (
   SELECT qd.query_id, tfB.doc_id,
          sum( ln(1 + (s.n - dfB.df + 0.5) / (dfB.df + 0.5))
@@ -4835,7 +4736,6 @@ def combined_fields_oracle_sql(k: int = 10) -> str:
     are exact integers on both engines, avgdl' is one exact-int divide,
     df' = body df (title ⊆ body), and the scoring expression is the
     verbatim standard chain over those inputs."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH bod AS (SELECT doc_id,
                     list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> '') AS a
@@ -4854,8 +4754,7 @@ tfc AS (SELECT b.doc_id, b.tok,
                CAST(b.tf + {CF_W_TITLE} * coalesce(t.tf, 0) AS DOUBLE) AS tf
         FROM tfB b LEFT JOIN tfT t ON b.doc_id = t.doc_id AND b.tok = t.tok),
 dfB AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tfB GROUP BY 1),
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 scored AS (
   SELECT qd.query_id, tfc.doc_id,
          sum( ln(1 + (s.n - dfB.df + 0.5) / (dfB.df + 0.5))
@@ -4915,7 +4814,6 @@ def bm25_pinned_oracle_sql(k: int = 10) -> str:
     """Pinned oracle: the standard stack's organic ranking unioned under
     the pins VALUES (pin ordinal as the primary sort key), pinned docs
     removed from the organic side, re-ranked."""
-    values = _values(FT_QUERIES)
     pin_rows = [
         (qid, ordinal, d)
         for qid, pins in enumerate(FT_PINNED)
@@ -4924,8 +4822,7 @@ def bm25_pinned_oracle_sql(k: int = 10) -> str:
     pins = ",".join(f"({q}, {o}, {d})" for q, o, d in pin_rows) or "(NULL, NULL, NULL)"
     return f"""
 WITH {_bm25_head()},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 pins(query_id, ord, doc_id) AS (VALUES {pins}),
 {_scored()},
 organic AS (
@@ -4982,11 +4879,9 @@ def random_score_query(sf_dir: str, k: int = 10) -> pd.DataFrame:
 def random_score_oracle_sql(k: int = 10) -> str:
     """random_score oracle: the match set with the md5-prefix hash of
     seed:url replayed, ranked descending."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_toks(distinct=True)},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
 hashed AS (
   SELECT query_id, doc_id,
@@ -5063,7 +4958,6 @@ def bm25_cross_fields_oracle_sql(k: int = 10) -> str:
     """cross_fields oracle: the multifield per-field CTE stacks kept at
     PER-TERM granularity (no per-query sum yet), FULL-JOINed per
     (term, doc), blended with greatest(), then summed per (query, doc)."""
-    values = _values(FT_CROSS)
     return f"""
 WITH bod AS (SELECT doc_id,
                     list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> '') AS a
@@ -5078,8 +4972,7 @@ tfB AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toksB GROUP BY 1
 dfB AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tfB GROUP BY 1),
 tfT AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toksT GROUP BY 1, 2),
 dfT AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tfT GROUP BY 1),
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_CROSS))},
 contribB AS (
   SELECT tfB.tok, tfB.doc_id,
          ln(1 + (s.n - dfB.df + 0.5) / (dfB.df + 0.5))
@@ -5145,12 +5038,10 @@ def search_after_oracle_sql(k: int = 10) -> str:
     """search_after oracle: the recency ordering's ranks k+1..2k (cursor
     paging after a full first page is exactly the next window), rank
     renumbered 1..k within the page."""
-    values = _values(FT_QUERIES)
     ts = f"({BASE_TS_US} + (doc_id * {TS_MULT}) % {TS_MOD})"
     return f"""
 WITH {_toks(distinct=True)},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
 ranked AS (
   SELECT query_id, doc_id, {ts} AS warc_ts,
@@ -5184,11 +5075,9 @@ def percolate_oracle_sql() -> str:
     survives iff the doc's distinct-token join covers ALL the query's
     distinct terms (OOV terms never join, so their queries return no
     rows)."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_toks(distinct=True)},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 qn AS (SELECT query_id, count(*) AS n FROM qd GROUP BY 1),
 mc AS (SELECT qd.query_id, toks.doc_id, count(DISTINCT qd.tok) AS c
        FROM qd JOIN toks USING (tok) GROUP BY 1, 2)
@@ -5242,11 +5131,9 @@ def facet_cardinality_query(sf_dir: str) -> pd.DataFrame:
 
 
 def facet_cardinality_oracle_sql() -> str:
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_toks(distinct=True)},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok))
 SELECT CAST(m.query_id AS BIGINT) AS query_id,
        CAST(count(DISTINCT d.lang) AS BIGINT) AS n_values
@@ -5271,13 +5158,11 @@ def matchset_percentiles_query(sf_dir: str) -> pd.DataFrame:
 
 
 def matchset_percentiles_oracle_sql() -> str:
-    values = _values(FT_QUERIES)
     qvals = ",".join(f"({q}, {int(round(q * 100))})" for q in PCTL_QUANTILES)
     ts = f"({BASE_TS_US} + (doc_id * {TS_MULT}) % {TS_MOD})"
     return f"""
 WITH {_toks(distinct=True)},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
 ranked AS (
   SELECT query_id, {ts} AS v,
@@ -5312,12 +5197,10 @@ def matchset_boxplot_oracle_sql() -> str:
     """Boxplot oracle: dl = per-doc token count (the engine's doclen),
     quartiles via row_number() = floor(q·(n−1)) + 1, fences replayed with
     the identical doubled-integer comparisons."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_toks()},
 dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY 1),
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
 mv AS (SELECT m.query_id, dl.dl AS v FROM matched m JOIN dl USING (doc_id)),
 ranked AS (
@@ -5450,11 +5333,9 @@ def hybrid_rrf_oracle_sql(k: int = 10) -> str:
     the cosine ranking windowed likewise (list_cosine_similarity — its
     float32 rounding cannot reorder this corpus's ~1e-3-separated
     cosines), FULL OUTER JOIN, rrf = coalesce'd reciprocal ranks."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_bm25_head()},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 {_scored()},
 lwin AS (
   SELECT query_id, doc_id, rn FROM (
@@ -5653,11 +5534,9 @@ def bm25_topk_terms_set(sf_dir: str, k: int = 10) -> pd.DataFrame:
 def bm25_terms_set_oracle_sql(k: int = 10) -> str:
     """terms_set oracle: the msm BM25 CTEs with the HAVING threshold read
     per doc — count(DISTINCT matched) >= 1 + doclen % TSET_MOD."""
-    values = _values(FT_MSMS)
     return f"""
 WITH {_bm25_head()},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_MSMS))},
 scored AS (
   SELECT qd.query_id, tf.doc_id,
          sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
@@ -5681,11 +5560,9 @@ def bm25_msm_oracle_sql(k: int = 10) -> str:
     survives only when its matched-DISTINCT-term count >= m. OOV terms
     never join, so they reduce the satisfiable clause pool exactly like
     the engine's in-vocabulary term set."""
-    values = _values(FT_MSMS)
     return f"""
 WITH {_bm25_head()},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_MSMS))},
 scored AS (
   SELECT qd.query_id, tf.doc_id,
          sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
@@ -5715,35 +5592,27 @@ def bm25_topk_conj(sf_dir: str, k: int = 10) -> pd.DataFrame:
 
 def bm25_oracle_sql(k: int = 10, where: str = "") -> str:
     """DuckDB SQL replaying the frozen engine semantics over `documents`:
-    [a-z0-9]+ tokens of lower(text), Lucene idf ln(1+(N-df+.5)/(df+.5)),
-    k1=1.2 b=0.75, query terms deduped, order (score DESC, doc_id ASC).
-    ``where`` restricts the corpus (a predicate over documents columns) —
-    used by the delete-compact oracle, which must replay BM25 over the
-    SURVIVING corpus only (N/avgdl/df all shrink with it).
+    [a-z0-9]+ tokens of lower(text) (``TOKENIZE_SQL``, ASCII-only),
+    Lucene idf ln(1+(N-df+.5)/(df+.5)), k1=1.2 b=0.75, query terms
+    deduped, order (score DESC, doc_id ASC). ``where`` restricts the
+    corpus (a predicate over documents columns) — used by the
+    delete-compact oracle, which must replay BM25 over the SURVIVING
+    corpus only (N/avgdl/df all shrink with it)."""
+    return _bm25_corpus_sql(where, _top(k))
 
-    ASCII-ONLY ASSUMPTION: lower(text) here stands in for the engine's
-    NFKC+casefold (textnorm.py) — equivalent only because the driver
-    corpus is plain ASCII (guarded by tests/test_functions.py::
-    test_driver_corpus_is_ascii; see the note in __ray_entry__.oracle_sql)."""
-    values = _values(FT_QUERIES)
+
+def _bm25_corpus_sql(where: str, top: str) -> str:
+    """``bm25_oracle_sql``'s chain over the documents ``where`` holds,
+    ending in the final SELECT ``top``."""
     pred = f" WHERE {where}" if where else ""
     return f"""
 WITH corpus AS (SELECT doc_id, text FROM documents{pred}),
-toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM corpus) WHERE tok <> ''
-),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM corpus d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
-q(query_id, tok) AS (VALUES {values}),
+{_bm25_head("corpus")},
+q(query_id, tok) AS (VALUES {_values(FT_QUERIES)}),
 qd AS (SELECT DISTINCT query_id, tok FROM q),
 {_scored()},
 {_ranked()}
-{_top(k)}
+{top}
 """
 
 
@@ -5776,11 +5645,10 @@ def bm25_conj_oracle_sql(k: int = 10) -> str:
     only when its matched-distinct-term count equals the query's distinct
     term count INCLUDING out-of-vocabulary terms (an OOV term can never
     match, so its query returns zero rows — same as the engine)."""
-    values = _values(FT_QUERIES_CONJ)
+    elig = "scored s JOIN nq USING (query_id)\n  WHERE s.matched = nq.n_terms"
     return f"""
 WITH {_bm25_head()},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES_CONJ))},
 nq AS (SELECT query_id, count(*) AS n_terms FROM qd GROUP BY 1),
 scored AS (
   SELECT qd.query_id, tf.doc_id,
@@ -5795,12 +5663,7 @@ scored AS (
   CROSS JOIN stats s
   GROUP BY 1, 2
 ),
-ranked AS (
-  SELECT s.query_id, s.doc_id,
-         row_number() OVER (PARTITION BY s.query_id ORDER BY s.score DESC, s.doc_id) AS rank
-  FROM scored s JOIN nq USING (query_id)
-  WHERE s.matched = nq.n_terms
-)
+{_ranked(elig, "s.score", "s")}
 {_top(k)}
 """
 
@@ -5935,11 +5798,9 @@ def hybrid_linear_oracle_sql(k: int = 10) -> str:
     """Linear-fusion oracle: the RRF stack with SCORES kept — per-window
     min/max via window functions, DOUBLE[]-cast cosine (f64, 1 ulp from
     numpy), coalesce'd weighted sum."""
-    values = _values(FT_QUERIES)
     return f"""
 WITH {_bm25_head()},
-q(query_id, tok) AS (VALUES {values}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 {_scored()},
 lwin AS (
   SELECT query_id, doc_id, score FROM (
