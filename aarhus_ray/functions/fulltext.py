@@ -79,9 +79,9 @@ def _qd(values: str) -> str:
 qd AS (SELECT DISTINCT query_id, tok FROM q)"""
 
 
-def _toks(corpus: str = "documents", distinct: bool = False) -> str:
-    """``toks(doc_id, tok)``: the non-empty tokens of ``corpus``.text."""
-    return f"""toks AS (
+def _toks(corpus: str = "documents", distinct: bool = False, name: str = "toks") -> str:
+    """``name(doc_id, tok)``: the non-empty tokens of ``corpus``.text."""
+    return f"""{name} AS (
   SELECT {"DISTINCT " if distinct else ""}doc_id, tok FROM (
     SELECT doc_id, unnest({TOKENIZE_SQL}) AS tok
     FROM {corpus}) WHERE tok <> ''
@@ -89,10 +89,14 @@ def _toks(corpus: str = "documents", distinct: bool = False) -> str:
 
 
 def _bm25_head(corpus: str = "documents", alias: str = "d") -> str:
-    """The corpus statistics: ``toks``, ``dl`` (every doc of ``corpus``,
-    0.0 when it has no token), ``stats`` (n, avgdl), ``tf`` and ``df``."""
-    return f"""{_toks(corpus)},
-dl AS (SELECT {alias}.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
+    """``toks`` of ``corpus`` and its statistics (``_bm25_stats``)."""
+    return f"{_toks(corpus)},\n{_bm25_stats(corpus, alias)}"
+
+
+def _bm25_stats(corpus: str = "documents", alias: str = "d") -> str:
+    """The statistics of ``toks``: ``dl`` (every doc of ``corpus``, 0.0
+    when it has no token), ``stats`` (n, avgdl), ``tf`` and ``df``."""
+    return f"""dl AS (SELECT {alias}.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
        FROM {corpus} {alias} LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
 stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
 tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
@@ -102,21 +106,24 @@ df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1)"""
 def _scored(q: str = "qd", w: str = "", having: str = "", compact: bool = False) -> str:
     """``scored(query_id, doc_id, score)``: the BM25 sum over the
     (query_id, tok) rows of ``q`` (a relation, optionally "rel alias"),
-    each term multiplied by the weight factor ``w`` (e.g. ``"qw.w * "``)."""
+    each term multiplied by the weight factor ``w`` (e.g. ``"qw.w * "``);
+    ``having`` filters the (query, doc) groups. ``compact`` is the
+    three-line join layout some oracles were written in."""
     a = q.split()[-1]
-    joins = (
-        f"FROM {q} JOIN tf USING (tok) JOIN df USING (tok)\n"
-        "  JOIN dl ON tf.doc_id = dl.doc_id\n  CROSS JOIN stats s GROUP BY 1, 2"
-        if compact else
-        f"FROM {q}\n  JOIN tf USING (tok)\n  JOIN df USING (tok)\n"
-        "  JOIN dl ON tf.doc_id = dl.doc_id\n  CROSS JOIN stats s\n  GROUP BY 1, 2"
-    )
+    if compact:
+        joins = (f"{q} JOIN tf USING (tok) JOIN df USING (tok)\n"
+                 "  JOIN dl ON tf.doc_id = dl.doc_id\n  CROSS JOIN stats s GROUP BY 1, 2")
+    else:
+        joins = (f"{q}\n  JOIN tf USING (tok)\n  JOIN df USING (tok)\n"
+                 "  JOIN dl ON tf.doc_id = dl.doc_id\n  CROSS JOIN stats s\n  GROUP BY 1, 2")
+    if having:
+        joins += f"\n  HAVING {having}"
     return f"""scored AS (
   SELECT {a}.query_id, tf.doc_id,
          sum( {w}ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
               * tf.tf * (1.2 + 1.0)
               / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  {joins}{having}
+  FROM {joins}
 )"""
 
 
@@ -1101,32 +1108,12 @@ def bm25_intervals_oracle_sql(k: int = 10) -> str:
     parsed = [
         [sorted(set(slot.split("|"))) for slot in q.split()] for q in FT_INTERVALS
     ]
-    values = ",".join(
-        f"({qid}, '{term}')"
+    values = _values(parsed, lambda slots: sorted({t for s in slots for t in s}))
+    spans = "\n  UNION ALL\n".join(
+        _span_block(qid, slots, len(slots) - 1 + INTERVALS_MAX_GAPS,
+                    cond=lambda col, s: f"{col} IN ({', '.join(repr(t) for t in s)})")
         for qid, slots in enumerate(parsed)
-        for term in sorted({t for s in slots for t in s})
     )
-    blocks = []
-    for qid, slots in enumerate(parsed):
-        aliases = [f"p{i}" for i in range(len(slots))]
-        joins = f"posi {aliases[0]}" + "".join(
-            f" JOIN posi {a} USING (doc_id)" for a in aliases[1:]
-        )
-        conds = " AND ".join(
-            f"{a}.tok IN ({', '.join(repr(t) for t in s)})"
-            for a, s in zip(aliases, slots)
-        )
-        order = " AND ".join(
-            f"{aliases[i + 1]}.pos > {aliases[i]}.pos" for i in range(len(slots) - 1)
-        )
-        where = conds + (f" AND {order}" if order else "")
-        limit = len(slots) - 1 + INTERVALS_MAX_GAPS
-        blocks.append(
-            f"  SELECT {qid} AS query_id, {aliases[0]}.doc_id FROM {joins}\n"
-            f"  WHERE {where} GROUP BY 2\n"
-            f"  HAVING MIN({aliases[-1]}.pos - {aliases[0]}.pos) <= {limit}"
-        )
-    spans = "\n  UNION ALL\n".join(blocks)
     return _bm25_spans_oracle_sql(
         f"qd(query_id, tok) AS (VALUES {values})", spans, k
     )
@@ -1138,9 +1125,9 @@ def _bm25_spans_oracle_sql(qd_block: str, spans: str, k: int) -> str:
     byte-identical in every span oracle) with only the two per-mode
     parts injected: ``qd_block`` (the scoring-vocabulary CTE — VALUES
     for literal query sets, computed for dictionary rewrites) and
-    ``spans`` (the per-query match-set blocks). Single-sourced so a
-    change to the frozen scoring form cannot desynchronize one span
-    oracle from the other five."""
+    ``spans`` (the per-query match-set blocks, ``_span_block``).
+    Single-sourced so a change to the frozen scoring form cannot
+    desynchronize one span oracle (intervals included) from the others."""
     return f"""
 WITH {_bm25_head()},
 {qd_block},
@@ -1157,6 +1144,37 @@ spans AS (
 """
 
 
+def _span_block(qid: int, items, limit: int, cond=lambda col, t: f"{col} = '{t}'",
+                veto: str | None = None, a: str = "p") -> str:
+    """One query's ordered-span match block over ``posi``: alias ``{a}i``
+    picks a position where ``cond(col, items[i])`` holds, picks strictly
+    increase, and the first-to-last distance is at most ``limit`` — over
+    the doc's best tuple (HAVING MIN) or, when ``veto`` is given (extra
+    ``AND`` lines over the tuple, possibly none), per tuple."""
+    al = [f"{a}{i}" for i in range(len(items))]
+    joins = f"posi {al[0]}" + "".join(f" JOIN posi {x} USING (doc_id)" for x in al[1:])
+    where = " AND ".join(
+        [cond(f"{x}.tok", t) for x, t in zip(al, items)]
+        + [f"{al[i + 1]}.pos > {al[i]}.pos" for i in range(len(al) - 1)]
+    )
+    head = f"  SELECT {qid} AS query_id, {al[0]}.doc_id FROM {joins}\n  WHERE {where}"
+    span = f"{al[-1]}.pos - {al[0]}.pos"
+    if veto is None:
+        return f"{head} GROUP BY 2\n  HAVING MIN({span}) <= {limit}"
+    return f"{head}\n    AND {span} <= {limit}\n{veto}  GROUP BY 2"
+
+
+def _in_window(kw: str, toks, n: int) -> str:
+    """A ``_span_block`` veto: ``kw`` ("EXISTS" or "NOT EXISTS") a
+    position of one of ``toks`` inside the window of picks p0..p{n-1}."""
+    listed = ",".join(f"'{t}'" for t in toks)
+    return (
+        f"    AND {kw} (SELECT 1 FROM posi e\n"
+        f"      WHERE e.doc_id = p0.doc_id AND e.tok IN ({listed})\n"
+        f"        AND e.pos BETWEEN p0.pos AND p{n - 1}.pos)\n"
+    )
+
+
 def bm25_span_near_oracle_sql(k: int = 10) -> str:
     """span_near oracle: BM25 CTEs over each query's DISTINCT terms + a
     per-query ORDERED proximity constraint — an n-way self-join of
@@ -1164,25 +1182,10 @@ def bm25_span_near_oracle_sql(k: int = 10) -> str:
     query tokens reuse the same tok in two aliases), qualifying a doc when
     MIN(p_last − p_first) ≤ n−1+slop over strictly-increasing picks.
     Single-token queries degenerate to containment."""
-    blocks = []
-    for qid, q in enumerate(FT_SPANS):
-        seq = q.split()
-        aliases = [f"p{i}" for i in range(len(seq))]
-        joins = f"posi {aliases[0]}" + "".join(
-            f" JOIN posi {a} USING (doc_id)" for a in aliases[1:]
-        )
-        conds = " AND ".join(f"{a}.tok = '{t}'" for a, t in zip(aliases, seq))
-        order = " AND ".join(
-            f"{aliases[i + 1]}.pos > {aliases[i]}.pos" for i in range(len(seq) - 1)
-        )
-        where = conds + (f" AND {order}" if order else "")
-        limit = len(seq) - 1 + SPAN_SLOP
-        blocks.append(
-            f"  SELECT {qid} AS query_id, {aliases[0]}.doc_id FROM {joins}\n"
-            f"  WHERE {where} GROUP BY 2\n"
-            f"  HAVING MIN({aliases[-1]}.pos - {aliases[0]}.pos) <= {limit}"
-        )
-    spans = "\n  UNION ALL\n".join(blocks)
+    spans = "\n  UNION ALL\n".join(
+        _span_block(qid, q.split(), len(q.split()) - 1 + SPAN_SLOP)
+        for qid, q in enumerate(FT_SPANS)
+    )
     return _bm25_spans_oracle_sql(
         f"qd(query_id, tok) AS (VALUES {_values(FT_SPANS, _distinct_terms)})", spans, k
     )
@@ -1217,34 +1220,12 @@ def bm25_span_not_oracle_sql(k: int = 10) -> str:
     for q in FT_SPAN_NOTS:
         inc, exc = q.split("!", 1)
         parsed.append((inc.split(), sorted(set(exc.split()))))
-    values = ",".join(
-        f"({qid}, '{term}')"
-        for qid, (seq, _) in enumerate(parsed)
-        for term in sorted(set(seq))
+    values = _values(parsed, lambda p: sorted(set(p[0])))
+    spans = "\n  UNION ALL\n".join(
+        _span_block(qid, seq, len(seq) - 1 + SPAN_SLOP,
+                    veto=_in_window("NOT EXISTS", excl, len(seq)))
+        for qid, (seq, excl) in enumerate(parsed)
     )
-    blocks = []
-    for qid, (seq, excl) in enumerate(parsed):
-        aliases = [f"p{i}" for i in range(len(seq))]
-        joins = f"posi {aliases[0]}" + "".join(
-            f" JOIN posi {a} USING (doc_id)" for a in aliases[1:]
-        )
-        conds = " AND ".join(f"{a}.tok = '{t}'" for a, t in zip(aliases, seq))
-        order = " AND ".join(
-            f"{aliases[i + 1]}.pos > {aliases[i]}.pos" for i in range(len(seq) - 1)
-        )
-        where = conds + (f" AND {order}" if order else "")
-        limit = len(seq) - 1 + SPAN_SLOP
-        excl_list = ",".join(f"'{t}'" for t in excl)
-        blocks.append(
-            f"  SELECT {qid} AS query_id, {aliases[0]}.doc_id FROM {joins}\n"
-            f"  WHERE {where}\n"
-            f"    AND {aliases[-1]}.pos - {aliases[0]}.pos <= {limit}\n"
-            f"    AND NOT EXISTS (SELECT 1 FROM posi e\n"
-            f"      WHERE e.doc_id = {aliases[0]}.doc_id AND e.tok IN ({excl_list})\n"
-            f"        AND e.pos BETWEEN {aliases[0]}.pos AND {aliases[-1]}.pos)\n"
-            f"  GROUP BY 2"
-        )
-    spans = "\n  UNION ALL\n".join(blocks)
     return _bm25_spans_oracle_sql(
         f"qd(query_id, tok) AS (VALUES {values})", spans, k
     )
@@ -1277,34 +1258,12 @@ def bm25_span_containing_oracle_sql(k: int = 10) -> str:
     for q in FT_SPAN_CONTAININGS:
         big, little = q.split("@", 1)
         parsed.append((big.split(), sorted(set(little.split()))))
-    values = ",".join(
-        f"({qid}, '{term}')"
-        for qid, (seq, _) in enumerate(parsed)
-        for term in sorted(set(seq))
+    values = _values(parsed, lambda p: sorted(set(p[0])))
+    spans = "\n  UNION ALL\n".join(
+        _span_block(qid, seq, len(seq) - 1 + SPAN_SLOP,
+                    veto=_in_window("EXISTS", little, len(seq)))
+        for qid, (seq, little) in enumerate(parsed)
     )
-    blocks = []
-    for qid, (seq, little) in enumerate(parsed):
-        aliases = [f"p{i}" for i in range(len(seq))]
-        joins = f"posi {aliases[0]}" + "".join(
-            f" JOIN posi {a} USING (doc_id)" for a in aliases[1:]
-        )
-        conds = " AND ".join(f"{a}.tok = '{t}'" for a, t in zip(aliases, seq))
-        order = " AND ".join(
-            f"{aliases[i + 1]}.pos > {aliases[i]}.pos" for i in range(len(seq) - 1)
-        )
-        where = conds + (f" AND {order}" if order else "")
-        limit = len(seq) - 1 + SPAN_SLOP
-        little_list = ",".join(f"'{t}'" for t in little)
-        blocks.append(
-            f"  SELECT {qid} AS query_id, {aliases[0]}.doc_id FROM {joins}\n"
-            f"  WHERE {where}\n"
-            f"    AND {aliases[-1]}.pos - {aliases[0]}.pos <= {limit}\n"
-            f"    AND EXISTS (SELECT 1 FROM posi e\n"
-            f"      WHERE e.doc_id = {aliases[0]}.doc_id AND e.tok IN ({little_list})\n"
-            f"        AND e.pos BETWEEN {aliases[0]}.pos AND {aliases[-1]}.pos)\n"
-            f"  GROUP BY 2"
-        )
-    spans = "\n  UNION ALL\n".join(blocks)
     return _bm25_spans_oracle_sql(
         f"qd(query_id, tok) AS (VALUES {values})", spans, k
     )
@@ -1336,31 +1295,12 @@ def bm25_span_or_oracle_sql(k: int = 10) -> str:
     parsed = [
         [alt.split() for alt in q.split("|") if alt.split()] for q in FT_SPAN_ORS
     ]
-    values = ",".join(
-        f"({qid}, '{term}')"
+    values = _values(parsed, lambda alts: sorted({t for a in alts for t in a}))
+    spans = "\n  UNION ALL\n".join(
+        _span_block(qid, seq, len(seq) - 1 + SPAN_SLOP, veto="")
         for qid, alts in enumerate(parsed)
-        for term in sorted({t for a in alts for t in a})
+        for seq in alts
     )
-    blocks = []
-    for qid, alts in enumerate(parsed):
-        for seq in alts:
-            aliases = [f"p{i}" for i in range(len(seq))]
-            joins = f"posi {aliases[0]}" + "".join(
-                f" JOIN posi {a} USING (doc_id)" for a in aliases[1:]
-            )
-            conds = " AND ".join(f"{a}.tok = '{t}'" for a, t in zip(aliases, seq))
-            order = " AND ".join(
-                f"{aliases[i + 1]}.pos > {aliases[i]}.pos" for i in range(len(seq) - 1)
-            )
-            where = conds + (f" AND {order}" if order else "")
-            limit = len(seq) - 1 + SPAN_SLOP
-            blocks.append(
-                f"  SELECT {qid} AS query_id, {aliases[0]}.doc_id FROM {joins}\n"
-                f"  WHERE {where}\n"
-                f"    AND {aliases[-1]}.pos - {aliases[0]}.pos <= {limit}\n"
-                f"  GROUP BY 2"
-            )
-    spans = "\n  UNION ALL\n".join(blocks)
     return _bm25_spans_oracle_sql(
         f"qd(query_id, tok) AS (VALUES {values})",
         # a doc matches iff ANY alternative's block emits it
@@ -1398,27 +1338,13 @@ def bm25_span_within_oracle_sql(k: int = 10) -> str:
     for q in FT_SPAN_WITHINS:
         little, big = q.split("<", 1)
         parsed.append((little.split(), big.split()))
-    values = ",".join(
-        f"({qid}, '{term}')"
-        for qid, (little, _) in enumerate(parsed)
-        for term in sorted(set(little))
-    )
+    values = _values(parsed, lambda p: sorted(set(p[0])))
     blocks = []
     for qid, (little, big) in enumerate(parsed):
-        l_aliases = [f"q{i}" for i in range(len(little))]
-        joins = f"posi {l_aliases[0]}" + "".join(
-            f" JOIN posi {a} USING (doc_id)" for a in l_aliases[1:]
-        )
-        conds = " AND ".join(f"{a}.tok = '{t}'" for a, t in zip(l_aliases, little))
-        order = " AND ".join(
-            f"{l_aliases[i + 1]}.pos > {l_aliases[i]}.pos"
-            for i in range(len(little) - 1)
-        )
-        where = conds + (f" AND {order}" if order else "")
-        l_limit = len(little) - 1 + SPAN_SLOP
+        first, last = "q0", f"q{len(little) - 1}"
         b_aliases = [f"b{i}" for i in range(len(big))]
         b_from = ", ".join(f"posi {a}" for a in b_aliases)
-        b_conds = [f"{a}.doc_id = {l_aliases[0]}.doc_id" for a in b_aliases]
+        b_conds = [f"{a}.doc_id = {first}.doc_id" for a in b_aliases]
         b_conds += [f"{a}.tok = '{t}'" for a, t in zip(b_aliases, big)]
         b_conds += [
             f"{b_aliases[i + 1]}.pos > {b_aliases[i]}.pos"
@@ -1427,15 +1353,14 @@ def bm25_span_within_oracle_sql(k: int = 10) -> str:
         b_limit = len(big) - 1 + SPAN_SLOP
         b_conds.append(f"{b_aliases[-1]}.pos - {b_aliases[0]}.pos <= {b_limit}")
         # enclosure: little fully inside the big inclusive window
-        b_conds.append(f"{b_aliases[0]}.pos <= {l_aliases[0]}.pos")
-        b_conds.append(f"{l_aliases[-1]}.pos <= {b_aliases[-1]}.pos")
-        blocks.append(
-            f"  SELECT {qid} AS query_id, {l_aliases[0]}.doc_id FROM {joins}\n"
-            f"  WHERE {where}\n"
-            f"    AND {l_aliases[-1]}.pos - {l_aliases[0]}.pos <= {l_limit}\n"
+        b_conds.append(f"{b_aliases[0]}.pos <= {first}.pos")
+        b_conds.append(f"{last}.pos <= {b_aliases[-1]}.pos")
+        veto = (
             f"    AND EXISTS (SELECT 1 FROM {b_from}\n"
             f"      WHERE {' AND '.join(b_conds)})\n"
-            f"  GROUP BY 2"
+        )
+        blocks.append(
+            _span_block(qid, little, len(little) - 1 + SPAN_SLOP, veto=veto, a="q")
         )
     spans = "\n  UNION ALL\n".join(blocks)
     return _bm25_spans_oracle_sql(
@@ -1480,31 +1405,15 @@ def bm25_span_multi_oracle_sql(k: int = 10) -> str:
             return f"levenshtein({col}, '{raw[:-1]}') <= 1"
         return f"{col} = '{raw}'"
 
-    qd_rows = []
-    blocks = []
-    for qid, q in enumerate(FT_SPAN_MULTIS):
-        slots = q.split()
-        for raw in slots:
-            qd_rows.append(
-                f"  SELECT {qid} AS query_id, tok FROM vocab WHERE {slot_cond('tok', raw)}"
-            )
-        aliases = [f"p{i}" for i in range(len(slots))]
-        joins = f"posi {aliases[0]}" + "".join(
-            f" JOIN posi {a} USING (doc_id)" for a in aliases[1:]
-        )
-        conds = " AND ".join(slot_cond(f"{a}.tok", raw) for a, raw in zip(aliases, slots))
-        order = " AND ".join(
-            f"{aliases[i + 1]}.pos > {aliases[i]}.pos" for i in range(len(slots) - 1)
-        )
-        where = conds + (f" AND {order}" if order else "")
-        limit = len(slots) - 1 + SPAN_SLOP
-        blocks.append(
-            f"  SELECT {qid} AS query_id, {aliases[0]}.doc_id FROM {joins}\n"
-            f"  WHERE {where} GROUP BY 2\n"
-            f"  HAVING MIN({aliases[-1]}.pos - {aliases[0]}.pos) <= {limit}"
-        )
-    qd = "\n  UNION\n".join(qd_rows)
-    spans = "\n  UNION ALL\n".join(blocks)
+    qd = "\n  UNION\n".join(
+        f"  SELECT {qid} AS query_id, tok FROM vocab WHERE {slot_cond('tok', raw)}"
+        for qid, q in enumerate(FT_SPAN_MULTIS)
+        for raw in q.split()
+    )
+    spans = "\n  UNION ALL\n".join(
+        _span_block(qid, q.split(), len(q.split()) - 1 + SPAN_SLOP, cond=slot_cond)
+        for qid, q in enumerate(FT_SPAN_MULTIS)
+    )
     return _bm25_spans_oracle_sql(
         "vocab AS (SELECT DISTINCT tok FROM toks),\nqd AS (\n" + qd + "\n)",
         spans, k,
@@ -1770,11 +1679,7 @@ def bm25_query_string_oracle_sql(k: int = 10) -> str:
     return f"""
 WITH {_toks()},
 toksd AS (SELECT DISTINCT doc_id, tok FROM toks),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+{_bm25_stats()},
 vocab AS (SELECT DISTINCT tok FROM tf),
 dt AS (SELECT doc_id,
               ' ' || array_to_string(list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> ''), ' ') || ' ' AS ts
@@ -1828,18 +1733,7 @@ elig AS (
   LEFT JOIN excl x ON x.query_id = e.query_id AND x.doc_id = e.doc_id
   WHERE x.doc_id IS NULL
 ),
-scored AS (
-  SELECT w.query_id, tf.doc_id,
-         sum( w.w * ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM wsum w
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
+{_scored("wsum w", "w.w * ")},
 {_ranked("elig e JOIN scored s ON s.query_id = e.query_id AND s.doc_id = e.doc_id", "s.score", "e")}
 {_top(k)}
 """
@@ -1883,7 +1777,7 @@ def bm25_update_by_query_oracle_sql(k: int = 10) -> str:
     upd_terms = ",".join(f"'{t}'" for t in sorted(set(UBQ_TEXT.split())))
     n_upd = len(set(UBQ_TEXT.split()))
     return f"""
-WITH base_{_toks(distinct=True)},
+WITH {_toks(distinct=True, name="base_toks")},
 upd AS (
   SELECT doc_id FROM base_toks WHERE tok IN ({upd_terms})
   GROUP BY doc_id HAVING count(*) = {n_upd}
@@ -1894,16 +1788,7 @@ corpus AS (
   SELECT d.doc_id + {UBQ_OFFSET}, d.text || '{UBQ_SUFFIX}'
   FROM documents d JOIN upd u ON d.doc_id = u.doc_id
 ),
-toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM corpus) WHERE tok <> ''
-),
-dl AS (SELECT c.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM corpus c LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+{_bm25_head("corpus", "c")},
 {_qd(_values(FT_QUERIES))},
 {_scored()},
 ranked AS (
@@ -1942,28 +1827,31 @@ def bm25_topk_regexp(sf_dir: str, k: int = 10) -> pd.DataFrame:
     return _run_queries(_ensure_index(sf_dir, fresh=False), FT_REGEXPS, k, "regexp")
 
 
-def bm25_regexp_oracle_sql(k: int = 10) -> str:
-    """Regexp oracle: the wildcard oracle with LIKE replaced by DuckDB's
-    regexp_full_match (RE2) — exact for the frozen pattern set because the
-    constructs used are semantics-identical between RE2 and Python re on
-    full-match; then the standard BM25 stack over the expanded union."""
-    values = ",".join(
-        f"({qid}, '{pat}')"
-        for qid, q in enumerate(FT_REGEXPS)
-        for pat in q.lower().split()
-    )
+def _vocab_oracle_sql(pats: str, on: str, k: int) -> str:
+    """The BM25 stack over each query's vocabulary expansion: the
+    distinct tokens joined to the ``(query_id, pat)`` rows ``pats`` on
+    the predicate ``on`` (over ``v.tok`` and ``q.pat``)."""
     return f"""
 WITH {_bm25_head()},
 vocab AS (SELECT DISTINCT tok FROM tf),
-q(query_id, pat) AS (VALUES {values}),
+q(query_id, pat) AS (VALUES {pats}),
 qd AS (
   SELECT DISTINCT q.query_id, v.tok
-  FROM q JOIN vocab v ON regexp_full_match(v.tok, q.pat)
+  FROM q JOIN vocab v ON {on}
 ),
 {_scored()},
 {_ranked()}
 {_top(k)}
 """
+
+
+def bm25_regexp_oracle_sql(k: int = 10) -> str:
+    """Regexp oracle: the wildcard oracle with LIKE replaced by DuckDB's
+    regexp_full_match (RE2) — exact for the frozen pattern set because the
+    constructs used are semantics-identical between RE2 and Python re on
+    full-match; then the standard BM25 stack over the expanded union."""
+    pats = _values(FT_REGEXPS, lambda q: q.lower().split())
+    return _vocab_oracle_sql(pats, "regexp_full_match(v.tok, q.pat)", k)
 
 
 def bm25_topk_fuzzy(sf_dir: str, k: int = 10) -> pd.DataFrame:
@@ -1979,21 +1867,7 @@ def bm25_topk_fuzzy(sf_dir: str, k: int = 10) -> pd.DataFrame:
 def bm25_fuzzy_oracle_sql(k: int = 10) -> str:
     """Fuzzy oracle: the standard BM25 CTE stack with the query→term map
     joining the vocabulary on levenshtein(tok, pat) <= 1."""
-    values = ",".join(
-        f"({qid}, '{tok}')" for qid, q in enumerate(FT_FUZZIES) for tok in q.split()
-    )
-    return f"""
-WITH {_bm25_head()},
-vocab AS (SELECT DISTINCT tok FROM tf),
-q(query_id, pat) AS (VALUES {values}),
-qd AS (
-  SELECT DISTINCT q.query_id, v.tok
-  FROM q JOIN vocab v ON levenshtein(v.tok, q.pat) <= 1
-),
-{_scored()},
-{_ranked()}
-{_top(k)}
-"""
+    return _vocab_oracle_sql(_values(FT_FUZZIES), "levenshtein(v.tok, q.pat) <= 1", k)
 
 
 def bm25_topk_fuzzy2(sf_dir: str, k: int = 10) -> pd.DataFrame:
@@ -2012,21 +1886,7 @@ def bm25_topk_fuzzy2(sf_dir: str, k: int = 10) -> pd.DataFrame:
 def bm25_fuzzy2_oracle_sql(k: int = 10) -> str:
     """Fuzzy2 oracle: the standard BM25 CTE stack with the query→term map
     joining the vocabulary on levenshtein(tok, pat) <= 2."""
-    values = ",".join(
-        f"({qid}, '{tok}')" for qid, q in enumerate(FT_FUZZIES2) for tok in q.split()
-    )
-    return f"""
-WITH {_bm25_head()},
-vocab AS (SELECT DISTINCT tok FROM tf),
-q(query_id, pat) AS (VALUES {values}),
-qd AS (
-  SELECT DISTINCT q.query_id, v.tok
-  FROM q JOIN vocab v ON levenshtein(v.tok, q.pat) <= 2
-),
-{_scored()},
-{_ranked()}
-{_top(k)}
-"""
+    return _vocab_oracle_sql(_values(FT_FUZZIES2), "levenshtein(v.tok, q.pat) <= 2", k)
 
 
 def facet_counts_query(sf_dir: str) -> pd.DataFrame:
@@ -2096,18 +1956,7 @@ def bm25_boost_oracle_sql(k: int = 10) -> str:
 WITH {_bm25_head()},
 q(query_id, tok, w) AS (VALUES {values}),
 qw AS (SELECT query_id, tok, CAST(SUM(w) AS DOUBLE) AS w FROM q GROUP BY 1, 2),
-scored AS (
-  SELECT qw.query_id, tf.doc_id,
-         sum( qw.w * ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qw
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
+{_scored("qw", "qw.w * ")},
 {_ranked()}
 {_top(k)}
 """
@@ -2170,18 +2019,7 @@ elig AS (
                     WHERE e.query_id = b.query_id AND e.doc_id = b.doc_id)
 ),
 qpos AS (SELECT DISTINCT query_id, tok FROM q WHERE role IN ('must', 'should')),
-scored AS (
-  SELECT qpos.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qpos
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-),
+{_scored("qpos")},
 {_ranked("scored s JOIN elig USING (query_id, doc_id)", "s.score", "s")}
 {_top(k)}
 """
@@ -3514,7 +3352,7 @@ def matrix_stats_oracle_sql() -> str:
     count, scaled ts permutation) over the distinct match set."""
     return f"""
 WITH {_toks(distinct=True)},
-all{_toks()},
+{_toks(name="alltoks")},
 dl AS (SELECT doc_id, count(*) AS a FROM alltoks GROUP BY 1),
 {_qd(_values(FT_QUERIES))},
 matched AS (SELECT DISTINCT qd.query_id, toks.doc_id FROM qd JOIN toks USING (tok)),
@@ -4535,16 +4373,7 @@ def reindex_lang_oracle_sql(k: int = 10) -> str:
     N, avgdl, df, tf, dl — computed over the lang-filtered subset."""
     return f"""
 WITH sub AS (SELECT doc_id, text FROM documents WHERE lang = '{REINDEX_LANG}'),
-toks AS (
-  SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
-    FROM sub) WHERE tok <> ''
-),
-dl AS (SELECT s.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM sub s LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+{_bm25_head("sub", "s")},
 {_qd(_values(FT_QUERIES))},
 {_scored()},
 {_ranked()}
@@ -5534,22 +5363,11 @@ def bm25_topk_terms_set(sf_dir: str, k: int = 10) -> pd.DataFrame:
 def bm25_terms_set_oracle_sql(k: int = 10) -> str:
     """terms_set oracle: the msm BM25 CTEs with the HAVING threshold read
     per doc — count(DISTINCT matched) >= 1 + doclen % TSET_MOD."""
+    having = f"count(DISTINCT tf.tok) >= 1 + CAST(any_value(dl.dl) AS BIGINT) % {TSET_MOD}"
     return f"""
 WITH {_bm25_head()},
 {_qd(_values(FT_MSMS))},
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-  HAVING count(DISTINCT tf.tok) >= 1 + CAST(any_value(dl.dl) AS BIGINT) % {TSET_MOD}
-),
+{_scored(having=having)},
 {_ranked()}
 {_top(k)}
 """
@@ -5560,22 +5378,11 @@ def bm25_msm_oracle_sql(k: int = 10) -> str:
     survives only when its matched-DISTINCT-term count >= m. OOV terms
     never join, so they reduce the satisfiable clause pool exactly like
     the engine's in-vocabulary term set."""
+    having = f"count(DISTINCT tf.tok) >= {MSM_M}"
     return f"""
 WITH {_bm25_head()},
 {_qd(_values(FT_MSMS))},
-scored AS (
-  SELECT qd.query_id, tf.doc_id,
-         sum( ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
-              * tf.tf * (1.2 + 1.0)
-              / (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / s.avgdl)) ) AS score
-  FROM qd
-  JOIN tf USING (tok)
-  JOIN df USING (tok)
-  JOIN dl ON tf.doc_id = dl.doc_id
-  CROSS JOIN stats s
-  GROUP BY 1, 2
-  HAVING count(DISTINCT tf.tok) >= {MSM_M}
-),
+{_scored(having=having)},
 {_ranked()}
 {_top(k)}
 """
@@ -5927,11 +5734,7 @@ WITH toks AS (
                                          x -> x <> ''), 1) AS pos
   FROM documents
 ),
-dl AS (SELECT d.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
-       FROM documents d LEFT JOIN (SELECT doc_id, count(*) AS c FROM toks GROUP BY 1) t USING (doc_id)),
-stats AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dl),
-tf AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toks GROUP BY 1, 2),
-df AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tf GROUP BY 1),
+{_bm25_stats()},
 q(query_id, tok) AS (VALUES {values}),
 gate AS (SELECT DISTINCT q.query_id, t.doc_id
          FROM q JOIN toks t USING (tok) WHERE t.pos <= {SPAN_FIRST_N}),
