@@ -17,11 +17,13 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import Any
 
+from aarhus_ray.textnorm import TOKENIZE_SQL
+
 CLONE_OFFSET = 1_000_000  # keep in sync with aarhus_ray.functions.dedup
 
-_JACCARD_PAIRS_SQL = """
+_JACCARD_PAIRS_SQL = f"""
     WITH t AS (SELECT doc_id,
-                      list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'),
+                      list_filter({TOKENIZE_SQL},
                                   x -> x <> '') AS toks
                FROM documents),
     sh AS (SELECT doc_id,
@@ -737,13 +739,8 @@ def oracle_sql() -> dict[str, str]:
         windows,
     )
 
-    # ASCII-ONLY ASSUMPTION (verified by tests/test_functions.py::
-    # test_driver_corpus_is_ascii): these oracles tokenize with lower(text)
-    # while the engine uses NFKC + casefold + [a-z0-9]+ (textnorm.py). The
-    # two agree exactly on the driver corpus because it is plain lowercase
-    # ASCII; non-ASCII text (ß, ligatures, fullwidth digits) would diverge.
-    tok = "regexp_split_to_array(lower(text), '[^a-z0-9]+')"
-    toks_nonempty = f"list_filter({tok}, x -> x <> '')"
+    # the oracles tokenize with TOKENIZE_SQL (ASCII-only; see textnorm.py)
+    toks_nonempty = f"list_filter({TOKENIZE_SQL}, x -> x <> '')"
     sqls = {
         # NOTE: every SUM is wrapped CAST(SUM(...) AS BIGINT) — DuckDB's
         # SUM(BIGINT) yields HUGEINT, which fetchdf() maps to float64 and
@@ -1414,7 +1411,7 @@ def oracle_sql() -> dict[str, str]:
         """,
         "docs_term_counts_top50": f"""
             SELECT tok AS term, COUNT(*) AS n
-            FROM (SELECT unnest({tok}) AS tok FROM documents)
+            FROM (SELECT unnest({TOKENIZE_SQL}) AS tok FROM documents)
             WHERE tok <> ''
             GROUP BY 1 ORDER BY n DESC, term LIMIT 50
         """,
@@ -2148,7 +2145,7 @@ def oracle_sql() -> dict[str, str]:
         "docs_dsir_weights": f"""
             WITH toks AS (
               SELECT doc_id, tok FROM (
-                SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
+                SELECT doc_id, unnest({TOKENIZE_SQL}) AS tok
                 FROM documents) WHERE tok <> ''
             ),
             b AS (SELECT doc_id,
@@ -2388,7 +2385,7 @@ def oracle_sql() -> dict[str, str]:
             ),
             toks AS (
               SELECT doc_id,
-                     unnest(list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'),
+                     unnest(list_filter({TOKENIZE_SQL},
                                         x -> x <> '')) AS tok
               FROM docs2
             ),
@@ -2867,7 +2864,7 @@ def oracle_sql() -> dict[str, str]:
         "fulltext_has_child": f"""
             WITH t AS (
               SELECT doc_id,
-                     list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'),
+                     list_filter({TOKENIZE_SQL},
                                  x -> x <> '') AS toks
               FROM documents
             ),
@@ -2897,7 +2894,7 @@ def oracle_sql() -> dict[str, str]:
         "fulltext_has_parent": f"""
             WITH t AS (
               SELECT doc_id, lang,
-                     list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'),
+                     list_filter({TOKENIZE_SQL},
                                  x -> x <> '') AS toks
               FROM documents
             ),

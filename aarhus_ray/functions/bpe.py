@@ -35,11 +35,11 @@ import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Sum
 
-from ..textnorm import tokenize_batch
+from ..textnorm import TOKENIZE_SQL, tokenize_batch
 
 N_MERGES = 8  # frozen: merges learned by the driver query
 
-_TOKS_SQL = "list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> '')"
+_TOKS_SQL = f"list_filter({TOKENIZE_SQL}, x -> x <> '')"
 
 
 def _merge_chain_sql(n_merges: int) -> str:

@@ -718,7 +718,7 @@ def bm25_near_oracle_sql(k: int = 10) -> str:
 WITH {_bm25_head()},
 {_qd(_values(FT_NEARS))},
 arr AS (SELECT doc_id,
-               list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> '') AS a
+               list_filter({TOKENIZE_SQL}, x -> x <> '') AS a
         FROM documents),
 posi AS (SELECT doc_id, unnest(a) AS tok, generate_subscripts(a, 1) - 1 AS pos FROM arr),
 nears AS (
@@ -1001,7 +1001,7 @@ def term_vectors_oracle_sql() -> str:
     return f"""
 WITH arr AS (
   SELECT doc_id,
-         list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> '') AS a
+         list_filter({TOKENIZE_SQL}, x -> x <> '') AS a
   FROM documents
 ),
 posi AS (SELECT doc_id, unnest(a) AS tok, generate_subscripts(a, 1) - 1 AS pos FROM arr),
@@ -1132,7 +1132,7 @@ def _bm25_spans_oracle_sql(qd_block: str, spans: str, k: int) -> str:
 WITH {_bm25_head()},
 {qd_block},
 arr AS (SELECT doc_id,
-               list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> '') AS a
+               list_filter({TOKENIZE_SQL}, x -> x <> '') AS a
         FROM documents),
 posi AS (SELECT doc_id, unnest(a) AS tok, generate_subscripts(a, 1) - 1 AS pos FROM arr),
 spans AS (
@@ -1595,7 +1595,7 @@ def analyze_oracle_sql() -> str:
     return f"""
 WITH docs AS (
   SELECT doc_id,
-         list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> '') AS l
+         list_filter({TOKENIZE_SQL}, x -> x <> '') AS l
   FROM documents WHERE doc_id < {AN_NDOCS}
 ),
 idx AS (SELECT unnest(range(1, 1001)) AS pos)
@@ -1682,7 +1682,7 @@ toksd AS (SELECT DISTINCT doc_id, tok FROM toks),
 {_bm25_stats()},
 vocab AS (SELECT DISTINCT tok FROM tf),
 dt AS (SELECT doc_id,
-              ' ' || array_to_string(list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> ''), ' ') || ' ' AS ts
+              ' ' || array_to_string(list_filter({TOKENIZE_SQL}, x -> x <> ''), ' ') || ' ' AS ts
        FROM documents),
 wlit(query_id, tok, w) AS (VALUES {wlit}),
 wpre(query_id, pre, w) AS (VALUES {wpre}),
@@ -2142,7 +2142,7 @@ q(query_id, fixed, stem) AS (VALUES {values}),
 vocab AS (SELECT DISTINCT tok FROM tf),
 exp AS (SELECT q.query_id, v.tok AS e FROM q JOIN vocab v ON v.tok LIKE q.stem || '%'),
 dt AS (SELECT doc_id,
-              ' ' || array_to_string(list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> ''), ' ') || ' ' AS ts
+              ' ' || array_to_string(list_filter({TOKENIZE_SQL}, x -> x <> ''), ' ') || ' ' AS ts
        FROM documents),
 contrib AS (
   SELECT tf.doc_id, tf.tok,
@@ -2407,7 +2407,7 @@ WITH {_bm25_head()},
 {_scored(compact=True)},
 {_ranked()},
 arr AS (SELECT doc_id,
-               list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> '') AS a
+               list_filter({TOKENIZE_SQL}, x -> x <> '') AS a
         FROM documents),
 posi AS (SELECT doc_id, unnest(a) AS tok, generate_subscripts(a, 1) AS pos FROM arr),
 firstp AS (SELECT qd.query_id, p.doc_id, min(p.pos) AS fp
@@ -2464,10 +2464,10 @@ def index_stats(sf_dir: str) -> pd.DataFrame:
 
 
 def index_stats_oracle_sql() -> str:
-    return """
+    return f"""
         WITH toks AS (
           SELECT doc_id, tok FROM (
-            SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
+            SELECT doc_id, unnest({TOKENIZE_SQL}) AS tok
             FROM documents) WHERE tok <> ''
         )
         SELECT (SELECT CAST(count(*) AS BIGINT) FROM documents) AS n_docs,
@@ -3648,7 +3648,7 @@ def terms_enum_oracle_sql() -> str:
     return f"""
 WITH vocab AS (
   SELECT DISTINCT tok FROM (
-    SELECT unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
+    SELECT unnest({TOKENIZE_SQL}) AS tok
     FROM documents) WHERE tok <> ''
 ),
 p(prefix_id, prefix) AS (VALUES {values}),
@@ -4336,7 +4336,7 @@ GROUP BY 1, 2"""
 corpus_{lang} AS (SELECT doc_id, text FROM documents WHERE lang = '{lang}'),
 toks_{lang} AS (
   SELECT doc_id, tok FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS tok
+    SELECT doc_id, unnest({TOKENIZE_SQL}) AS tok
     FROM corpus_{lang}) WHERE tok <> ''
 ),
 dl_{lang} AS (SELECT c.doc_id, CAST(coalesce(t.c, 0) AS DOUBLE) AS dl
@@ -4492,7 +4492,7 @@ def bm25_multifield_oracle_sql(k: int = 10) -> str:
     weights."""
     return f"""
 WITH bod AS (SELECT doc_id,
-                    list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> '') AS a
+                    list_filter({TOKENIZE_SQL}, x -> x <> '') AS a
              FROM documents),
 toksB AS (SELECT doc_id, unnest(a) AS tok FROM bod),
 toksT AS (SELECT doc_id, unnest(list_slice(a, 1, {TITLE_LEN})) AS tok FROM bod),
@@ -4567,7 +4567,7 @@ def combined_fields_oracle_sql(k: int = 10) -> str:
     verbatim standard chain over those inputs."""
     return f"""
 WITH bod AS (SELECT doc_id,
-                    list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> '') AS a
+                    list_filter({TOKENIZE_SQL}, x -> x <> '') AS a
              FROM documents),
 toksB AS (SELECT doc_id, unnest(a) AS tok FROM bod),
 toksT AS (SELECT doc_id, unnest(list_slice(a, 1, {TITLE_LEN})) AS tok FROM bod),
@@ -4789,7 +4789,7 @@ def bm25_cross_fields_oracle_sql(k: int = 10) -> str:
     (term, doc), blended with greatest(), then summed per (query, doc)."""
     return f"""
 WITH bod AS (SELECT doc_id,
-                    list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> '') AS a
+                    list_filter({TOKENIZE_SQL}, x -> x <> '') AS a
              FROM documents),
 toksB AS (SELECT doc_id, unnest(a) AS tok FROM bod),
 toksT AS (SELECT doc_id, unnest(list_slice(a, 1, {TITLE_LEN})) AS tok FROM bod),
@@ -5092,7 +5092,7 @@ WITH {_bm25_head()},
 q(query_id, phrase) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, unnest(regexp_split_to_array(phrase, ' ')) AS tok FROM q),
 dt AS (SELECT doc_id,
-              ' ' || array_to_string(list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> ''), ' ') || ' ' AS ts
+              ' ' || array_to_string(list_filter({TOKENIZE_SQL}, x -> x <> ''), ' ') || ' ' AS ts
        FROM documents),
 phrased AS (
   SELECT q.query_id, dt.doc_id
@@ -5435,7 +5435,7 @@ WITH {_bm25_head()},
 q(query_id, phrase) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, unnest(regexp_split_to_array(phrase, ' ')) AS tok FROM q),
 dt AS (SELECT doc_id,
-              ' ' || array_to_string(list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> ''), ' ') || ' ' AS ts
+              ' ' || array_to_string(list_filter({TOKENIZE_SQL}, x -> x <> ''), ' ') || ' ' AS ts
        FROM documents),
 matched AS (
   SELECT q.query_id, dt.doc_id
@@ -5728,9 +5728,9 @@ def bm25_span_first_oracle_sql(k: int = 10) -> str:
     return f"""
 WITH toks AS (
   SELECT doc_id,
-         unnest(list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'),
+         unnest(list_filter({TOKENIZE_SQL},
                             x -> x <> '')) AS tok,
-         generate_subscripts(list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'),
+         generate_subscripts(list_filter({TOKENIZE_SQL},
                                          x -> x <> ''), 1) AS pos
   FROM documents
 ),

@@ -506,12 +506,14 @@ def test_parallel_fixture_generation_deterministic(tmp_path):
 
 
 def test_driver_corpus_is_ascii():
-    """Guards the oracle-SQL tokenizer equivalence: the DuckDB oracles use
-    lower(text) while the engine uses NFKC+casefold (textnorm.py). They
-    agree only while the driver corpus is plain ASCII — if this ever fails,
-    every text-tokenizing oracle in __ray_entry__ needs a casefold-aware
-    rewrite (see the ASCII-ONLY ASSUMPTION note there)."""
-    for sf in ("/root/testdata/sf0.001",):
+    """Guards the oracle-SQL tokenizer equivalence: the DuckDB oracles
+    tokenize with ``textnorm.TOKENIZE_SQL`` (lower(text)) while the engine
+    uses NFKC+casefold (``textnorm.tokenize``). They agree only on plain
+    ASCII, so every corpus the oracles run on is checked: sf0.001 (the
+    driver window), sf0.01 (the ``tools/check_oracle.py`` gate) and sf0.1
+    (the bench data). If this ever fails, every text-tokenizing oracle
+    needs a casefold-aware rewrite (see the note at TOKENIZE_SQL)."""
+    for sf in ("/root/testdata/sf0.001", "/root/testdata/sf0.01", "/root/testdata/sf0.1"):
         t = pq.read_table(f"{sf}/documents.parquet", columns=["text"])
         for s in t["text"].to_pylist():
             assert s.isascii()
