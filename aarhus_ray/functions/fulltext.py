@@ -127,6 +127,14 @@ def _scored(q: str = "qd", w: str = "", having: str = "", compact: bool = False)
 )"""
 
 
+def _token_string() -> str:
+    """``dt(doc_id, ts)``: each doc's tokens joined by single spaces with
+    a space at each end, so a phrase p occurs iff ' p ' is a substring."""
+    return f"""dt AS (SELECT doc_id,
+              ' ' || array_to_string(list_filter({TOKENIZE_SQL}, x -> x <> ''), ' ') || ' ' AS ts
+       FROM documents)"""
+
+
 def _ranked(frm: str = "scored", key: str = "score", a: str = "") -> str:
     """``ranked``: each query's rows of ``frm`` (the eligibility join)
     numbered by (``key`` DESC, doc_id); ``a`` qualifies query_id/doc_id."""
@@ -1681,9 +1689,7 @@ WITH {_toks()},
 toksd AS (SELECT DISTINCT doc_id, tok FROM toks),
 {_bm25_stats()},
 vocab AS (SELECT DISTINCT tok FROM tf),
-dt AS (SELECT doc_id,
-              ' ' || array_to_string(list_filter({TOKENIZE_SQL}, x -> x <> ''), ' ') || ' ' AS ts
-       FROM documents),
+{_token_string()},
 wlit(query_id, tok, w) AS (VALUES {wlit}),
 wpre(query_id, pre, w) AS (VALUES {wpre}),
 wexp AS (
@@ -2141,9 +2147,7 @@ WITH {_bm25_head()},
 q(query_id, fixed, stem) AS (VALUES {values}),
 vocab AS (SELECT DISTINCT tok FROM tf),
 exp AS (SELECT q.query_id, v.tok AS e FROM q JOIN vocab v ON v.tok LIKE q.stem || '%'),
-dt AS (SELECT doc_id,
-              ' ' || array_to_string(list_filter({TOKENIZE_SQL}, x -> x <> ''), ' ') || ' ' AS ts
-       FROM documents),
+{_token_string()},
 contrib AS (
   SELECT tf.doc_id, tf.tok,
          ln(1 + (s.n - df.df + 0.5) / (df.df + 0.5))
@@ -4490,8 +4494,15 @@ def bm25_multifield_oracle_sql(k: int = 10) -> str:
     TITLE_LEN tokens with field-local dl/avgdl/df; body = the standard
     stack) FULL-JOINed per (query, doc) and combined with the frozen
     weights."""
-    return f"""
-WITH bod AS (SELECT doc_id,
+    return _fields_sql(
+        f"{W_TITLE} * coalesce(t.score, 0) + {W_BODY} * coalesce(b.score, 0)", k
+    )
+
+
+def _field_stats() -> str:
+    """The two field stacks' statistics: body = every token, title =
+    the first TITLE_LEN tokens, each with field-local dl/avgdl/tf/df."""
+    return f"""bod AS (SELECT doc_id,
                     list_filter({TOKENIZE_SQL}, x -> x <> '') AS a
              FROM documents),
 toksB AS (SELECT doc_id, unnest(a) AS tok FROM bod),
@@ -4503,7 +4514,14 @@ statsT AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dlT),
 tfB AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toksB GROUP BY 1, 2),
 dfB AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tfB GROUP BY 1),
 tfT AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toksT GROUP BY 1, 2),
-dfT AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tfT GROUP BY 1),
+dfT AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tfT GROUP BY 1)"""
+
+
+def _fields_sql(combine: str, k: int) -> str:
+    """Per-field BM25 scores (``b``, ``t``) FULL-JOINed per (query, doc)
+    and ranked by the expression ``combine`` over their scores."""
+    return f"""
+WITH {_field_stats()},
 {_qd(_values(FT_QUERIES))},
 scoredB AS (
   SELECT qd.query_id, tfB.doc_id,
@@ -4526,7 +4544,7 @@ scoredT AS (
 comb AS (
   SELECT coalesce(b.query_id, t.query_id) AS query_id,
          coalesce(b.doc_id, t.doc_id) AS doc_id,
-         {W_TITLE} * coalesce(t.score, 0) + {W_BODY} * coalesce(b.score, 0) AS score
+         {combine} AS score
   FROM scoredB b FULL JOIN scoredT t
     ON b.query_id = t.query_id AND b.doc_id = t.doc_id
 ),
@@ -4788,19 +4806,7 @@ def bm25_cross_fields_oracle_sql(k: int = 10) -> str:
     PER-TERM granularity (no per-query sum yet), FULL-JOINed per
     (term, doc), blended with greatest(), then summed per (query, doc)."""
     return f"""
-WITH bod AS (SELECT doc_id,
-                    list_filter({TOKENIZE_SQL}, x -> x <> '') AS a
-             FROM documents),
-toksB AS (SELECT doc_id, unnest(a) AS tok FROM bod),
-toksT AS (SELECT doc_id, unnest(list_slice(a, 1, {TITLE_LEN})) AS tok FROM bod),
-dlB AS (SELECT doc_id, CAST(len(a) AS DOUBLE) AS dl FROM bod),
-dlT AS (SELECT doc_id, CAST(least(len(a), {TITLE_LEN}) AS DOUBLE) AS dl FROM bod),
-statsB AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dlB),
-statsT AS (SELECT CAST(count(*) AS DOUBLE) AS n, avg(dl) AS avgdl FROM dlT),
-tfB AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toksB GROUP BY 1, 2),
-dfB AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tfB GROUP BY 1),
-tfT AS (SELECT doc_id, tok, CAST(count(*) AS DOUBLE) AS tf FROM toksT GROUP BY 1, 2),
-dfT AS (SELECT tok, CAST(count(*) AS DOUBLE) AS df FROM tfT GROUP BY 1),
+WITH {_field_stats()},
 {_qd(_values(FT_CROSS))},
 contribB AS (
   SELECT tfB.tok, tfB.doc_id,
@@ -5091,9 +5097,7 @@ def rescore_oracle_sql(k: int = 10) -> str:
 WITH {_bm25_head()},
 q(query_id, phrase) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, unnest(regexp_split_to_array(phrase, ' ')) AS tok FROM q),
-dt AS (SELECT doc_id,
-              ' ' || array_to_string(list_filter({TOKENIZE_SQL}, x -> x <> ''), ' ') || ' ' AS ts
-       FROM documents),
+{_token_string()},
 phrased AS (
   SELECT q.query_id, dt.doc_id
   FROM q JOIN dt ON position((' ' || q.phrase || ' ') IN dt.ts) > 0
@@ -5297,16 +5301,10 @@ def bm25_dismax_oracle_sql(k: int = 10) -> str:
     """dis_max oracle: the two field CTE stacks of the multi_match oracle,
     combined with greatest + tie_breaker × least instead of the weighted
     sum — the same short IEEE-754 chain the engine computes."""
-    sql = bm25_multifield_oracle_sql(k)
-    old = (
-        f"{W_TITLE} * coalesce(t.score, 0) + {W_BODY} * coalesce(b.score, 0) AS score"
-    )
-    new = (
+    return _fields_sql(
         f"greatest(coalesce(t.score, 0), coalesce(b.score, 0)) + "
-        f"{DIS_TIE} * least(coalesce(t.score, 0), coalesce(b.score, 0)) AS score"
+        f"{DIS_TIE} * least(coalesce(t.score, 0), coalesce(b.score, 0))", k
     )
-    assert old in sql
-    return sql.replace(old, new)
 
 
 # minimum_should_match query set (m=2): mixes 2-of-3 / 2-of-4 selections,
@@ -5434,9 +5432,7 @@ def bm25_phrase_oracle_sql(k: int = 10) -> str:
 WITH {_bm25_head()},
 q(query_id, phrase) AS (VALUES {values}),
 qd AS (SELECT DISTINCT query_id, unnest(regexp_split_to_array(phrase, ' ')) AS tok FROM q),
-dt AS (SELECT doc_id,
-              ' ' || array_to_string(list_filter({TOKENIZE_SQL}, x -> x <> ''), ' ') || ' ' AS ts
-       FROM documents),
+{_token_string()},
 matched AS (
   SELECT q.query_id, dt.doc_id
   FROM q JOIN dt ON position((' ' || q.phrase || ' ') IN dt.ts) > 0
