@@ -4068,11 +4068,7 @@ def spell_suggest(sf_dir: str) -> pd.DataFrame:
 def spell_suggest_oracle_sql() -> str:
     """Spell-suggestion oracle: OOV query tokens joined to the vocabulary
     on levenshtein ≤ 1, argmax df with term-ASC tie via row_number."""
-    values = ",".join(
-        f"({qid}, '{tok}')"
-        for qid, q in enumerate(FT_FUZZIES)
-        for tok in dict.fromkeys(q.split())
-    )
+    values = _values(FT_FUZZIES, lambda q: dict.fromkeys(q.split()))
     return f"""
 WITH {_toks(distinct=True)},
 vocab AS (SELECT tok, CAST(count(*) AS BIGINT) AS df FROM toks GROUP BY 1),
@@ -5240,12 +5236,8 @@ def bm25_boosting_oracle_sql(k: int = 10) -> str:
     clause; the negative match set is a DISTINCT (query, doc) join of the
     negative terms against tf; final = score × NEG_BOOST where matched
     (exact: ×0.5 is a float exponent decrement)."""
-    pos_values = ",".join(
-        f"({qid}, '{t}')" for qid, (p, _) in enumerate(FT_BOOSTING) for t in p.split()
-    )
-    neg_values = ",".join(
-        f"({qid}, '{t}')" for qid, (_, n) in enumerate(FT_BOOSTING) for t in n.split()
-    )
+    pos_values = _values(FT_BOOSTING, lambda pn: pn[0].split())
+    neg_values = _values(FT_BOOSTING, lambda pn: pn[1].split())
     return f"""
 WITH {_bm25_head()},
 q(query_id, tok) AS (VALUES {pos_values}),
@@ -5413,8 +5405,7 @@ def _bm25_corpus_sql(where: str, top: str) -> str:
     return f"""
 WITH corpus AS (SELECT doc_id, text FROM documents{pred}),
 {_bm25_head("corpus")},
-q(query_id, tok) AS (VALUES {_values(FT_QUERIES)}),
-qd AS (SELECT DISTINCT query_id, tok FROM q),
+{_qd(_values(FT_QUERIES))},
 {_scored()},
 {_ranked()}
 {top}
